@@ -215,6 +215,43 @@ let test_pinned_tune_digest () =
     "tuner-trace digest pinned" "1281dbff72cfffefd31e4a3de57546d6"
     (digest rendered)
 
+(* The per-family flagship cell (Fig. 3b, 8 threads) under the production
+   cost model: one throughput per algorithm family, so a virtual-time drift
+   in TL2 or NOrec moves this digest even though the figures pinned above
+   run TinySTM only. *)
+let test_pinned_family_baseline_digest () =
+  let baseline =
+    List.filter
+      (function Abl.Cost { label; _ } -> label = "baseline" | _ -> false)
+      Abl.default_points
+  in
+  check_int "one baseline point" 1 (List.length baseline);
+  Alcotest.(check string)
+    "family baseline digest pinned" "8680b5f9b17b9e5e9f6a25c86ea03806"
+    (digest (String.concat "\n" (List.map Abl.render (List.map Abl.run_point baseline))))
+
+(* The hot-spot storm on every registered STM under the contention
+   managers that reach serial escalation, watchdog level switches and the
+   priority paths; the rendered lines are the ones `repro storm` prints. *)
+let test_pinned_storm_digest () =
+  let module Storm = Tstm_harness.Storm in
+  let lines =
+    List.concat_map
+      (fun (cm, watchdog) ->
+        List.map
+          (fun stm ->
+            let r =
+              Storm.run_one { Storm.default with Storm.stm; cm; watchdog }
+            in
+            Format.asprintf "%s %-10s %a" cm stm Storm.pp_report r)
+          Scenario.all_stms)
+      [ ("suicide", true); ("karma", false); ("greedy", false);
+        ("serialize:4", false) ]
+  in
+  Alcotest.(check string)
+    "storm digest pinned" "4ed246b6354c9db2c559668bca606bf6"
+    (digest (String.concat "\n" lines))
+
 (* ------------------------------------------------------------------ *)
 (* Crash recovery: a SIGKILLed worker is requeued, output unchanged    *)
 (* ------------------------------------------------------------------ *)
@@ -269,5 +306,9 @@ let () =
             test_pinned_ablation_digest;
           Alcotest.test_case "pinned digest: tuner trace" `Quick
             test_pinned_tune_digest;
+          Alcotest.test_case "pinned digest: family baseline" `Quick
+            test_pinned_family_baseline_digest;
+          Alcotest.test_case "pinned digest: storm" `Quick
+            test_pinned_storm_digest;
         ] );
     ]
