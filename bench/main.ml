@@ -22,8 +22,8 @@
 
    The figure drivers regenerate every figure of the paper's evaluation
    (Figs. 2-12) on the simulated 8-core runtime; the microbenchmarks time
-   the real-hardware hot paths (transactional read/write/commit for
-   TinySTM-WB/WT and TL2, plus lock-word and Bloom-filter primitives).
+   the real-hardware hot paths (transactional read/write/commit for every
+   STM of [Bench_real.stms], plus lock-word and Bloom-filter primitives).
    All simulated sweeps route through Tstm_exec: `--jobs N` fans the
    independent runs out to N worker processes with byte-identical
    stdout. *)
@@ -32,11 +32,10 @@ open Bechamel
 open Toolkit
 open Cmdliner
 
-module R = Tstm_runtime.Runtime_real
-module Ts = Tinystm.Make (R)
-module Tl = Tstm_tl2.Tl2.Make (R)
 module F = Tstm_harness.Figures
 module W = Tstm_harness.Workload
+module Br = Tstm_harness.Bench_real
+module Intf = Tstm_tm.Tm_intf
 module Cli = Tstm_exec.Cli
 module Job = Tstm_exec.Job
 
@@ -44,50 +43,42 @@ module Job = Tstm_exec.Job
 (* Microbenchmarks (Bechamel, real runtime)                            *)
 (* ------------------------------------------------------------------ *)
 
-let make_ts strategy =
+(* Per STM: a 4096-lock instance holding 1024 written words, timed on a
+   100-read transaction (plain and read-only) and a 10-word
+   read-modify-write transaction. *)
+let stm_tests (name, _, m) =
+  let module S = (val m : Br.STM) in
   let t =
-    Ts.create
-      ~config:(Tinystm.Config.make ~n_locks:4096 ~strategy ())
+    S.create
+      ~tuning:{ Intf.default_tuning with Intf.n_locks = 4096 }
       ~memory_words:65536 ()
   in
-  let base = Ts.atomically t (fun tx -> Ts.alloc tx 1024) in
-  Ts.atomically t (fun tx ->
+  let base = S.atomically t (fun tx -> S.alloc tx 1024) in
+  S.atomically t (fun tx ->
       for i = 0 to 1023 do
-        Ts.write tx (base + i) i
+        S.write tx (base + i) i
       done);
-  (t, base)
-
-let make_tl () =
-  let t = Tl.create ~n_locks:4096 ~memory_words:65536 () in
-  let base = Tl.atomically t (fun tx -> Tl.alloc tx 1024) in
-  Tl.atomically t (fun tx ->
-      for i = 0 to 1023 do
-        Tl.write tx (base + i) i
-      done);
-  (t, base)
+  let reads ?read_only () =
+    Staged.stage (fun () ->
+        S.atomically ?read_only t (fun tx ->
+            let s = ref 0 in
+            for i = 0 to 99 do
+              s := !s + S.read tx (base + i)
+            done;
+            !s))
+  in
+  [
+    Test.make ~name:(name ^ ": 100-read tx") (reads ());
+    Test.make ~name:(name ^ ": 100-read ro-tx") (reads ~read_only:true ());
+    Test.make ~name:(name ^ ": 10-rmw tx")
+      (Staged.stage (fun () ->
+           S.atomically t (fun tx ->
+               for i = 0 to 9 do
+                 S.write tx (base + i) (S.read tx (base + i) + 1)
+               done)));
+  ]
 
 let micro_tests () =
-  let wb, wb_base = make_ts Tinystm.Config.Write_back in
-  let wt, wt_base = make_ts Tinystm.Config.Write_through in
-  let tl, tl_base = make_tl () in
-  let reads_tx name t read atomically base =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           atomically t (fun tx ->
-               let s = ref 0 in
-               for i = 0 to 99 do
-                 s := !s + read tx (base + i)
-               done;
-               !s)))
-  in
-  let update_tx name t read write atomically base =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           atomically t (fun tx ->
-               for i = 0 to 9 do
-                 write tx (base + i) (read tx (base + i) + 1)
-               done)))
-  in
   [
     Test.make ~name:"lockenc encode+decode"
       (Staged.stage (fun () ->
@@ -100,23 +91,8 @@ let micro_tests () =
             Tstm_util.Bloom.clear b;
             Tstm_util.Bloom.add b 42;
             Tstm_util.Bloom.may_contain b 42));
-    reads_tx "tinystm-wb: 100-read tx" wb Ts.read
-      (fun t f -> Ts.atomically t f)
-      wb_base;
-    reads_tx "tinystm-wb: 100-read ro-tx" wb Ts.read
-      (fun t f -> Ts.atomically ~read_only:true t f)
-      wb_base;
-    reads_tx "tl2: 100-read tx" tl Tl.read (fun t f -> Tl.atomically t f) tl_base;
-    update_tx "tinystm-wb: 10-rmw tx" wb Ts.read Ts.write
-      (fun t f -> Ts.atomically t f)
-      wb_base;
-    update_tx "tinystm-wt: 10-rmw tx" wt Ts.read Ts.write
-      (fun t f -> Ts.atomically t f)
-      wt_base;
-    update_tx "tl2: 10-rmw tx" tl Tl.read Tl.write
-      (fun t f -> Tl.atomically t f)
-      tl_base;
   ]
+  @ List.concat_map stm_tests Br.stms
 
 let run_micro () =
   print_endline "=== Microbenchmarks (real runtime, single domain) ===";

@@ -27,6 +27,10 @@ val stm_names : string list
     analogue of the registry's simulated packagings. *)
 module type STM = Tstm_tm.Tm_intf.STM
 
+val stms : (string * string list * (module STM)) list
+(** Every STM on the real runtime as (canonical name, aliases, packaged
+    module), in {!stm_names} order. *)
+
 val find_stm : string -> (string * (module STM), string) result
 (** Resolve a name or alias to its canonical name and packaged module
     (shared by the bench cells, the fault sweep driver and the real-domain

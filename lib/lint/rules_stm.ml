@@ -15,10 +15,12 @@ type eff = Acq | Rel | Abt | Mem | Chg
 
 let suffix r pat = Astq.suffix_matches ~pat r.Astq.r_lid
 
+(* The three families plus the transaction core they share (lib/tm). *)
 let in_stm p =
   under2 ~a:"lib" ~b:"tinystm" p
   || under2 ~a:"lib" ~b:"tl2" p
   || under2 ~a:"lib" ~b:"norec" p
+  || under2 ~a:"lib" ~b:"tm" p
 
 (* --- stm-lock-pairing ------------------------------------------------ *)
 
@@ -36,7 +38,7 @@ let lock_pairing_direct r =
 
 let stm_lock_pairing =
   let id = "stm-lock-pairing" in
-  mk ~id ~severity:Finding.Error ~scope_doc:"lib/tinystm, lib/tl2, lib/norec"
+  mk ~id ~severity:Finding.Error ~scope_doc:"lib/tinystm, lib/tl2, lib/norec, lib/tm"
     ~scope:in_stm
     ~doc:
       "every call path that can acquire an orec or the global sequence \
@@ -87,7 +89,7 @@ let vmm_charge_direct r =
 let vmm_charge =
   let id = "vmm-charge" in
   mk ~id ~severity:Finding.Error
-    ~scope_doc:"lib/tinystm, lib/tl2, lib/norec, lib/structures"
+    ~scope_doc:"lib/tinystm, lib/tl2, lib/norec, lib/tm, lib/structures"
     ~scope:(fun p -> in_stm p || under2 ~a:"lib" ~b:"structures" p)
     ~doc:
       "raw Vmm word accesses are only reachable from entry points that \
@@ -181,7 +183,7 @@ let layers =
     { dir = "runtime"; root_module = "Tstm_runtime"; lib_name = "tstm_runtime"; allowed = [ "util"; "obs"; "chaos"; "fault" ] };
     { dir = "vmm"; root_module = "Tstm_vmm"; lib_name = "tstm_vmm"; allowed = [ "util"; "fault"; "runtime" ] };
     { dir = "san"; root_module = "Tstm_san"; lib_name = "tstm_san"; allowed = [ "util"; "runtime" ] };
-    { dir = "tm"; root_module = "Tstm_tm"; lib_name = "tstm_tm"; allowed = [ "util"; "cm"; "runtime"; "vmm"; "obs" ] };
+    { dir = "tm"; root_module = "Tstm_tm"; lib_name = "tstm_tm"; allowed = [ "util"; "cm"; "obs"; "chaos"; "fault"; "runtime"; "vmm"; "san" ] };
     { dir = "tinystm"; root_module = "Tinystm"; lib_name = "tinystm"; allowed = [ "util"; "cm"; "obs"; "chaos"; "fault"; "runtime"; "vmm"; "tm"; "san" ] };
     { dir = "tl2"; root_module = "Tstm_tl2"; lib_name = "tstm_tl2"; allowed = [ "util"; "cm"; "obs"; "chaos"; "fault"; "runtime"; "vmm"; "tm"; "san" ] };
     { dir = "norec"; root_module = "Tstm_norec"; lib_name = "tstm_norec"; allowed = [ "util"; "cm"; "obs"; "chaos"; "fault"; "runtime"; "vmm"; "tm"; "san" ] };

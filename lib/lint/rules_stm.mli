@@ -1,12 +1,13 @@
 (** STM-protocol rules over the intra-module call graph and the library
     DAG:
 
-    - [stm-lock-pairing] (lib/tinystm, lib/tl2): every entry point (a
+    - [stm-lock-pairing] (lib/tinystm, lib/tl2, lib/norec, and the
+      shared transaction core in lib/tm): every entry point (a
       function no other function in the module references) from which an
       orec acquire ([San.lock_acquire]) is reachable must also reach a
       release ([San.lock_release]) or an abort ([San.tx_abort] /
       [Abort_exn]).
-    - [vmm-charge] (lib/tinystm, lib/tl2, lib/structures): raw Vmm word
+    - [vmm-charge] (the same directories plus lib/structures): raw Vmm word
       accesses ([V.load]/[V.store]) are only reachable from entry points
       that charge Sim_sched cycles.
     - [tap-pairing] (lib): sanitizer/tap producer hooks come in pairs per

@@ -95,3 +95,13 @@ module Make (R : Tstm_runtime.Runtime_intf.S) : sig
   val stats : t -> Tstm_tm.Tm_stats.t
   val reset_stats : t -> unit
 end
+
+(** TinySTM packaged as registry {!Tstm_tm.Tm_intf.STM}s over a runtime,
+    one per write strategy (["tinystm-wb"], ["tinystm-wt"]; family
+    ["tinystm"]): the tuning record maps onto {!Config}, and [configure]
+    is {!Make.set_config}.  The harness instantiates them once per runtime
+    and registers the results. *)
+module Stm : sig
+  module Write_back (R : Tstm_runtime.Runtime_intf.S) : Tstm_tm.Tm_intf.STM
+  module Write_through (R : Tstm_runtime.Runtime_intf.S) : Tstm_tm.Tm_intf.STM
+end
