@@ -394,8 +394,8 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       { mem; ctl; prios; cm_active }
       ~ctl ~mode_slot ~flags ~prios ~max_threads ~max_retries ~cm ?watchdog ()
 
-  let memory (t : t) = t.fam.mem
-  let clock_value (t : t) = R.get t.ctl seq_slot
+  let memory t = (Core.fam t).mem
+  let clock_value t = R.get (Core.fam t).ctl seq_slot
   let read (tx : tx) addr = read_word tx.owner tx addr
   let write (tx : tx) addr v = write_word tx.owner tx addr v
   let alloc = Core.alloc

@@ -779,19 +779,19 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       ~ctl ~mode_slot ~flags ~prios ~kill_flags ~max_threads ~max_retries ~cm
       ?watchdog ()
 
-  let memory (t : t) = t.fam.mem
-  let config (t : t) = t.fam.cfg
-  let clock_value (t : t) = R.get t.ctl clock_slot
-  let rollovers (t : t) = R.get t.ctl rollover_slot
+  let memory t = (Core.fam t).mem
+  let config t = (Core.fam t).cfg
+  let clock_value t = R.get (Core.fam t).ctl clock_slot
+  let rollovers t = R.get (Core.fam t).ctl rollover_slot
 
   (* Re-tuning reuses the roll-over fence (paper §4.2): fresh lock and
      hierarchy arrays, and the clock restarts from zero. *)
-  let set_config (t : t) cfg =
+  let set_config t cfg =
     Config.validate cfg;
     let d = Core.desc_for t in
     if d.in_tx then invalid_arg "Tinystm.set_config: inside a transaction";
     Core.fence_and t (fun () ->
-        let f = t.fam in
+        let f = Core.fam t in
         f.cfg <- cfg;
         f.locks <- R.sarray_make cfg.Config.n_locks 0;
         f.hier <- R.sarray_make cfg.Config.hierarchy 0;
@@ -799,7 +799,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
         R.sarray_label f.locks "locks";
         R.sarray_label f.hier "hier";
         R.sarray_label f.hier2 "hier2";
-        R.set t.ctl clock_slot 0;
+        R.set f.ctl clock_slot 0;
         if san_on () then San.rollover ~cpu:(R.tid ()))
 
   (* ------------------------------------------------------------------ *)

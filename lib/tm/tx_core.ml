@@ -5,8 +5,8 @@
    [PROTOCOL]; its read and write barriers stay in the family and see the
    shared descriptor below directly.
 
-   Every shared-memory access here runs in the same order, per family, as
-   in the three drivers this replaces, so simulated runs are unchanged. *)
+   The order of every shared-memory access here is part of each family's
+   simulated timing: moving one changes virtual time and every figure. *)
 
 module G = Tstm_util.Growbuf
 module Stats = Tm_stats
@@ -143,6 +143,8 @@ struct
       watchdog;
       cm_active = cm_active ~cm ~watchdog;
     }
+
+  let fam t = t.fam
 
   let new_tx t tid =
     {

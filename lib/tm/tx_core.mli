@@ -10,15 +10,12 @@
     lock words, validation and extension stay in the family and work on
     the shared descriptor {!tx} directly.
 
-    Every shared-memory access runs in the same order as in the per-family
-    drivers this core replaced, so simulated runs are byte-identical. *)
-
-val c_tx_begin : int
-val c_tx_end : int
+    The order of every shared-memory access is part of each family's
+    simulated timing, so the core keeps the order each family had. *)
 
 val c_op : int
-(** Fixed bookkeeping costs (cycles) of transaction begin, end and each
-    barrier, charged in the simulated runtime only. *)
+(** Fixed bookkeeping cost (cycles) of each barrier, charged in the
+    simulated runtime only. *)
 
 val flag_slot : int -> int
 (** [flag_slot tid]: the thread's slot in the padded per-thread arrays (the
@@ -117,23 +114,7 @@ module Make
     (R : Tstm_runtime.Runtime_intf.S)
     (P : PROTOCOL with type mem = Tstm_vmm.Vmm.Make(R).t) : sig
   type nonrec tx = (P.t, P.desc) tx
-
-  type t = private {
-    fam : P.t;
-    ctl : R.sarray;  (** fence mode word at [mode_slot]; the family's clock *)
-    mode_slot : int;
-    flags : R.sarray;  (** per-thread in-transaction flags *)
-    prios : R.sarray;
-        (** published priorities; slot 0 doubles as the greedy ticket
-            counter *)
-    kill_flags : R.sarray option;  (** remote-abort flags, when used *)
-    descs : tx option array;
-    max_threads : int;
-    max_retries : int;  (** consecutive aborts before escalation *)
-    cm : Tstm_cm.Cm.policy;
-    watchdog : Tstm_runtime.Watchdog.t option;
-    cm_active : bool;
-  }
+  type t
 
   val make :
     P.t ->
@@ -151,7 +132,12 @@ module Make
   (** Bundle a family instance with the shared arrays the family created
       (the family owns the creation order: the simulator assigns global
       cache-line ids in [sarray_make] order).  With [kill_flags], every
-      attempt clears the thread's flag before publishing its priority. *)
+      attempt clears the thread's flag before publishing its priority.
+      [ctl] holds the fence mode word at [mode_slot]; [prios] holds one
+      published priority per thread, its slot 0 doubling as the greedy
+      ticket counter. *)
+
+  val fam : t -> P.t
 
   val desc_for : t -> tx
   (** The calling thread's descriptor, created on first use. *)
