@@ -1,6 +1,7 @@
 (* Robustness and edge-case tests: failure injection around the write
    barriers, write-through incarnation overflow, read-only staleness aborts,
-   API misuse errors, tuner corner rules, overwrite workloads. *)
+   the read-only path of every registered STM, API misuse errors, tuner
+   corner rules, overwrite workloads. *)
 
 module R = Tstm_runtime.Runtime_sim
 module Ts = Tinystm.Make (R)
@@ -781,6 +782,104 @@ let test_serialize_commits_via_escalation () =
       check_bool (stm ^ " serialize escalated") true (r.Storm.escalations >= 1))
     all_stms
 
+(* ------------------------------------------------------------------ *)
+(* The read-only path on every registered STM                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Shared-array labels holding concurrency-control state: TinySTM's and
+   TL2's lock words and hierarchical counters, and the control block that
+   holds each family's clock (NOrec's seqlock).  "mem" is the arena. *)
+let protocol_labels = [ "locks"; "hier"; "hier2"; "ctl"; "mem" ]
+
+(* Every mutating access ([Set], [Cas], [Faa]) to a protocol array while
+   [f] runs, plus every seqlock acquire.  An empty log means no lock word,
+   counter, clock, seqlock or arena word changed. *)
+let mutations_during f =
+  let log = ref [] in
+  let note s = log := s :: !log in
+  let on_access ~cpu:_ ~label ~index = function
+    | Tstm_runtime.Tap.Get -> ()
+    | (Set | Cas _ | Faa) when List.mem label protocol_labels ->
+        note (Printf.sprintf "%s[%d]" label index)
+    | Set | Cas _ | Faa -> ()
+  in
+  let ignore_addr ~cpu:_ ~addr:_ = () in
+  Tstm_runtime.Tap.install
+    (Some
+       {
+         Tstm_runtime.Tap.on_access;
+         on_vmm_load = ignore_addr;
+         on_vmm_store = (fun ~cpu:_ ~addr -> note (Printf.sprintf "store %d" addr));
+         on_vmm_alloc = (fun ~cpu:_ ~addr:_ ~len:_ -> ());
+         on_vmm_free = (fun ~cpu:_ ~addr:_ ~len:_ -> ());
+         on_run_boundary = (fun () -> ());
+         on_seqlock_acquire = (fun ~cpu:_ ~drawn:_ -> note "seqlock acquire");
+         on_seqlock_release = (fun ~cpu:_ -> ());
+         on_seqlock_validate = (fun ~cpu:_ ~value:_ -> ());
+       });
+  Fun.protect ~finally:(fun () -> Tstm_runtime.Tap.install None) f;
+  List.rev !log
+
+let test_read_only_path (e : Registry.entry) () =
+  let (module S) = e.Registry.stm in
+  let stm = e.Registry.name in
+  let t = S.create ~memory_words:4096 () in
+  let words = 8 in
+  let a = S.atomically t (fun tx -> S.alloc tx words) in
+  S.atomically t (fun tx ->
+      for i = 0 to words - 1 do
+        S.write tx (a + i) (10 * i)
+      done);
+  S.reset_stats t;
+  (* Read-only lookups commit, each counted as a read-only commit. *)
+  let lookups = 5 in
+  let sums = Array.make lookups 0 in
+  R.run ~nthreads:1 (fun _ ->
+      for k = 0 to lookups - 1 do
+        sums.(k) <-
+          S.atomically ~read_only:true t (fun tx ->
+              let s = ref 0 in
+              for i = 0 to words - 1 do
+                s := !s + S.read tx (a + i)
+              done;
+              !s)
+      done);
+  Array.iter (check_int (stm ^ " lookup sum") 280) sums;
+  let s = S.stats t in
+  check_int (stm ^ " lookups committed") lookups s.Tstm_tm.Tm_stats.commits;
+  check_int (stm ^ " commits_read_only") lookups s.Tstm_tm.Tm_stats.commits_read_only;
+  (* A write inside a read-only transaction is rejected before it touches
+     any lock word, counter, clock, seqlock or arena word. *)
+  let rejected = ref false in
+  let mutated =
+    mutations_during (fun () ->
+        R.run ~nthreads:1 (fun _ ->
+            try
+              S.atomically ~read_only:true t (fun tx ->
+                  ignore (S.read tx a);
+                  S.write tx a (-1))
+            with Invalid_argument _ -> rejected := true))
+  in
+  check_bool (stm ^ " write raised Invalid_argument") true !rejected;
+  Alcotest.(check (list string)) (stm ^ " no protocol state mutated") [] mutated;
+  let s = S.stats t in
+  check_int (stm ^ " rejected transaction not counted") lookups
+    s.Tstm_tm.Tm_stats.commits_read_only;
+  (* The next update transaction, from another thread, commits. *)
+  R.run ~nthreads:2 (fun tid ->
+      if tid = 1 then S.atomically t (fun tx -> S.write tx a 7));
+  let s = S.stats t in
+  check_int (stm ^ " update committed") (lookups + 1) s.Tstm_tm.Tm_stats.commits;
+  check_int (stm ^ " update is not read-only") lookups
+    s.Tstm_tm.Tm_stats.commits_read_only;
+  check_int (stm ^ " update visible") 7 (S.atomically t (fun tx -> S.read tx a))
+
+let read_only_tests =
+  List.map
+    (fun e ->
+      Alcotest.test_case e.Registry.name `Quick (test_read_only_path e))
+    (Registry.all ())
+
 let () =
   Alcotest.run "robustness"
     [
@@ -792,6 +891,7 @@ let () =
         [ Alcotest.test_case "overflow" `Quick test_incarnation_overflow ] );
       ( "read-only staleness",
         [ Alcotest.test_case "stale abort + retry" `Quick test_read_only_aborts_on_stale ] );
+      ("read-only path", read_only_tests);
       ( "api limits",
         [
           Alcotest.test_case "create validations" `Quick test_create_validations;
