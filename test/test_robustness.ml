@@ -803,12 +803,11 @@ let mutations_during f =
         note (Printf.sprintf "%s[%d]" label index)
     | Set | Cas _ | Faa -> ()
   in
-  let ignore_addr ~cpu:_ ~addr:_ = () in
   Tstm_runtime.Tap.install
     (Some
        {
          Tstm_runtime.Tap.on_access;
-         on_vmm_load = ignore_addr;
+         on_vmm_load = (fun ~cpu:_ ~addr:_ -> ());
          on_vmm_store = (fun ~cpu:_ ~addr -> note (Printf.sprintf "store %d" addr));
          on_vmm_alloc = (fun ~cpu:_ ~addr:_ ~len:_ -> ());
          on_vmm_free = (fun ~cpu:_ ~addr:_ ~len:_ -> ());
