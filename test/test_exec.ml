@@ -252,6 +252,69 @@ let test_pinned_storm_digest () =
     "storm digest pinned" "4ed246b6354c9db2c559668bca606bf6"
     (digest (String.concat "\n" lines))
 
+(* One short traced run per registered STM: the Chrome trace, the
+   contention report and the histogram summary.  The second pass runs under
+   a chaos plan with a priority-publishing contention manager, so an event
+   timestamp read before (instead of after) a forced preemption, or a moved
+   shared-memory access on the priority path, changes this digest. *)
+let test_pinned_traced_digest () =
+  let module Obs = Tstm_obs in
+  let spec =
+    W.make ~structure:W.List ~initial_size:64 ~update_pct:20.0 ~nthreads:4
+      ~duration:0.002 ~seed:7 ()
+  in
+  let traced ?cm stm =
+    let _, c, _ =
+      Scenario.run_intset_observed ~stm ?cm ~period:0.0005 ~n_periods:2 spec
+    in
+    String.concat "\n"
+      [
+        stm;
+        Obs.Export.chrome_trace c;
+        Obs.Export.top_contended ~n:10 c;
+        Obs.Export.histo_summary c;
+      ]
+  in
+  let plain = List.map (fun stm -> traced stm) Scenario.all_stms in
+  let chaotic =
+    List.map
+      (fun stm ->
+        Tstm_chaos.Chaos.with_plan ~seed:11 (fun () ->
+            traced ~cm:Tstm_cm.Cm.Karma stm))
+      Scenario.all_stms
+  in
+  Alcotest.(check string)
+    "traced-run digest pinned" "63c8a8cff27b17894e44a1eed1d065aa"
+    (digest (String.concat "\n" (plain @ chaotic)))
+
+(* Stress seeds over every registered STM with chaos and the sanitizer
+   armed; the second block escalates to serial-irrevocable runs under a
+   priority-publishing contention manager. *)
+let test_pinned_chaos_stress_digest () =
+  let render (spec, (r : St.report)) =
+    Printf.sprintf "%s seed=%d cm=%s retries=%d %s injected=%d decisions=%d \
+                    events=%d commits=%d aborts=%d escalations=%d%s"
+      spec.St.stm spec.St.seed spec.St.cm spec.St.max_retries
+      (match r.St.violation with None -> "ok" | Some v -> v)
+      r.St.injected r.St.decisions r.St.events r.St.commits r.St.aborts
+      r.St.escalations
+      (String.concat ""
+         (List.map (fun f -> "\n  " ^ Tstm_san.San.render f) r.St.san_findings))
+  in
+  let sweep base =
+    St.plan ~seeds:3 ~stms:Scenario.all_stms ~structures:[ W.List ] base
+    |> Array.to_list
+    |> List.map (fun spec -> render (spec, St.run_one spec))
+  in
+  let lines =
+    sweep { St.default with St.san = true }
+    @ sweep
+        { St.default with St.san = true; cm = "karma"; max_retries = 2 }
+  in
+  Alcotest.(check string)
+    "chaos-stress digest pinned" "cea7a710e62506c2fa04e2e0d7c91e78"
+    (digest (String.concat "\n" lines))
+
 (* ------------------------------------------------------------------ *)
 (* Crash recovery: a SIGKILLed worker is requeued, output unchanged    *)
 (* ------------------------------------------------------------------ *)
@@ -310,5 +373,9 @@ let () =
             test_pinned_family_baseline_digest;
           Alcotest.test_case "pinned digest: storm" `Quick
             test_pinned_storm_digest;
+          Alcotest.test_case "pinned digest: traced run" `Quick
+            test_pinned_traced_digest;
+          Alcotest.test_case "pinned digest: chaos stress" `Quick
+            test_pinned_chaos_stress_digest;
         ] );
     ]
