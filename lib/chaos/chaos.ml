@@ -1,8 +1,9 @@
 (* Deterministic fault-injection plan.
 
    The plan is process-global, like [Tstm_obs.Sink]: the simulator scheduler
-   and the STM hot paths guard every consultation behind the single boolean
-   load of [enabled ()], so an inactive plan costs one branch.  All decisions
+   guards [jitter] on [enabled ()] and the STMs reach [preempt] only through
+   their probe, behind the shared gate, so an inactive plan costs one
+   branch.  All decisions
    are drawn from one SplitMix64 stream seeded by [activate ~seed], and the
    simulator is single-threaded under the hood, so a (seed, config, limit)
    triple replays bit-identically.
@@ -13,24 +14,6 @@
    relies on. *)
 
 module X = Tstm_util.Xrand
-
-type point = Lock_cas | Clock_read | Clock_inc | Commit | Abort
-
-let point_index = function
-  | Lock_cas -> 0
-  | Clock_read -> 1
-  | Clock_inc -> 2
-  | Commit -> 3
-  | Abort -> 4
-
-let n_points = 5
-
-let point_name = function
-  | Lock_cas -> "lock-cas"
-  | Clock_read -> "clock-read"
-  | Clock_inc -> "clock-inc"
-  | Commit -> "commit"
-  | Abort -> "abort"
 
 type config = {
   jitter_pct : float;
@@ -56,7 +39,6 @@ type plan = {
   limit : int;
   mutable fired : int;
   mutable decisions : int;
-  fired_at : int array; (* per-point fired counts, indexed by [point_index] *)
 }
 
 let state : plan option ref = ref None
@@ -75,13 +57,14 @@ let activate ?(config = default) ?limit ~seed () =
         limit;
         fired = 0;
         decisions = 0;
-        fired_at = Array.make n_points 0;
       };
-  on := true
+  on := true;
+  Tstm_util.Gate.set Tstm_util.Gate.Chaos true
 
 let deactivate () =
   on := false;
-  state := None
+  state := None;
+  Tstm_util.Gate.set Tstm_util.Gate.Chaos false
 
 let with_plan ?config ?limit ~seed f =
   activate ?config ?limit ~seed ();
@@ -104,48 +87,13 @@ let jitter () =
   | Some p when !on -> fire p p.cfg.jitter_pct p.cfg.jitter_max
   | _ -> 0
 
-let preempt point =
+let preempt () =
   match !state with
-  | Some p when !on ->
-      let n = fire p p.cfg.preempt_pct p.cfg.preempt_max in
-      if n > 0 then begin
-        let i = point_index point in
-        p.fired_at.(i) <- p.fired_at.(i) + 1
-      end;
-      n
+  | Some p when !on -> fire p p.cfg.preempt_pct p.cfg.preempt_max
   | _ -> 0
 
-let seed () = match !state with Some p -> Some p.seed | None -> None
 let injected () = match !state with Some p -> p.fired | None -> 0
 let decisions () = match !state with Some p -> p.decisions | None -> 0
-
-let injected_at point =
-  match !state with Some p -> p.fired_at.(point_index point) | None -> 0
-
-let summary () =
-  match !state with
-  | None -> "chaos: inactive"
-  | Some p ->
-      let b = Buffer.create 64 in
-      Buffer.add_string b
-        (Printf.sprintf "chaos: seed=%d fired=%d/%d decisions=%d" p.seed p.fired
-           (if p.limit = max_int then p.decisions else p.limit)
-           p.decisions);
-      Array.iteri
-        (fun i n ->
-          if n > 0 then
-            Buffer.add_string b
-              (Printf.sprintf " %s=%d"
-                 (point_name
-                    (match i with
-                    | 0 -> Lock_cas
-                    | 1 -> Clock_read
-                    | 2 -> Clock_inc
-                    | 3 -> Commit
-                    | _ -> Abort))
-                 n))
-        p.fired_at;
-      Buffer.contents b
 
 (* Deliberate protocol bugs, used to prove the checker has teeth.  Kept
    independent of the plan so a bug can be armed with or without schedule
@@ -156,11 +104,6 @@ type bug = Skip_extension | Skip_validation
 let bug_name = function
   | Skip_extension -> "skip-extension"
   | Skip_validation -> "skip-validation"
-
-let bug_of_string = function
-  | "skip-extension" -> Some Skip_extension
-  | "skip-validation" -> Some Skip_validation
-  | _ -> None
 
 let bugged = ref false
 let bug : bug option ref = ref None

@@ -9,10 +9,10 @@
 
     - {b jitter}: every yielding [Charge] point in [Sim_sched] may receive a
       small extra cycle charge, reordering virtual-time ties;
-    - {b preemption}: the STMs consult {!preempt} at their linearization
-      points (lock CAS, clock read/increment, commit, abort) and charge the
-      returned cycles, forcing descheduling exactly where protocol bugs
-      hide.
+    - {b preemption}: the STMs' probe events ([Tstm_tm.Probe]) consult
+      {!preempt} at the linearization points (lock CAS, clock
+      read/increment, commit, abort) and charge the returned cycles,
+      forcing descheduling exactly where protocol bugs hide.
 
     The same [(seed, config, limit)] triple replays bit-identically, so any
     failure found by a seed sweep is reproducible from its printed seed.
@@ -20,24 +20,14 @@
     during [Runtime_real] runs is unsupported (the plan state is a single
     unsynchronised stream).
 
-    The plan is process-global and consultations are guarded by the single
-    boolean load of {!enabled}, mirroring the [Tstm_obs.Sink] discipline: an
-    inactive plan costs one branch on the hot paths and charges nothing. *)
-
-(** Linearization points at which the STMs request forced preemption. *)
-type point =
-  | Lock_cas  (** around an ownership-record CAS (acquire or post-acquire) *)
-  | Clock_read  (** sampling the global clock (tx start, snapshot extension) *)
-  | Clock_inc  (** incrementing the global clock at commit *)
-  | Commit  (** inside commit while write locks are held *)
-  | Abort  (** after rollback, before retrying *)
-
-val point_name : point -> string
+    The plan is process-global; {!activate}/{!deactivate} keep the probe
+    gate ([Tstm_util.Gate]) up to date, so an inactive plan costs the STMs
+    one branch per point and charges nothing. *)
 
 type config = {
   jitter_pct : float;  (** chance, in percent, that a Charge point jitters *)
   jitter_max : int;  (** max extra cycles added by one jitter *)
-  preempt_pct : float;  (** chance, in percent, that a {!point} preempts *)
+  preempt_pct : float;  (** chance, in percent, that a {!preempt} fires *)
   preempt_max : int;  (** max cycles charged by one forced preemption *)
 }
 
@@ -61,20 +51,15 @@ val jitter : unit -> int
 (** Extra cycles to add at a yielding charge point; [0] when the plan decides
     not to fire (or is inactive). *)
 
-val preempt : point -> int
+val preempt : unit -> int
 (** Cycles the caller should [charge] to simulate an inopportune preemption
-    at [point]; [0] when not firing. *)
+    at a linearization point; [0] when not firing. *)
 
-val seed : unit -> int option
 val injected : unit -> int
 (** Injections fired so far under the current plan. *)
 
-val injected_at : point -> int
 val decisions : unit -> int
 (** Injection decisions drawn so far (fired or not). *)
-
-val summary : unit -> string
-(** One-line report of the active plan: seed, fired/limit, per-point counts. *)
 
 (** {1 Deliberate protocol bugs}
 
@@ -92,7 +77,5 @@ type bug =
           TL2). *)
 
 val bug_name : bug -> string
-val bug_of_string : string -> bug option
-val set_bug : bug option -> unit
 val bug_active : bug -> bool
 val with_bug : bug option -> (unit -> 'a) -> 'a

@@ -14,33 +14,19 @@
    [limit] at a previous run's [fired ()] bounds a replay to that run's
    schedule even though wall-clock interleaving is not reproducible.
 
-   Everything is guarded behind the single boolean load of [enabled ()]:
-   a disarmed plan costs one branch on the STM hot paths, keeping `bench
-   real` snapshots byte-identical to a build without fault taps. *)
+   The STMs reach [at_point] only through their probe, behind the shared
+   gate that [activate]/[deactivate] keep up to date: a disarmed plan costs
+   one branch on the STM hot paths, keeping `bench real` snapshots
+   byte-identical to a build without fault consultations. *)
 
 module Mono = Tstm_obs.Monotonic
 module Bitops = Tstm_util.Bitops
-
-type point = Lock_cas | Clock_read | Clock_inc | Commit | Abort
-
-let point_name = function
-  | Lock_cas -> "lock-cas"
-  | Clock_read -> "clock-read"
-  | Clock_inc -> "clock-inc"
-  | Commit -> "commit"
-  | Abort -> "abort"
 
 type kind = Crash | Hang | Oom
 
 let kind_index = function Crash -> 0 | Hang -> 1 | Oom -> 2
 let n_kinds = 3
 let kind_name = function Crash -> "crash" | Hang -> "hang" | Oom -> "oom"
-
-let kind_of_string = function
-  | "crash" -> Some Crash
-  | "hang" -> Some Hang
-  | "oom" -> Some Oom
-  | _ -> None
 
 exception Injected_crash of { tid : int; point : string }
 
@@ -129,11 +115,13 @@ let activate ?(config = default) ?limit ~seed () =
         decisions = Array.init max_tids (fun _ -> Atomic.make 0);
         fired_kind = Array.init n_kinds (fun _ -> Atomic.make 0);
       };
-  on := true
+  on := true;
+  Tstm_util.Gate.set Tstm_util.Gate.Fault true
 
 let deactivate () =
   on := false;
-  state := None
+  state := None;
+  Tstm_util.Gate.set Tstm_util.Gate.Fault false
 
 let with_plan ?config ?limit ~seed f =
   activate ?config ?limit ~seed ();
@@ -158,7 +146,7 @@ let count p k = ignore (Atomic.fetch_and_add p.fired_kind.(kind_index k) 1)
 
 type outcome = Proceed | Crash | Hang of int  (** stall length, ns *)
 
-let at_point ~tid _point =
+let at_point ~tid =
   match !state with
   | Some p when !on && not (masked ~tid) ->
       tick ~tid;
@@ -210,17 +198,11 @@ let hang ~ns =
     Domain.cpu_relax ()
   done
 
-let seed () = match !state with Some p -> Some p.seed | None -> None
 let fired () = match !state with Some p -> Atomic.get p.fired | None -> 0
 
 let decisions () =
   match !state with
   | Some p -> Array.fold_left (fun a d -> a + Atomic.get d) 0 p.decisions
-  | None -> 0
-
-let fired_kind k =
-  match !state with
-  | Some p -> Atomic.get p.fired_kind.(kind_index k)
   | None -> 0
 
 let summary () =

@@ -1,10 +1,10 @@
 (** Seeded, count-capped fault injection for real-domain runs.
 
     The real-hardware sibling of {!Tstm_chaos.Chaos}: worker-domain
-    crashes (a distinguished exception raised at STM linearization-point
-    taps), bounded worker hangs (wall-clock spins that let the pool
-    monitor's heartbeat go stale), and probabilistic [Vmm.alloc]
-    [Out_of_memory] injection.
+    crashes (a distinguished exception raised by [Tstm_tm.Probe]'s fault
+    consultation at STM linearization points), bounded worker hangs
+    (wall-clock spins that let the pool monitor's heartbeat go stale), and
+    probabilistic [Vmm.alloc] [Out_of_memory] injection.
 
     {b Replay discipline.}  Chaos draws from one RNG stream, which is only
     sound single-threaded.  Here every decision is a stateless hash of
@@ -16,20 +16,13 @@
     the same per-thread decisions and the same total fault count, which is
     as much determinism as wall-clock interleaving admits.
 
-    The plan is process-global, like chaos and the obs sink; every
-    consultation is guarded by the one boolean load of {!enabled}, so a
-    disarmed plan leaves real-domain runs byte-identical. *)
-
-(** Linearization points where crash/hang faults may fire (mirrors
-    {!Tstm_chaos.Chaos.point}). *)
-type point = Lock_cas | Clock_read | Clock_inc | Commit | Abort
-
-val point_name : point -> string
+    The plan is process-global, like chaos and the obs sink;
+    {!activate}/{!deactivate} keep the probe gate ([Tstm_util.Gate]) up to
+    date, so a disarmed plan leaves real-domain runs byte-identical. *)
 
 type kind = Crash | Hang | Oom
 
 val kind_name : kind -> string
-val kind_of_string : string -> kind option
 
 exception Injected_crash of { tid : int; point : string }
 (** The worker-death model: raised from inside a transaction, it unwinds
@@ -64,10 +57,10 @@ val with_plan : ?config:config -> ?limit:int -> seed:int -> (unit -> 'a) -> 'a
 (** Decision of one crash/hang consultation. *)
 type outcome = Proceed | Crash | Hang of int  (** stall length, ns *)
 
-val at_point : tid:int -> point -> outcome
+val at_point : tid:int -> outcome
 (** One consultation at a linearization point.  Ticks the tid's heartbeat,
-    never raises; the caller records stats/obs and then raises
-    {!Injected_crash} or calls {!hang} itself. *)
+    never raises; the caller ([Tstm_tm.Probe], which names the point)
+    records stats/obs and then raises {!Injected_crash} or calls {!hang}. *)
 
 val oom : tid:int -> bool
 (** One allocation-failure consultation ([Vmm.alloc] entry); [true] means
@@ -94,8 +87,6 @@ val last_tick : tid:int -> int
 
 val clear_ticks : unit -> unit
 
-val seed : unit -> int option
 val fired : unit -> int
 val decisions : unit -> int
-val fired_kind : kind -> int
 val summary : unit -> string

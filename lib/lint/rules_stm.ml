@@ -2,16 +2,17 @@
    rests on, checked where the dynamic tools (VmmSan, the chaos
    checker) cannot see — on every path, not just executed ones.
 
-   The pairing analyses anchor on the sanitizer annotations
-   (San.lock_acquire, San.lock_release, San.tx_abort, ...) that PR 3
-   placed at the real protocol operations: the annotation *is* the
-   machine-checkable marker of the operation, so a path that can
-   acquire without reaching a release or an abort is either a protocol
-   bug or a missing annotation — both findings. *)
+   The pairing analyses anchor on the probe events (Probe.lock_acquired,
+   Probe.lock_released, Probe.tx_abort, ...) placed at the real protocol
+   operations: the event *is* the machine-checkable marker of the
+   operation, so a path that can acquire without reaching a release or an
+   abort is either a protocol bug or a missing probe — both findings.  The
+   families cannot bypass the probe: a direct sanitizer call is a layering
+   finding. *)
 
 open Rule
 
-type eff = Acq | Rel | Abt | Mem | Chg
+type eff = Acq | Orec | Rel | Abt | Undo | Pub | Mem | Chg
 
 let suffix r pat = Astq.suffix_matches ~pat r.Astq.r_lid
 
@@ -25,49 +26,75 @@ let in_stm p =
 (* --- stm-lock-pairing ------------------------------------------------ *)
 
 (* The global sequence lock follows the same acquire/release discipline as
-   an orec slot; its Tap.seqlock producers are the machine-checkable
-   markers of the even-to-odd CAS and the publishing store. *)
-let lock_pairing_direct r =
-  if suffix r [ "San"; "lock_acquire" ] then [ Acq ]
-  else if suffix r [ "San"; "lock_release" ] then [ Rel ]
-  else if suffix r [ "Tap"; "seqlock_acquire" ] then [ Acq ]
-  else if suffix r [ "Tap"; "seqlock_release" ] then [ Rel ]
-  else if suffix r [ "San"; "tx_abort" ] then [ Abt ]
-  else if suffix r [ "Abort_exn" ] then [ Abt ]
-  else []
+   an orec slot; its seqlock events (speculative and serial) are the
+   machine-checkable markers of the even-to-odd CAS and the publishing
+   store.  [Orec] marks an orec acquisition proper, [Undo] the rollback's
+   shadow restore and [Pub] the commit's publication. *)
+let lock_markers =
+  [
+    ([ "Probe"; "lock_acquired" ], [ Acq; Orec ]);
+    ([ "Probe"; "lock_released" ], [ Rel ]);
+    ([ "Probe"; "seqlock_acquired" ], [ Acq ]);
+    ([ "Probe"; "seqlock_released" ], [ Rel ]);
+    ([ "Probe"; "serial_seqlock_acquired" ], [ Acq ]);
+    ([ "Probe"; "serial_seqlock_released" ], [ Rel ]);
+    ([ "Probe"; "tx_abort" ], [ Abt; Undo ]);
+    ([ "Probe"; "commit_publish" ], [ Pub ]);
+    ([ "Abort_exn" ], [ Abt ]);
+  ]
 
+let lock_pairing_direct r =
+  List.concat_map (fun (pat, e) -> if suffix r pat then e else []) lock_markers
+
+(* An entry point that can acquire must reach a release or an abort (the
+   abort's rollback releases).  Since every acquiring barrier can abort,
+   the exits are checked too: a function that publishes a commit, or in a
+   module that acquires orecs one that rolls back, must reach a release. *)
 let stm_lock_pairing =
   let id = "stm-lock-pairing" in
   mk ~id ~severity:Finding.Error ~scope_doc:"lib/tinystm, lib/tl2, lib/norec, lib/tm"
     ~scope:in_stm
     ~doc:
       "every call path that can acquire an orec or the global sequence \
-       lock reaches a release or an abort within the module"
+       lock reaches a release or an abort within the module, and every \
+       commit publication and orec rollback reaches a release"
     (File_pass
        (fun file ->
          match file.str with
          | None -> []
          | Some str ->
              let g = Astq.transitive_effects ~direct:lock_pairing_direct str in
+             let has (f : Astq.fn) e =
+               List.mem e (Astq.effects_of g f.fn_name)
+             in
+             let orecs = List.exists (fun f -> has f Orec) g.fns in
              List.filter_map
                (fun (f : Astq.fn) ->
-                 let e = Astq.effects_of g f.fn_name in
-                 if
-                   List.mem Acq e
-                   && (not (List.mem Rel e))
-                   && not (List.mem Abt e)
-                 then
-                   Some
-                     (Finding.of_location ~rule:id ~severity:Finding.Error
-                        f.fn_loc
-                        (Printf.sprintf
-                           "entry point `%s` can acquire an orec \
-                            (San.lock_acquire reachable) but reaches \
-                            neither a release (San.lock_release) nor an \
-                            abort (San.tx_abort)"
-                           f.fn_name))
-                 else None)
-               g.roots))
+                 (if
+                    List.memq f g.roots && has f Acq
+                    && not (has f Rel || has f Abt)
+                  then
+                    Some
+                      (Printf.sprintf
+                         "entry point `%s` can acquire an orec \
+                          (Probe.lock_acquired reachable) but reaches \
+                          neither a release (Probe.lock_released) nor an \
+                          abort (Probe.tx_abort)"
+                         f.fn_name)
+                  else if
+                    (has f Pub || (orecs && has f Undo)) && not (has f Rel)
+                  then
+                    Some
+                      (Printf.sprintf
+                         "`%s` %s but reaches no release (Probe.lock_released)"
+                         f.fn_name
+                         (if has f Pub then "publishes a commit"
+                          else "rolls back"))
+                  else None)
+                 |> Option.map
+                      (Finding.of_location ~rule:id ~severity:Finding.Error
+                         f.fn_loc))
+               g.fns))
 
 (* --- vmm-charge ------------------------------------------------------ *)
 
@@ -119,10 +146,12 @@ let vmm_charge =
 
 let tap_pairs =
   [
-    ([ "San"; "lock_acquire" ], [ "San"; "lock_release" ]);
-    ([ "Tap"; "seqlock_acquire" ], [ "Tap"; "seqlock_release" ]);
-    ([ "San"; "tx_begin" ], [ "San"; "tx_exit" ]);
-    ([ "San"; "fence_owner_entry" ], [ "San"; "fence_owner_exit" ]);
+    ([ "Probe"; "lock_acquired" ], [ "Probe"; "lock_released" ]);
+    ([ "Probe"; "seqlock_acquired" ], [ "Probe"; "seqlock_released" ]);
+    ( [ "Probe"; "serial_seqlock_acquired" ],
+      [ "Probe"; "serial_seqlock_released" ] );
+    ([ "Probe"; "tx_begin" ], [ "Probe"; "tx_exit" ]);
+    ([ "Probe"; "fence_owner_entry" ], [ "Probe"; "fence_owner_exit" ]);
     ([ "Tap"; "suspend" ], [ "Tap"; "resume" ]);
     ([ "Tap"; "vmm_alloc" ], [ "Tap"; "vmm_free" ]);
   ]
@@ -131,7 +160,7 @@ let tap_pairing =
   let id = "tap-pairing" in
   mk ~id ~severity:Finding.Error ~scope_doc:"lib" ~scope:in_lib
     ~doc:
-      "sanitizer/tap producer hooks come in pairs; a module that emits one \
+      "probe events and tap producer hooks come in pairs; a module that emits one \
        side must emit the other or the shadow state leaks"
     (File_pass
        (fun file ->
@@ -184,9 +213,9 @@ let layers =
     { dir = "vmm"; root_module = "Tstm_vmm"; lib_name = "tstm_vmm"; allowed = [ "util"; "fault"; "runtime" ] };
     { dir = "san"; root_module = "Tstm_san"; lib_name = "tstm_san"; allowed = [ "util"; "runtime" ] };
     { dir = "tm"; root_module = "Tstm_tm"; lib_name = "tstm_tm"; allowed = [ "util"; "cm"; "obs"; "chaos"; "fault"; "runtime"; "vmm"; "san" ] };
-    { dir = "tinystm"; root_module = "Tinystm"; lib_name = "tinystm"; allowed = [ "util"; "cm"; "obs"; "chaos"; "fault"; "runtime"; "vmm"; "tm"; "san" ] };
-    { dir = "tl2"; root_module = "Tstm_tl2"; lib_name = "tstm_tl2"; allowed = [ "util"; "cm"; "obs"; "chaos"; "fault"; "runtime"; "vmm"; "tm"; "san" ] };
-    { dir = "norec"; root_module = "Tstm_norec"; lib_name = "tstm_norec"; allowed = [ "util"; "cm"; "obs"; "chaos"; "fault"; "runtime"; "vmm"; "tm"; "san" ] };
+    { dir = "tinystm"; root_module = "Tinystm"; lib_name = "tinystm"; allowed = [ "util"; "cm"; "runtime"; "vmm"; "tm" ] };
+    { dir = "tl2"; root_module = "Tstm_tl2"; lib_name = "tstm_tl2"; allowed = [ "util"; "cm"; "runtime"; "vmm"; "tm" ] };
+    { dir = "norec"; root_module = "Tstm_norec"; lib_name = "tstm_norec"; allowed = [ "util"; "cm"; "runtime"; "vmm"; "tm" ] };
     { dir = "structures"; root_module = "Tstm_structures"; lib_name = "tstm_structures"; allowed = [ "util"; "runtime"; "vmm"; "tm" ] };
     { dir = "tuning"; root_module = "Tstm_tuning"; lib_name = "tstm_tuning"; allowed = [ "util"; "obs"; "tinystm" ] };
     { dir = "vacation"; root_module = "Tstm_vacation"; lib_name = "tstm_vacation"; allowed = [ "util"; "runtime"; "tm"; "structures" ] };

@@ -16,30 +16,10 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
 
   exception Abort_exn of Stats.abort_reason
 
-  (* Observability (same discipline as the other STMs: guarded, never
-     charges). *)
-  module Obs = Tstm_obs
-
-  let obs_on () = Obs.Sink.enabled ()
-  let emit ev = Obs.Sink.emit ~ts:(R.now_cycles ()) ~cpu:(R.tid ()) ev
-
-  (* Chaos schedule perturbation (one-boolean-load discipline). *)
-  module Chaos = Tstm_chaos.Chaos
-
-  let chaos_on () = Chaos.enabled ()
-
-  let chaos_point p =
-    let n = Chaos.preempt p in
-    if n > 0 then R.charge n
-
-  (* Sanitizer sync-edge annotations.  The seqlock edges go through the
-     generic {!Tstm_runtime.Tap} producers (which self-gate on the armed
-     tap); the per-transaction annotations call {!Tstm_san.San} directly
-     like the other STMs. *)
-  module San = Tstm_san.San
-  module Tap = Tstm_runtime.Tap
-
-  let san_on () = San.enabled ()
+  module Probe = struct
+    include Tstm_tm.Probe
+    include Tstm_tm.Probe.Make (R)
+  end
 
   (* Contention management.  A held sequence lock always belongs to a
      finite committing writer, so the kill-capable policies degenerate to
@@ -166,13 +146,13 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
      validating (and must not emit the sanitizer's re-certification edge,
      which is reserved for validations that actually ran and passed). *)
   let extend t (d : tx) ~reason =
-    if Chaos.bug_active Chaos.Skip_extension then
+    if Probe.bug_active Probe.Skip_extension then
       d.p.rv <- seq_even t d ~reason
     else begin
       let time = validate t d ~reason in
       d.p.rv <- time;
       d.stats.Stats.extensions <- d.stats.Stats.extensions + 1;
-      Tap.seqlock_validate ~value:time
+      if Probe.on () then Probe.seqlock_validate ~cpu:d.tid ~value:time
     end
 
   (* ------------------------------------------------------------------ *)
@@ -224,7 +204,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
           done;
           G.push p.r_addr addr;
           G.push p.r_val !v;
-          if san_on () then San.read_accept ~cpu:d.tid ~addr;
+          if Probe.on () then Probe.read_accepted ~cpu:d.tid ~addr;
           d.stats.Stats.reads <- d.stats.Stats.reads + 1;
           !v
 
@@ -276,7 +256,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
 
   let begin_ (d : tx) =
     d.p.rv <- sample_snapshot d.owner;
-    if san_on () then San.clock_read ~cpu:d.tid ~value:d.p.rv;
+    if Probe.on () then Probe.clock_read ~cpu:d.tid ~value:d.p.rv;
     true
 
   (* Acquire the sequence lock at the current snapshot.  A CAS can only
@@ -295,19 +275,18 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     else begin
       let p = d.p in
       (if s <> p.rv then
-         if Chaos.bug_active Chaos.Skip_validation then p.rv <- s
+         if Probe.bug_active Probe.Skip_validation then p.rv <- s
          else begin
            let time = validate t d ~reason:Stats.Write_conflict in
            p.rv <- time;
-           Tap.seqlock_validate ~value:time
+           if Probe.on () then Probe.seqlock_validate ~cpu:d.tid ~value:time
          end);
-      if chaos_on () then chaos_point Chaos.Lock_cas;
+      if Probe.on () then Probe.lock_cas ();
       if not (R.cas t.ctl seq_slot p.rv (p.rv + 1)) then acquire_seq t d
       else begin
-        Tap.seqlock_acquire ~drawn:(p.rv + 2);
+        (* Stored before the probe: the sanitizer ignores "ctl". *)
         if t.cm_active then R.set t.ctl committer_slot d.tid;
-        if chaos_on () then chaos_point Chaos.Lock_cas;
-        if obs_on () then emit (Obs.Event.Lock_acquire { lock = 0 })
+        if Probe.on () then Probe.seqlock_acquired ~cpu:d.tid ~drawn:(p.rv + 2)
       end
     end
 
@@ -318,7 +297,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       p.rv
     else begin
       acquire_seq t d;
-      if chaos_on () then chaos_point Chaos.Commit;
+      if Probe.on () then Probe.commit_point ();
       let wv = p.rv + 2 in
       let words = V.words t.mem in
       for k = 0 to G.length p.w_addr - 1 do
@@ -326,18 +305,17 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       done;
       (* The snapshot-consistency check must see the write set still under
          the sequence lock, before the new even value is published. *)
-      if san_on () then San.commit_publish ~cpu:d.tid ~wv;
-      if chaos_on () then chaos_point Chaos.Clock_inc;
+      if Probe.on () then Probe.commit_publish ~cpu:d.tid ~wv;
+      if Probe.on () then Probe.clock_inc ();
       R.set t.ctl seq_slot wv;
-      Tap.seqlock_release ();
-      if obs_on () then emit (Obs.Event.Lock_release { lock = 0 });
+      if Probe.on () then Probe.seqlock_released ~cpu:d.tid;
       wv
     end
 
   (* Redo-log writes: memory was never touched, and every abort happens
      lock-free (the sequence lock is only ever held across the
      straight-line write-back), so there is nothing to release. *)
-  let rollback (d : tx) = if san_on () then San.tx_abort ~cpu:d.tid
+  let rollback (d : tx) = if Probe.on () then Probe.tx_abort ~cpu:d.tid
 
   (* Keep the sequence moving so the serial commit has a unique
      serialization point: the fence guarantees quiescence, so the CAS
@@ -347,10 +325,9 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     let s = R.get t.ctl seq_slot in
     let wv = s + 2 in
     ignore (R.cas t.ctl seq_slot s (s + 1));
-    Tap.seqlock_acquire ~drawn:wv;
-    if san_on () then San.commit_publish ~cpu:d.tid ~wv;
+    if Probe.on () then Probe.serial_seqlock_acquired ~cpu:d.tid ~wv;
     R.set t.ctl seq_slot wv;
-    Tap.seqlock_release ();
+    if Probe.on () then Probe.serial_seqlock_released ~cpu:d.tid;
     wv
 
   module Core =

@@ -37,8 +37,8 @@ type t =
           effective contention-management policy) *)
   | Tx_fault of { kind : string; point : string }
       (** an injected fault fired inside a transaction ([kind] is
-          ["crash"], ["hang"] or ["oom"]; [point] a
-          [Tstm_fault.Fault.point_name] or ["alloc"]) *)
+          ["crash"], ["hang"] or ["oom"]; [point] ["clock-read"],
+          ["commit"], ["abort"] or ["alloc"]) *)
   | Pool_heal of { action : string; tid : int }
       (** the real-domain pool healed a worker: ["crash-respawn"],
           ["hang-detected"], ["hang-recovered"] *)

@@ -54,7 +54,8 @@ let active = ref false
 
 let install s =
   sink := s;
-  active := (match s with Null -> false | Collect _ | Sharded _ -> true)
+  active := (match s with Null -> false | Collect _ | Sharded _ -> true);
+  Tstm_util.Gate.set Tstm_util.Gate.Sink !active
 
 let current () = !sink
 let enabled () = !active

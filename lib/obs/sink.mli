@@ -1,11 +1,11 @@
 (** The process-global event sink the instrumented layers write to.
 
     The default sink is {!Null}: every instrumentation site guards its work
-    with {!enabled} (a single mutable-bool load), so a run with tracing off
-    is indistinguishable — in virtual time and in results — from the
-    untouched code.  Installing a {!Collect} sink routes events into
-    per-CPU {!Ring}s, latency/retry/set-size {!Histo}s and a {!Contend}
-    table.
+    with {!enabled} or, in the STMs, the probe gate {!install} keeps up to
+    date (a single mutable-bool load), so a run with tracing off is
+    indistinguishable — in virtual time and in results — from the untouched
+    code.  Installing a {!Collect} sink routes events into per-CPU {!Ring}s,
+    latency/retry/set-size {!Histo}s and a {!Contend} table.
 
     Under the deterministic simulator only one fiber runs at a time, so a
     single {!Collect} collector is race-free.  On real domains it is not:

@@ -7,9 +7,6 @@ type hooks = {
   on_vmm_alloc : cpu:int -> addr:int -> len:int -> unit;
   on_vmm_free : cpu:int -> addr:int -> len:int -> unit;
   on_run_boundary : unit -> unit;
-  on_seqlock_acquire : cpu:int -> drawn:int -> unit;
-  on_seqlock_release : cpu:int -> unit;
-  on_seqlock_validate : cpu:int -> value:int -> unit;
 }
 
 let hooks = ref None
@@ -66,21 +63,3 @@ let vmm_free ~addr ~len =
 let run_boundary () =
   if !active then
     match !hooks with Some h -> h.on_run_boundary () | None -> ()
-
-let seqlock_acquire ~drawn =
-  if live () then
-    match !hooks with
-    | Some h -> h.on_seqlock_acquire ~cpu:(cpu ()) ~drawn
-    | None -> ()
-
-let seqlock_release () =
-  if live () then
-    match !hooks with
-    | Some h -> h.on_seqlock_release ~cpu:(cpu ())
-    | None -> ()
-
-let seqlock_validate ~value =
-  if live () then
-    match !hooks with
-    | Some h -> h.on_seqlock_validate ~cpu:(cpu ()) ~value
-    | None -> ()

@@ -6,7 +6,8 @@
     simulator cycles; a tapped run is bit-identical to an untapped one.
 
     Consumers (the {!Tstm_san} happens-before sanitizer) install a {!hooks}
-    record; producers are:
+    record (the STMs' own sync edges go from [Tstm_tm.Probe] to the
+    sanitizer directly); producers are:
 
     - {!Runtime_sim}: every [sarray] access ({!access}) with the array's
       label, and the {!run_boundary} full-synchronization points at the
@@ -35,20 +36,6 @@ type hooks = {
   on_run_boundary : unit -> unit;
       (** Start or end of a simulated run: a real full synchronization
           (threads are forked/joined there). *)
-  on_seqlock_acquire : cpu:int -> drawn:int -> unit;
-      (** [cpu] won the global sequence lock (the CAS even→odd); [drawn]
-          is the even version it will publish at release.  Orec-free STMs
-          (NOrec) have no per-stripe locks: this acquire/release pair is
-          their only write-side synchronization edge. *)
-  on_seqlock_release : cpu:int -> unit;
-      (** [cpu] published [drawn] and released the sequence lock
-          (odd→even): a release edge every later acquirer/validator
-          synchronizes with. *)
-  on_seqlock_validate : cpu:int -> value:int -> unit;
-      (** [cpu] completed a successful value-based revalidation of its
-          read set against the (even) sequence value [value]: an acquire
-          edge from every earlier release, re-certifying the whole read
-          set at that snapshot. *)
 }
 
 val install : hooks option -> unit
@@ -73,7 +60,3 @@ val vmm_store : addr:int -> unit
 val vmm_alloc : addr:int -> len:int -> unit
 val vmm_free : addr:int -> len:int -> unit
 val run_boundary : unit -> unit
-
-val seqlock_acquire : drawn:int -> unit
-val seqlock_release : unit -> unit
-val seqlock_validate : value:int -> unit

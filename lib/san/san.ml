@@ -617,10 +617,6 @@ let on_vmm_free ~cpu ~addr ~len =
       done
   | _ -> ()
 
-let on_seqlock_acquire ~cpu ~drawn = seqlock_acquire ~cpu ~drawn
-let on_seqlock_release ~cpu = seqlock_release ~cpu
-let on_seqlock_validate ~cpu ~value = seqlock_validate ~cpu ~value
-
 let on_run_boundary () =
   match !state with
   | Some s ->
@@ -642,6 +638,7 @@ let arm ?(max_findings = 64) ~ncpus () =
   let s = make ~ncpus ~max_findings in
   state := Some s;
   armed := true;
+  Tstm_util.Gate.set Tstm_util.Gate.San true;
   Tap.install
     (Some
        {
@@ -651,20 +648,16 @@ let arm ?(max_findings = 64) ~ncpus () =
          on_vmm_alloc;
          on_vmm_free;
          on_run_boundary;
-         on_seqlock_acquire;
-         on_seqlock_release;
-         on_seqlock_validate;
        })
 
 let disarm () =
   Tap.install None;
-  armed := false
+  armed := false;
+  Tstm_util.Gate.set Tstm_util.Gate.San false
 
 let findings () =
   match !state with None -> [] | Some s -> List.rev s.findings_rev
 
-let dropped () = match !state with None -> 0 | Some s -> s.dropped
-let ok () = match !state with None -> true | Some s -> s.n_findings = 0
 
 let summary () =
   match !state with

@@ -12,8 +12,8 @@
     Each simulated CPU carries a vector clock [C]; the STM operations that
     really synchronize — orec CAS acquire and release, global-clock
     [fetch_add] and read, the quiescence fence, run fork/join — are
-    annotated by the STMs and the runtime and maintain release/acquire
-    edges between those clocks.  Every [Vmm] word and every lock-array slot
+    annotated by the STMs' [Tstm_tm.Probe] events and the runtime's tap,
+    and maintain release/acquire edges between those clocks.  Every [Vmm] word and every lock-array slot
     carries epoch-compressed shadow state: the last writer's [(cpu, clock)]
     epoch plus a status word (the publish version of the committing
     transaction, or {e pending} while a transaction is in flight, or
@@ -48,9 +48,9 @@
     epochs.  That is what keeps the sanitizer free of false positives on
     the correct protocols.
 
-    The sanitizer is process-global, guarded by the single boolean load of
-    {!enabled} (the [Tstm_obs.Sink] discipline), and never charges cycles:
-    disabled runs are bit-identical to un-instrumented ones.  One armed
+    The sanitizer is process-global, guarded by the probe gate that {!arm}
+    and {!disarm} keep up to date, and never charges cycles: disabled runs
+    are bit-identical to un-instrumented ones.  One armed
     scope covers one STM instance on the simulated runtime. *)
 
 type kind =
@@ -103,15 +103,11 @@ val enabled : unit -> bool
 val findings : unit -> finding list
 (** Findings of the current (or last) armed scope, oldest first. *)
 
-val dropped : unit -> int
-(** Findings discarded beyond [max_findings]. *)
-
-val ok : unit -> bool
 val summary : unit -> string
 (** One line: finding count by kind, or ["clean"]. *)
 
-(** {1 Sync-edge annotations} — called by the STMs, gated on {!enabled}.
-    All [cpu] arguments are simulated CPU ids. *)
+(** {1 Sync-edge annotations} — called by [Tstm_tm.Probe] events, gated
+    on {!enabled}.  All [cpu] arguments are simulated CPU ids. *)
 
 val tx_begin : cpu:int -> unit
 (** A transaction attempt starts (speculative or irrevocable). *)
@@ -157,8 +153,7 @@ val tx_exit : cpu:int -> committed:bool -> unit
     Orec-free STMs synchronize through a single global sequence lock: even
     values are timestamps, a committing writer CASes it odd, writes back,
     and publishes the next even value.  These annotations (slot 0 of the
-    ["seqlock"] label; normally driven through the
-    {!Tstm_runtime.Tap.seqlock_acquire} family of producers) carry the
+    ["seqlock"] label; called by the probe's seqlock events) carry the
     whole happens-before structure of such an STM: acquire/release edges
     through the lock, plus re-certification of the read set on every
     passed value-based validation — which is what makes value validation

@@ -13,31 +13,11 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
 
   exception Abort_exn of Stats.abort_reason
 
-  (* Observability: every site guards on [Obs.Sink.enabled] (one bool load)
-     and emission never charges cycles, so traced and untraced runs are
-     identical in virtual time and results. *)
-  module Obs = Tstm_obs
-
-  let obs_on () = Obs.Sink.enabled ()
-  let emit ev = Obs.Sink.emit ~ts:(R.now_cycles ()) ~cpu:(R.tid ()) ev
-
-  (* Chaos: like observability, every consultation is behind one boolean
-     load; an inactive plan leaves the schedule untouched. *)
-  module Chaos = Tstm_chaos.Chaos
-
-  let chaos_on () = Chaos.enabled ()
-
-  let chaos_point p =
-    let n = Chaos.preempt p in
-    if n > 0 then R.charge n
-
-  (* Sanitizer: explicit sync-edge annotations at the operations that
-     really order transactions (orec CAS/release, clock fetch_add/read,
-     quiescence fence).  Same discipline as obs: one boolean load when
-     disarmed, no cycles charged when armed. *)
-  module San = Tstm_san.San
-
-  let san_on () = San.enabled ()
+  (* Instrumentation: one probe per linearization point (DESIGN.md §4k). *)
+  module Probe = struct
+    include Tstm_tm.Probe
+    include Tstm_tm.Probe.Make (R)
+  end
 
   (* Contention management: policy decisions are pure tables in [Tstm_cm];
      the shared-memory plumbing they need (published priorities, remote-kill
@@ -179,8 +159,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       R.set t.hier2 i 0
     done;
     ignore (R.fetch_add t.ctl rollover_slot 1);
-    if san_on () then San.rollover ~cpu:(R.tid ());
-    if obs_on () then emit Obs.Event.Clock_rollover
+    if Probe.on () then Probe.clock_rollover ()
 
   (* Another thread may have completed the roll-over while we waited for
      the fence; re-check before paying for the reset. *)
@@ -312,22 +291,21 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     !ok
 
   let extend t (d : tx) =
-    if chaos_on () then chaos_point Chaos.Clock_read;
+    if Probe.on () then Probe.clock_sample ();
     let now = R.get t.ctl clock_slot in
-    if Chaos.bug_active Chaos.Skip_extension then begin
+    if Probe.bug_active Probe.Skip_extension then begin
       (* Deliberately broken protocol (chaos bug injection): accept the new
          snapshot bound without validating the read set.  Exists solely so
          the stress checker can demonstrate it catches the resulting
          non-serializable histories. *)
       d.p.rv <- now;
-      if san_on () then San.clock_read ~cpu:d.tid ~value:now;
+      if Probe.on () then Probe.clock_read ~cpu:d.tid ~value:now;
       true
     end
     else if validate t d then begin
       d.p.rv <- now;
-      if san_on () then San.clock_read ~cpu:d.tid ~value:now;
       d.stats.Stats.extensions <- d.stats.Stats.extensions + 1;
-      if obs_on () then emit Obs.Event.Clock_extend;
+      if Probe.on () then Probe.extended ~cpu:d.tid ~value:now;
       true
     end
     else false
@@ -473,7 +451,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
             G.push buf li;
             G.push buf ver
           end;
-          if san_on () then San.read_accept ~cpu:d.tid ~addr;
+          if Probe.on () then Probe.read_accepted ~cpu:d.tid ~addr;
           d.stats.Stats.reads <- d.stats.Stats.reads + 1;
           v
         end
@@ -536,14 +514,12 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
             G.push p.w_addr addr;
             G.push p.w_val v;
             G.push p.w_next 0;
-            if chaos_on () then chaos_point Chaos.Lock_cas;
+            if Probe.on () then Probe.lock_cas ();
             if
               R.cas t.locks li l
                 (Lockenc.locked ~tid:d.tid ~payload:(G.length p.w_addr))
             then begin
-              if san_on () then San.lock_acquire ~cpu:d.tid ~lock:li;
-              if chaos_on () then chaos_point Chaos.Lock_cas;
-              if obs_on () then emit (Obs.Event.Lock_acquire { lock = li });
+              if Probe.on () then Probe.lock_acquired ~cpu:d.tid ~lock:li;
               hier_note_acquired t p addr;
               G.push p.l_idx li;
               G.push p.l_old l;
@@ -559,11 +535,9 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
               write_word t d addr v
             end
         | Config.Write_through ->
-            if chaos_on () then chaos_point Chaos.Lock_cas;
+            if Probe.on () then Probe.lock_cas ();
             if R.cas t.locks li l (Lockenc.locked ~tid:d.tid ~payload:0) then begin
-              if san_on () then San.lock_acquire ~cpu:d.tid ~lock:li;
-              if chaos_on () then chaos_point Chaos.Lock_cas;
-              if obs_on () then emit (Obs.Event.Lock_acquire { lock = li });
+              if Probe.on () then Probe.lock_acquired ~cpu:d.tid ~lock:li;
               hier_note_acquired t p addr;
               G.push p.l_idx li;
               G.push p.l_old l;
@@ -602,29 +576,25 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       || p.h2_dim <> t.cfg.Config.hierarchy2
     then fresh_hier_state p t.cfg.Config.hierarchy t.cfg.Config.hierarchy2;
     p.rv <- R.get t.ctl clock_slot;
-    if san_on () then San.clock_read ~cpu:d.tid ~value:p.rv;
+    if Probe.on () then Probe.clock_read ~cpu:d.tid ~value:p.rv;
     p.rv < t.max_clock - 1
 
   let release_locks_commit t (d : tx) wv =
     let p = d.p in
     let n = G.length p.l_idx in
-    let tracing = obs_on () in
-    let sanning = san_on () in
+    let probing = Probe.on () in
     for k = 0 to n - 1 do
       R.set t.locks (G.get p.l_idx k)
         (Lockenc.unlocked ~version:wv ~incarnation:0);
-      if sanning then San.lock_release ~cpu:d.tid ~lock:(G.get p.l_idx k);
-      if tracing then emit (Obs.Event.Lock_release { lock = G.get p.l_idx k })
+      if probing then Probe.lock_released ~cpu:d.tid ~lock:(G.get p.l_idx k)
     done
 
   let release_locks_abort t (d : tx) =
     let p = d.p in
     let n = G.length p.l_idx in
-    let tracing = obs_on () in
-    let sanning = san_on () in
+    let probing = Probe.on () in
     let released k =
-      if sanning then San.lock_release ~cpu:d.tid ~lock:(G.get p.l_idx k);
-      if tracing then emit (Obs.Event.Lock_release { lock = G.get p.l_idx k })
+      if probing then Probe.lock_released ~cpu:d.tid ~lock:(G.get p.l_idx k)
     in
     match t.cfg.Config.strategy with
     | Config.Write_back ->
@@ -658,7 +628,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       p.rv
     else begin
       let wv = R.fetch_add t.ctl clock_slot 1 + 1 in
-      if san_on () then San.clock_advance ~cpu:d.tid ~drawn:wv;
+      if Probe.on () then Probe.clock_advance ~cpu:d.tid ~drawn:wv;
       if wv >= t.max_clock then abort Stats.Rollover;
       (* Validation is unnecessary when no other transaction committed since
          our snapshot bound (paper §3.2). *)
@@ -674,7 +644,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       | Config.Write_through -> ());
       (* The snapshot-consistency check must see the write set still under
          lock, before any orec is released. *)
-      if san_on () then San.commit_publish ~cpu:d.tid ~wv;
+      if Probe.on () then Probe.commit_publish ~cpu:d.tid ~wv;
       release_locks_commit t d wv;
       wv
     end
@@ -691,7 +661,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
         done);
     (* Shadow state must be restored while the orecs still protect the
        written words, i.e. before the releases below. *)
-    if san_on () then San.tx_abort ~cpu:d.tid;
+    if Probe.on () then Probe.tx_abort ~cpu:d.tid;
     release_locks_abort t d
 
   (* Serialization stamp of an escalated run.  A clock wrap is handled
@@ -706,10 +676,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
         R.fetch_add t.ctl clock_slot 1 + 1
       end
     in
-    if san_on () then begin
-      San.clock_advance ~cpu:d.tid ~drawn:wv;
-      San.commit_publish ~cpu:d.tid ~wv
-    end;
+    if Probe.on () then Probe.serial_publish ~cpu:d.tid ~wv;
     wv
 
   module Core =
@@ -800,7 +767,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
         R.sarray_label f.hier "hier";
         R.sarray_label f.hier2 "hier2";
         R.set f.ctl clock_slot 0;
-        if san_on () then San.rollover ~cpu:(R.tid ()))
+        if Probe.on () then Probe.reconfigured ())
 
   (* ------------------------------------------------------------------ *)
   (* Public TM operations                                                *)

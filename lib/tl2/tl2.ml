@@ -10,26 +10,10 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
 
   exception Abort_exn of Stats.abort_reason
 
-  (* Observability (same discipline as TinySTM: guarded, never charges). *)
-  module Obs = Tstm_obs
-
-  let obs_on () = Obs.Sink.enabled ()
-  let emit ev = Obs.Sink.emit ~ts:(R.now_cycles ()) ~cpu:(R.tid ()) ev
-
-  (* Chaos schedule perturbation (same one-boolean-load discipline). *)
-  module Chaos = Tstm_chaos.Chaos
-
-  let chaos_on () = Chaos.enabled ()
-
-  let chaos_point p =
-    let n = Chaos.preempt p in
-    if n > 0 then R.charge n
-
-  (* Sanitizer sync-edge annotations (same guarded, zero-cycle discipline
-     as obs and chaos). *)
-  module San = Tstm_san.San
-
-  let san_on () = San.enabled ()
+  module Probe = struct
+    include Tstm_tm.Probe
+    include Tstm_tm.Probe.Make (R)
+  end
 
   (* Contention management (same plumbing discipline as TinySTM, adapted to
      commit-time locking: a locked orec always belongs to a transaction that
@@ -192,7 +176,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
               G.push p.r_set li;
               G.push p.r_set (version l1)
             end;
-            if san_on () then San.read_accept ~cpu:d.tid ~addr;
+            if Probe.on () then Probe.read_accepted ~cpu:d.tid ~addr;
             d.stats.Stats.reads <- d.stats.Stats.reads + 1;
             v
           end
@@ -233,12 +217,10 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
 
   let release_acquired t (d : tx) =
     let p = d.p in
-    let tracing = obs_on () in
-    let sanning = san_on () in
+    let probing = Probe.on () in
     for k = 0 to G.length p.l_idx - 1 do
       R.set t.locks (G.get p.l_idx k) (G.get p.l_old k);
-      if sanning then San.lock_release ~cpu:d.tid ~lock:(G.get p.l_idx k);
-      if tracing then emit (Obs.Event.Lock_release { lock = G.get p.l_idx k })
+      if probing then Probe.lock_released ~cpu:d.tid ~lock:(G.get p.l_idx k)
     done;
     G.clear p.l_idx;
     G.clear p.l_old
@@ -278,15 +260,13 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
         end
       end
       else begin
-        if chaos_on () then chaos_point Chaos.Lock_cas;
+        if Probe.on () then Probe.lock_cas ();
         if not (R.cas t.locks li l (locked_by d.tid)) then begin
           release_acquired t d;
           abort Stats.Write_conflict
         end
         else begin
-          if san_on () then San.lock_acquire ~cpu:d.tid ~lock:li;
-          if chaos_on () then chaos_point Chaos.Lock_cas;
-          if obs_on () then emit (Obs.Event.Lock_acquire { lock = li });
+          if Probe.on () then Probe.lock_acquired ~cpu:d.tid ~lock:li;
           G.push p.l_idx li;
           G.push p.l_old l
         end
@@ -323,7 +303,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
 
   let begin_ (d : tx) =
     d.p.rv <- R.get d.owner.ctl clock_slot;
-    if san_on () then San.clock_read ~cpu:d.tid ~value:d.p.rv;
+    if Probe.on () then Probe.clock_read ~cpu:d.tid ~value:d.p.rv;
     true
 
   let commit (d : tx) =
@@ -331,13 +311,13 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     if G.length p.w_addr = 0 && G.length d.f_addr = 0 then p.rv
     else begin
       acquire_write_locks t d;
-      if chaos_on () then chaos_point Chaos.Clock_inc;
+      if Probe.on () then Probe.clock_inc ();
       let wv = R.fetch_add t.ctl clock_slot 1 + 1 in
-      if san_on () then San.clock_advance ~cpu:d.tid ~drawn:wv;
-      if chaos_on () then chaos_point Chaos.Commit;
+      if Probe.on () then Probe.clock_advance ~cpu:d.tid ~drawn:wv;
+      if Probe.on () then Probe.commit_point ();
       if
         wv > p.rv + 1
-        && (not (Chaos.bug_active Chaos.Skip_validation))
+        && (not (Probe.bug_active Probe.Skip_validation))
         && not (validate t d)
       then begin
         release_acquired t d;
@@ -349,14 +329,11 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       done;
       (* The snapshot-consistency check must see the write set still under
          lock, before any orec is released. *)
-      if san_on () then San.commit_publish ~cpu:d.tid ~wv;
-      let tracing = obs_on () in
-      let sanning = san_on () in
+      if Probe.on () then Probe.commit_publish ~cpu:d.tid ~wv;
+      let probing = Probe.on () in
       for k = 0 to G.length p.l_idx - 1 do
         R.set t.locks (G.get p.l_idx k) (unlocked ~version:wv);
-        if sanning then San.lock_release ~cpu:d.tid ~lock:(G.get p.l_idx k);
-        if tracing then
-          emit (Obs.Event.Lock_release { lock = G.get p.l_idx k })
+        if probing then Probe.lock_released ~cpu:d.tid ~lock:(G.get p.l_idx k)
       done;
       wv
     end
@@ -365,17 +342,14 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
      commit locks an aborted commit still holds.  (The sanitizer write log
      is empty for the same reason, so [tx_abort] has nothing to restore.) *)
   let rollback (d : tx) =
-    if san_on () then San.tx_abort ~cpu:d.tid;
+    if Probe.on () then Probe.tx_abort ~cpu:d.tid;
     release_acquired d.owner d
 
   (* Keep the clock moving so the serial commit has a unique serialization
      point with respect to the version order. *)
   let serial_commit (d : tx) =
     let wv = R.fetch_add d.owner.ctl clock_slot 1 + 1 in
-    if san_on () then begin
-      San.clock_advance ~cpu:d.tid ~drawn:wv;
-      San.commit_publish ~cpu:d.tid ~wv
-    end;
+    if Probe.on () then Probe.serial_publish ~cpu:d.tid ~wv;
     wv
 
   module Core =

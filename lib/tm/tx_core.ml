@@ -41,9 +41,7 @@ type ('t, 'p) tx = {
   mutable work0 : int;
   mutable ticket : int;
   mutable alloc_fails : int;
-  mutable obs_start : int;
-  mutable obs_reads0 : int;
-  mutable obs_writes0 : int;
+  span : Probe.span;
   a_addr : G.t;
   a_size : G.t;
   f_addr : G.t;
@@ -79,25 +77,13 @@ module Make
     (P : PROTOCOL with type mem = Tstm_vmm.Vmm.Make(R).t) =
 struct
   module V = Tstm_vmm.Vmm.Make (R)
-  module Obs = Tstm_obs
-  module Chaos = Tstm_chaos.Chaos
-  module San = Tstm_san.San
-  module Fault = Tstm_fault.Fault
   module Watchdog = Tstm_runtime.Watchdog
 
-  (* Observability, chaos, sanitizer and fault hooks: each consultation is
-     one boolean load when disarmed, and none of them charges cycles, so
-     armed and disarmed runs take the same virtual time. *)
-  let obs_on () = Obs.Sink.enabled ()
-  let emit ev = Obs.Sink.emit ~ts:(R.now_cycles ()) ~cpu:(R.tid ()) ev
-  let chaos_on () = Chaos.enabled ()
+  module Probe = struct
+    include Probe
+    include Probe.Make (R)
+  end
 
-  let chaos_point p =
-    let n = Chaos.preempt p in
-    if n > 0 then R.charge n
-
-  let san_on () = San.enabled ()
-  let fault_on () = Fault.enabled ()
   let module_name = String.capitalize_ascii P.name
 
   (* Consecutive allocation-failed aborts tolerated per [atomically] call
@@ -160,9 +146,7 @@ struct
       work0 = 0;
       ticket = 0;
       alloc_fails = 0;
-      obs_start = 0;
-      obs_reads0 = 0;
-      obs_writes0 = 0;
+      span = Probe.span ();
       a_addr = G.create 8;
       a_size = G.create 8;
       f_addr = G.create 8;
@@ -202,12 +186,12 @@ struct
         R.yield ();
         enter_fence t d
       end
-      else if san_on () then San.fence_pass ~cpu:d.tid
+      else if Probe.on () then Probe.fence_pass ~cpu:d.tid
     end
 
   let leave_fence t d =
     R.set t.flags (flag_slot d.tid) 0;
-    if san_on () then San.thread_park ~cpu:d.tid
+    if Probe.on () then Probe.thread_park ~cpu:d.tid
 
   let fence_and t f =
     let rec acquire () =
@@ -222,46 +206,24 @@ struct
         R.yield ()
       done
     done;
-    if san_on () then San.fence_owner_entry ~cpu:(R.tid ());
+    if Probe.on () then Probe.fence_owner_entry ~cpu:(R.tid ());
     (* Release the fence even when [f] raises: an escalated transaction runs
        arbitrary user code here. *)
     match f () with
     | v ->
-        if san_on () then San.fence_owner_exit ~cpu:(R.tid ());
+        if Probe.on () then Probe.fence_owner_exit ~cpu:(R.tid ());
         R.set t.ctl t.mode_slot 0;
         v
     | exception e ->
-        if san_on () then San.fence_owner_exit ~cpu:(R.tid ());
+        if Probe.on () then Probe.fence_owner_exit ~cpu:(R.tid ());
         R.set t.ctl t.mode_slot 0;
         raise e
 
   let roll_over t = fence_and t (fun () -> P.roll_over t.fam)
 
   (* ------------------------------------------------------------------ *)
-  (* Hooks, contention management, watchdog                              *)
+  (* Contention management, watchdog                                     *)
   (* ------------------------------------------------------------------ *)
-
-  (* Injected-fault consultation at a linearization point.  A [Crash]
-     outcome unwinds through the user-exception path of [atomically] —
-     full rollback, locks released, speculative allocations freed — so a
-     dying worker never corrupts shared STM state; a [Hang] stalls
-     wall-clock without heartbeat ticks, so the pool monitor can see the
-     worker go stale. *)
-  let fault_point d p =
-    match Fault.at_point ~tid:d.tid p with
-    | Fault.Proceed -> ()
-    | Fault.Crash ->
-        d.stats.Stats.faults_crash <- d.stats.Stats.faults_crash + 1;
-        if obs_on () then
-          emit
-            (Obs.Event.Tx_fault { kind = "crash"; point = Fault.point_name p });
-        raise (Fault.Injected_crash { tid = d.tid; point = Fault.point_name p })
-    | Fault.Hang ns ->
-        d.stats.Stats.faults_hang <- d.stats.Stats.faults_hang + 1;
-        if obs_on () then
-          emit
-            (Obs.Event.Tx_fault { kind = "hang"; point = Fault.point_name p });
-        Fault.hang ~ns
 
   (* Capped exponential back-off with deterministic per-transaction jitter:
      wait uniformly in [base/2, base] with base doubling per consecutive
@@ -287,14 +249,7 @@ struct
         | Watchdog.Switch _ ->
             d.stats.Stats.cm_switches <- d.stats.Stats.cm_switches + 1
         | Watchdog.Livelock _ | Watchdog.Starved _ -> ());
-        if obs_on () then
-          emit
-            (match ev with
-            | Watchdog.Livelock { window } -> Obs.Event.Tx_livelock { window }
-            | Watchdog.Starved { retries; _ } ->
-                Obs.Event.Tx_starved { retries }
-            | Watchdog.Switch { level } ->
-                Obs.Event.Cm_switch { level = Watchdog.level_to_string level }))
+        if Probe.on () then Probe.watchdog ev)
       evs
 
   let note_commit_wd t d =
@@ -366,8 +321,7 @@ struct
            earlier speculative allocations and [live_words] cannot drift.
            Irrevocable transactions cannot be rolled back, so the failure
            escalates straight to the typed [Capacity] verdict. *)
-        if obs_on () then
-          emit (Obs.Event.Tx_fault { kind = "oom"; point = "alloc" });
+        if Probe.on () then Probe.oom ();
         if d.irrevocable then
           raise (Tm_intf.Capacity { stm = P.name; retries = d.alloc_fails })
         else raise (P.Abort_exn Stats.Alloc_failed)
@@ -384,7 +338,7 @@ struct
     G.clear d.f_addr;
     G.clear d.f_size;
     d.in_tx <- false;
-    if san_on () then San.tx_exit ~cpu:d.tid ~committed
+    if Probe.on () then Probe.tx_exit ~cpu:d.tid ~committed
 
   (* Frees take effect only once the commit has published (they are
      logged, not performed, inside the transaction). *)
@@ -402,24 +356,9 @@ struct
     free_blocks (P.memory d.owner) d.a_addr d.a_size;
     exit_tx d ~committed:false
 
-  let obs_begin d =
-    if obs_on () then begin
-      d.obs_start <- R.now_cycles ();
-      d.obs_reads0 <- d.stats.Stats.reads;
-      d.obs_writes0 <- d.stats.Stats.writes;
-      emit Obs.Event.Tx_begin
-    end
-
   let note_commit t d ~tries =
-    if obs_on () then begin
-      let lat = R.now_cycles () - d.obs_start in
-      let reads = d.stats.Stats.reads - d.obs_reads0 in
-      let writes = d.stats.Stats.writes - d.obs_writes0 in
-      emit
-        (Obs.Event.Tx_commit
-           { read_only = d.read_only; reads; writes; retries = tries });
-      Obs.Sink.note_commit ~lat ~retries:tries ~reads ~writes
-    end;
+    if Probe.on () then
+      Probe.tx_committed d.span d.stats ~read_only:d.read_only ~retries:tries;
     Stats.record_retries d.stats tries;
     cm_end_commit t d;
     note_commit_wd t d
@@ -446,27 +385,26 @@ struct
         d.in_tx <- true;
         d.read_only <- read_only;
         cm_begin_attempt t d;
-        if chaos_on () then chaos_point Chaos.Clock_read;
-        if san_on () then San.tx_begin ~cpu:d.tid;
+        if Probe.on () then Probe.tx_begin ~cpu:d.tid;
         if not (P.begin_ d) then begin
           (* The clock is exhausted: step out of the fence, roll it over
              inside it, and start this attempt again. *)
           d.in_tx <- false;
-          if san_on () then San.tx_exit ~cpu:d.tid ~committed:false;
+          if Probe.on () then Probe.tx_exit ~cpu:d.tid ~committed:false;
           leave_fence t d;
           roll_over t;
           attempt tries
         end
         else begin
-          obs_begin d;
+          if Probe.on () then Probe.tx_started d.span d.stats;
           match
-            (* Fault taps live inside this match so an injected crash
-               unwinds through the user-exception branch below: rollback,
-               fence release, [in_tx] cleared — the respawned worker can
-               transact again. *)
-            if fault_on () then fault_point d Fault.Clock_read;
+            (* Fault consultations live inside this match so an injected
+               crash unwinds through the user-exception branch below:
+               rollback, fence release, [in_tx] cleared — the respawned
+               worker can transact again. *)
+            if Probe.on () then Probe.fault ~tid:d.tid d.stats Probe.Clock_read;
             let v = f d in
-            if fault_on () then fault_point d Fault.Commit;
+            if Probe.on () then Probe.fault ~tid:d.tid d.stats Probe.Commit;
             R.charge_local c_tx_end;
             finish_commit d ~stamp:(P.commit d);
             exit_tx d ~committed:true;
@@ -477,21 +415,12 @@ struct
               leave_fence t d;
               v
           | exception P.Abort_exn reason ->
-              if obs_on () then begin
-                let lat = R.now_cycles () - d.obs_start in
-                emit
-                  (Obs.Event.Tx_abort
-                     {
-                       reason = Stats.abort_reason_to_string reason;
-                       retries = tries;
-                     });
-                Obs.Sink.note_abort ~lat
-              end;
+              if Probe.on () then
+                Probe.tx_aborted d.span ~reason ~retries:tries;
               rollback d;
               Stats.record_abort d.stats reason;
               leave_fence t d;
-              if chaos_on () then chaos_point Chaos.Abort;
-              if fault_on () then fault_point d Fault.Abort;
+              if Probe.on () then Probe.after_abort ~tid:d.tid d.stats;
               (* Allocation-failed aborts are capped: after
                  [max_alloc_retries] consecutive failures the arena is
                  genuinely full and retrying cannot help, so escalate to the
@@ -522,20 +451,15 @@ struct
        workloads degrade to serial execution instead of livelocking. *)
     and escalate tries =
       d.stats.Stats.escalations <- d.stats.Stats.escalations + 1;
-      if obs_on () then emit (Obs.Event.Tx_escalate { retries = tries });
-      (* The serial-irrevocable path cannot be rolled back, so injected
-         faults are masked for its duration (the mask is per-thread and
-         depth-counted; [Fun.protect] guarantees the unmask even when the
-         body raises). *)
-      Fault.mask ~tid:d.tid;
-      Fun.protect ~finally:(fun () -> Fault.unmask ~tid:d.tid) @@ fun () ->
+      if Probe.on () then Probe.escalated ~retries:tries;
+      (* The irrevocable path cannot roll back: faults stay masked. *)
+      Probe.without_faults ~tid:d.tid @@ fun () ->
       fence_and t (fun () ->
           R.charge_local c_tx_begin;
           d.in_tx <- true;
           d.read_only <- read_only;
           d.irrevocable <- true;
-          if san_on () then San.tx_begin ~cpu:d.tid;
-          obs_begin d;
+          if Probe.on () then Probe.serial_begin ~cpu:d.tid d.span d.stats;
           match f d with
           | v ->
               R.charge_local c_tx_end;
@@ -550,7 +474,7 @@ struct
                  shadow to the previous life keeps later accesses judged
                  against a committed state. *)
               d.irrevocable <- false;
-              if san_on () then San.tx_abort ~cpu:d.tid;
+              if Probe.on () then Probe.tx_abort ~cpu:d.tid;
               exit_tx d ~committed:false;
               raise e)
     in

@@ -2,7 +2,7 @@
 
     The retry loop, serial-irrevocable escalation, the quiescence fence,
     contention-management prologue/epilogue, watchdog feeding, back-off,
-    fault taps, observability bookkeeping, the allocation-failed cap, the
+    the hook calls of {!Probe}, the allocation-failed cap, the
     descriptor table, statistics and the transactional alloc/free logs
     exist once, here.  A family (TinySTM, TL2, NOrec) supplies a
     {!PROTOCOL}: only what its algorithm decides — begin-snapshot, commit,
@@ -50,9 +50,7 @@ type ('t, 'p) tx = {
   mutable ticket : int;  (** greedy seniority ticket; 0 = none drawn *)
   mutable alloc_fails : int;
       (** consecutive allocation-failed aborts of this [atomically] call *)
-  mutable obs_start : int;  (** tracing only: cycles at attempt begin *)
-  mutable obs_reads0 : int;
-  mutable obs_writes0 : int;
+  span : Probe.span;  (** tracing only: the attempt's start *)
   a_addr : Tstm_util.Growbuf.t;  (** speculative allocations *)
   a_size : Tstm_util.Growbuf.t;
   f_addr : Tstm_util.Growbuf.t;  (** frees deferred to commit *)
@@ -68,8 +66,8 @@ val log_free : ('t, 'p) tx -> int -> int -> unit
     of the core's driver:
 
     - [begin_] after the fence is entered, the contention manager has
-      published its priority and [San.tx_begin] has run: take the snapshot
-      (annotating [San.clock_read]).  [false] means the clock is exhausted:
+      published its priority and [Probe.tx_begin] has run: take the snapshot
+      (probing [Probe.clock_read]).  [false] means the clock is exhausted:
       the core leaves the fence, runs [roll_over] inside it and restarts
       the attempt with the same retry count.
     - [commit] after the body returned: validate, publish, release; return
@@ -77,7 +75,7 @@ val log_free : ('t, 'p) tx -> int -> int -> unit
       lock-free commits).  Aborts raise [Abort_exn]; an [Abort_exn
       Rollover] runs [roll_over] instead of back-off.
     - [rollback] after an abort: restore memory and lock words (and
-      annotate [San.tx_abort]); the core then frees speculative
+      probe [Probe.tx_abort]); the core then frees speculative
       allocations.
     - [serial_commit] at the end of an escalated, fenced run: draw the
       serialization stamp.

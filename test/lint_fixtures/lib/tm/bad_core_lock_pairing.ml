@@ -2,6 +2,6 @@
    point reaches an orec acquire but neither a release nor an abort (the
    release below is a separate entry point it never calls). *)
 let attempt cpu lock = (* lint: expect stm-lock-pairing *)
-  San.lock_acquire ~cpu ~lock
+  Probe.lock_acquired ~cpu ~lock
 
-let release cpu lock = San.lock_release ~cpu ~lock
+let release cpu lock = Probe.lock_released ~cpu ~lock

@@ -256,7 +256,7 @@ let test_inactive_plan_is_silent () =
   Chaos.deactivate ();
   check_bool "disabled" true (not (Chaos.enabled ()));
   check_int "no jitter" 0 (Chaos.jitter ());
-  check_int "no preemption" 0 (Chaos.preempt Chaos.Commit);
+  check_int "no preemption" 0 (Chaos.preempt ());
   check_int "no injections" 0 (Chaos.injected ())
 
 let () =

@@ -73,9 +73,18 @@ let test_exact_lines () =
     ~path:(corpus ^ "/lib/tinystm/bad_lock_pairing.ml")
     ~line:3 ~rule:"stm-lock-pairing";
   expect
+    ~path:(corpus ^ "/lib/tinystm/bad_exit_release.ml")
+    ~line:9 ~rule:"stm-lock-pairing";
+  expect
+    ~path:(corpus ^ "/lib/tinystm/bad_exit_release.ml")
+    ~line:12 ~rule:"stm-lock-pairing";
+  expect
     ~path:(corpus ^ "/lib/tinystm/bad_vmm_charge.ml")
     ~line:3 ~rule:"vmm-charge";
   expect ~path:(corpus ^ "/lib/vmm/bad_layering.ml") ~line:3 ~rule:"layering";
+  expect
+    ~path:(corpus ^ "/lib/tinystm/bad_san_layering.ml")
+    ~line:3 ~rule:"layering";
   expect ~path:(corpus ^ "/lib/vmm/dune") ~line:3 ~rule:"layering";
   expect ~path:(corpus ^ "/bin/bad_random_cli.ml") ~line:2
     ~rule:"stdlib-random"

@@ -165,24 +165,86 @@ let test_json_validator_rejects () =
     [ "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "{\"a\":1}extra"; "" ]
 
 let test_null_sink_neutral () =
-  (* The whole point of the enabled() guard: a collecting run must report
-     exactly the same simulated results as an untraced one. *)
-  let run () = S.run_intset ~stm:"tinystm-wb" spec in
-  let r_null = run () in
-  let collector = Obs.Sink.collector () in
-  let r_obs =
-    Obs.Sink.with_sink (Obs.Sink.Collect collector) (fun () -> run ())
-  in
-  Alcotest.(check int) "commits identical" r_null.W.commits r_obs.W.commits;
-  Alcotest.(check int) "aborts identical" r_null.W.aborts r_obs.W.aborts;
-  Alcotest.(check (float 0.0))
-    "throughput identical" r_null.W.throughput r_obs.W.throughput;
-  Alcotest.(check bool)
-    "the collecting run did record events" true
-    (Array.exists (fun r -> Obs.Ring.length r > 0) collector.Obs.Sink.rings);
+  (* The whole point of the probe gate: a run with the sink collecting and
+     the sanitizer armed must report exactly the same simulated results as
+     a disarmed one, on every registered STM. *)
+  List.iter
+    (fun (e : Tstm_tm.Registry.entry) ->
+      let stm = e.Tstm_tm.Registry.name in
+      let run () = S.run_intset ~stm spec in
+      let r_null = run () in
+      let collector = Obs.Sink.collector () in
+      let r_obs, findings =
+        Obs.Sink.with_sink (Obs.Sink.Collect collector) (fun () ->
+            Tstm_san.San.with_armed ~ncpus:spec.W.nthreads run)
+      in
+      Alcotest.(check int) (stm ^ " commits identical") r_null.W.commits
+        r_obs.W.commits;
+      Alcotest.(check int) (stm ^ " aborts identical") r_null.W.aborts
+        r_obs.W.aborts;
+      Alcotest.(check (float 0.0))
+        (stm ^ " throughput identical")
+        r_null.W.throughput r_obs.W.throughput;
+      Alcotest.(check int) (stm ^ " sanitizer clean") 0 (List.length findings);
+      Alcotest.(check bool)
+        (stm ^ ": the collecting run did record events")
+        true
+        (Array.exists (fun r -> Obs.Ring.length r > 0) collector.Obs.Sink.rings))
+    (Tstm_tm.Registry.all ());
   Alcotest.(check bool)
     "sink restored to Null" true
-    (Obs.Sink.current () = Obs.Sink.Null)
+    (Obs.Sink.current () = Obs.Sink.Null);
+  Alcotest.(check bool) "probe gate off again" false (Tstm_tm.Probe.on ())
+
+(* The probe gate is on exactly while some hook system is armed, and the
+   scoped arming helpers restore it even when their body raises. *)
+let test_probe_gate () =
+  let module Chaos = Tstm_chaos.Chaos in
+  let module San = Tstm_san.San in
+  let module Fault = Tstm_fault.Fault in
+  let on = Tstm_tm.Probe.on in
+  let check msg want = Alcotest.(check bool) msg want (on ()) in
+  let collect () = Obs.Sink.install (Obs.Sink.Collect (Obs.Sink.collector ())) in
+  let systems =
+    [
+      ("sink", collect, fun () -> Obs.Sink.install Obs.Sink.Null);
+      ("chaos", (fun () -> Chaos.activate ~seed:1 ()), Chaos.deactivate);
+      ("san", (fun () -> San.arm ~ncpus:2 ()), San.disarm);
+      ("fault", (fun () -> Fault.activate ~seed:1 ()), Fault.deactivate);
+    ]
+  in
+  check "off with nothing armed" false;
+  List.iter
+    (fun (name, arm, disarm) ->
+      arm ();
+      check (name ^ " alone turns the gate on") true;
+      disarm ();
+      check (name ^ " disarmed turns it off") false)
+    systems;
+  (* All four armed: the gate stays on until the last one is disarmed. *)
+  List.iter (fun (_, arm, _) -> arm ()) systems;
+  List.iteri
+    (fun i (name, _, disarm) ->
+      disarm ();
+      check
+        (Printf.sprintf "after disarming %s (%d left)" name (3 - i))
+        (i < 3))
+    (List.rev systems);
+  let raises name f =
+    let body () =
+      check (name ^ " body sees the gate on") true;
+      raise Exit
+    in
+    (match f body with
+    | _ -> Alcotest.failf "%s body did not raise" name
+    | exception Exit -> ());
+    check (name ^ " restores the gate after a raise") false
+  in
+  raises "Chaos.with_plan" (fun body -> Chaos.with_plan ~seed:1 body);
+  raises "Fault.with_plan" (fun body -> Fault.with_plan ~seed:1 body);
+  raises "San.with_armed" (fun body -> fst (San.with_armed ~ncpus:2 body));
+  raises "Sink.with_sink" (fun body ->
+      Obs.Sink.with_sink (Obs.Sink.Collect (Obs.Sink.collector ())) body)
 
 let test_tl2_observed () =
   let _, c, m =
@@ -223,6 +285,7 @@ let () =
         [
           Alcotest.test_case "Null sink neutrality" `Quick
             test_null_sink_neutral;
+          Alcotest.test_case "probe gate" `Quick test_probe_gate;
           Alcotest.test_case "TL2 observed run" `Quick test_tl2_observed;
         ] );
     ]

@@ -792,8 +792,9 @@ let test_serialize_commits_via_escalation () =
 let protocol_labels = [ "locks"; "hier"; "hier2"; "ctl"; "mem" ]
 
 (* Every mutating access ([Set], [Cas], [Faa]) to a protocol array while
-   [f] runs, plus every seqlock acquire.  An empty log means no lock word,
-   counter, clock, seqlock or arena word changed. *)
+   [f] runs; NOrec's seqlock acquire is its [Cas true] on "ctl".  An empty
+   log means no lock word, counter, clock, seqlock or arena word
+   changed. *)
 let mutations_during f =
   let log = ref [] in
   let note s = log := s :: !log in
@@ -812,9 +813,6 @@ let mutations_during f =
          on_vmm_alloc = (fun ~cpu:_ ~addr:_ ~len:_ -> ());
          on_vmm_free = (fun ~cpu:_ ~addr:_ ~len:_ -> ());
          on_run_boundary = (fun () -> ());
-         on_seqlock_acquire = (fun ~cpu:_ ~drawn:_ -> note "seqlock acquire");
-         on_seqlock_release = (fun ~cpu:_ -> ());
-         on_seqlock_validate = (fun ~cpu:_ ~value:_ -> ());
        });
   Fun.protect ~finally:(fun () -> Tstm_runtime.Tap.install None) f;
   List.rev !log
