@@ -33,7 +33,6 @@ let validate cfg =
   if cfg.preempt_max < 1 then invalid_arg "Chaos: preempt_max < 1"
 
 type plan = {
-  seed : int;
   rng : X.t;
   cfg : config;
   limit : int;
@@ -51,7 +50,6 @@ let activate ?(config = default) ?limit ~seed () =
   state :=
     Some
       {
-        seed;
         rng = X.create seed;
         cfg = config;
         limit;

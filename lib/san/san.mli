@@ -13,11 +13,11 @@
     really synchronize — orec CAS acquire and release, global-clock
     [fetch_add] and read, the quiescence fence, run fork/join — are
     annotated by the STMs' [Tstm_tm.Probe] events and the runtime's tap,
-    and maintain release/acquire edges between those clocks.  Every [Vmm] word and every lock-array slot
-    carries epoch-compressed shadow state: the last writer's [(cpu, clock)]
-    epoch plus a status word (the publish version of the committing
-    transaction, or {e pending} while a transaction is in flight, or
-    {e raw} after a non-transactional store).
+    and maintain release/acquire edges between those clocks.  Every [Vmm]
+    word and every lock-array slot carries epoch-compressed shadow state:
+    the last writer's [(cpu, clock)] epoch plus a status word (the publish
+    version of the committing transaction, {e pending} while a transaction
+    is in flight, or {e raw} after a non-transactional store).
 
     {2 Checks}
 
@@ -50,8 +50,8 @@
 
     The sanitizer is process-global, guarded by the probe gate that {!arm}
     and {!disarm} keep up to date, and never charges cycles: disabled runs
-    are bit-identical to un-instrumented ones.  One armed
-    scope covers one STM instance on the simulated runtime. *)
+    are bit-identical to un-instrumented ones.  One armed scope covers one
+    STM instance on the simulated runtime. *)
 
 type kind =
   | Ww_race  (** two transactional writes not ordered by an orec edge *)
