@@ -236,7 +236,7 @@ let real_cmd =
           on stdout and a machine-readable BENCH_*.json snapshot with \
           --out.")
     Term.(
-      const run $ Cli.real_stm_arg $ Cli.real_all_stms_flag
+      const run $ Cli.stm_arg $ Cli.all_stms_flag
       $ Cli.real_structure_arg $ Cli.domains_arg
       $ Cli.size_arg $ Cli.updates_arg $ Cli.seed_arg $ Cli.workload_arg
       $ Cli.real_duration_arg $ Cli.warmup_arg $ Cli.reps_arg

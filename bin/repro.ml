@@ -309,75 +309,6 @@ let tune_cmd =
 
 let stress_cmd =
   let module St = Tstm_harness.Stress in
-  let module Chaos = Tstm_chaos.Chaos in
-  let seeds_arg =
-    Arg.(
-      value & opt int 50
-      & info [ "seeds" ] ~docv:"N" ~doc:"Sweep chaos seeds 0..N-1.")
-  in
-  let seed_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "seed" ] ~docv:"S"
-          ~doc:
-            "Replay a single chaos seed instead of sweeping (prints the \
-             per-run detail; combine with --sites for a shrunk schedule).")
-  in
-  let all_flag label doc_ = Arg.(value & flag & info [ label ] ~doc:doc_) in
-  let threads_arg =
-    Arg.(
-      value & opt int St.default.St.nthreads
-      & info [ "t"; "threads" ] ~doc:"Simulated CPUs.")
-  in
-  let ops_arg =
-    Arg.(
-      value & opt int St.default.St.per_thread
-      & info [ "ops" ] ~doc:"Operations per thread.")
-  in
-  let key_range_arg =
-    Arg.(
-      value & opt int St.default.St.key_range
-      & info [ "key-range" ] ~doc:"Keys are drawn uniformly from 1..RANGE.")
-  in
-  let max_retries_arg =
-    Arg.(
-      value & opt int St.default.St.max_retries
-      & info [ "max-retries" ]
-          ~doc:
-            "Retry budget before a transaction escalates to the \
-             serial-irrevocable slow path (0 = never).")
-  in
-  let sites_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "sites" ] ~docv:"L"
-          ~doc:
-            "Cap the number of chaos injections that may fire (replaying a \
-             shrunk schedule).")
-  in
-  let window_arg =
-    Arg.(
-      value & opt int St.default.St.window
-      & info [ "window" ] ~doc:"Serializability checker window.")
-  in
-  let bug_arg =
-    let bconv =
-      Arg.enum
-        [
-          ("skip-extension", Chaos.Skip_extension);
-          ("skip-validation", Chaos.Skip_validation);
-        ]
-    in
-    Arg.(
-      value
-      & opt (some bconv) None
-      & info [ "bug" ] ~docv:"BUG"
-          ~doc:
-            "Arm a deliberate protocol bug (skip-extension, skip-validation) \
-             to demonstrate the checker catches it.")
-  in
   let print_report (spec : St.spec) (r : St.report) =
     Printf.printf
       "%s %s seed=%d: %d ops checked, %d commits, %d aborts, %d escalations, \
@@ -405,188 +336,112 @@ let stress_cmd =
           limit
           (if limit = 1 then "" else "s")
           r.St.injected
-          (St.repro_command shrunk)
+          (Cli.Stress.replay shrunk)
     | None ->
-        Printf.printf "could not shrink; repro: %s\n" (St.repro_command spec)
+        Printf.printf "could not shrink; repro: %s\n" (Cli.Stress.replay spec)
   in
-  let run stm all_stms structure all_structures seeds seed threads ops
-      key_range max_retries cm pattern sites window bug san jobs =
-    let base =
-      {
-        St.default with
-        St.stm;
-        structure;
-        nthreads = threads;
-        per_thread = ops;
-        key_range;
-        max_retries;
-        cm;
-        pattern;
-        site_limit = sites;
-        bug;
-        window;
-        san;
-      }
-    in
-    let stms = if all_stms then S.all_stms else [ stm ] in
+  let run (c : Cli.Stress.t) =
+    let base = c.spec in
+    let stms = if c.all_stms then S.all_stms else [ base.St.stm ] in
     let structures =
-      if all_structures then [ W.List; W.Rbtree; W.Skiplist; W.Hashset ]
-      else [ structure ]
+      if c.all_structures then [ W.List; W.Rbtree; W.Skiplist; W.Hashset ]
+      else [ base.St.structure ]
     in
-    match seed with
-    | Some seed ->
-        (* Replay mode: one seed, full detail per run, always sequential
-           (shrinking re-executes interactively anyway). *)
-        let failed = ref false in
-        List.iter
-          (fun stm ->
-            List.iter
-              (fun structure ->
-                let spec = { base with St.stm; structure; seed } in
-                let r = St.run_one spec in
-                print_report spec r;
-                if St.failed r then begin
-                  failed := true;
-                  report_failure spec r
-                end)
-              structures)
-          stms;
-        if !failed then exit 1
-    | None -> (
-        let specs = St.plan ~seeds ~stms ~structures base in
-        let plan = Array.map (fun s -> Job.Stress_run s) specs in
-        let res = Cli.execute ~jobs plan in
-        (* Summarize the prefix up to the first permanently-failed job: a
-           sequential sweep past that point is unknowable, so the verdict
-           only counts runs it would provably have reached. *)
-        let n = Array.length specs in
-        let complete =
-          let rec go i =
-            if i >= n then n
-            else
-              match res.Plan.outcomes.(i) with
-              | None -> i
-              | Some _ -> go (i + 1)
-          in
-          go 0
+    if c.single then begin
+      (* Replay mode: one seed, full detail per run, always sequential
+         (shrinking re-executes interactively anyway). *)
+      let failed = ref false in
+      List.iter
+        (fun stm ->
+          List.iter
+            (fun structure ->
+              let spec = { base with St.stm; structure } in
+              let r = St.run_one spec in
+              print_report spec r;
+              if St.failed r then begin
+                failed := true;
+                report_failure spec r
+              end)
+            structures)
+        stms;
+      if !failed then exit 1
+    end
+    else begin
+      let specs = St.plan ~seeds:c.seeds ~stms ~structures base in
+      let plan = Array.map (fun s -> Job.Stress_run s) specs in
+      let res = Cli.execute ~jobs:c.jobs plan in
+      (* Summarize the prefix up to the first permanently-failed job: a
+         sequential sweep past that point is unknowable, so the verdict
+         only counts runs it would provably have reached. *)
+      let n = Array.length specs in
+      let complete =
+        let rec go i =
+          if i >= n then n
+          else
+            match res.Plan.outcomes.(i) with
+            | None -> i
+            | Some _ -> go (i + 1)
         in
-        let pairs =
-          Array.init complete (fun i ->
-              match res.Plan.outcomes.(i) with
-              | Some (Job.Stress_report r) -> (specs.(i), r)
-              | _ -> assert false)
-        in
-        let sw = St.summarize pairs in
-        Printf.printf
-          "stress: %d runs (%d seeds x %d stm x %d structures), %d ops \
-           checked, %d injections, %d commits, %d aborts, %d escalations\n"
-          sw.St.runs seeds (List.length stms)
-          (List.length structures)
-          sw.St.total_events sw.St.total_injected sw.St.total_commits
-          sw.St.total_aborts sw.St.total_escalations;
-        match sw.St.first_failure with
-        | Some (spec, r) ->
-            print_report spec r;
-            report_failure spec r;
+        go 0
+      in
+      let pairs =
+        Array.init complete (fun i ->
+            match res.Plan.outcomes.(i) with
+            | Some (Job.Stress_report r) -> (specs.(i), r)
+            | _ -> assert false)
+      in
+      let sw = St.summarize pairs in
+      Printf.printf
+        "stress: %d runs (%d seeds x %d stm x %d structures), %d ops \
+         checked, %d injections, %d commits, %d aborts, %d escalations\n"
+        sw.St.runs c.seeds (List.length stms)
+        (List.length structures)
+        sw.St.total_events sw.St.total_injected sw.St.total_commits
+        sw.St.total_aborts sw.St.total_escalations;
+      match sw.St.first_failure with
+      | Some (spec, r) ->
+          print_report spec r;
+          report_failure spec r;
+          exit 1
+      | None ->
+          if complete < n then begin
+            Printf.eprintf
+              "sweep inconclusive: run %d of %d never produced a report\n"
+              (complete + 1) n;
             exit 1
-        | None ->
-            if complete < n then begin
-              Printf.eprintf
-                "sweep inconclusive: run %d of %d never produced a report\n"
-                (complete + 1) n;
-              exit 1
-            end;
-            Printf.printf "zero %s\n"
-              (if san then "serializability violations or sanitizer findings"
-               else "serializability violations"))
+          end;
+          Printf.printf "zero %s\n"
+            (if base.St.san then
+               "serializability violations or sanitizer findings"
+             else "serializability violations")
+    end
   in
   Cmd.v
     (Cmd.info "stress"
        ~doc:
          "Chaos stress: sweep seeded schedule perturbations and check every \
           history for serializability")
-    Term.(
-      const run $ Cli.stm_arg
-      $ all_flag "all-stms"
-          "Stress every registered STM (overrides --stm)."
-      $ Cli.structure_arg
-      $ all_flag "all-structures"
-          "Stress list, rbtree, skiplist and hashset (overrides --structure)."
-      $ seeds_arg $ seed_arg $ threads_arg $ ops_arg $ key_range_arg
-      $ max_retries_arg $ Cli.cm_arg $ Cli.workload_arg $ sites_arg
-      $ window_arg $ bug_arg $ Cli.san_arg $ Cli.jobs_arg)
+    Term.(const run $ Cli.Stress.term)
 
 let storm_cmd =
   let module Storm = Tstm_harness.Storm in
-  let all_stms_flag =
-    Arg.(
-      value & flag
-      & info [ "all-stms" ]
-          ~doc:"Storm every registered STM (overrides --stm).")
-  in
-  let threads_arg =
-    Arg.(
-      value & opt int Storm.default.Storm.nthreads
-      & info [ "t"; "threads" ] ~doc:"Simulated CPUs (paired; >= 2).")
-  in
-  let quota_arg =
-    Arg.(
-      value & opt int Storm.default.Storm.quota
-      & info [ "quota" ] ~doc:"Commits each thread must reach.")
-  in
-  let watchdog_flag =
-    Arg.(
-      value & flag
-      & info [ "watchdog" ]
-          ~doc:
-            "Arm the progress watchdog: livelock/starvation detection plus \
-             the graceful-degradation ladder.")
-  in
-  let expect_livelock_flag =
-    Arg.(
-      value & flag
-      & info [ "expect-livelock" ]
-          ~doc:
-            "Assert the run livelocks: exit non-zero unless the watchdog \
-             detected at least one zero-commit window (with --watchdog) or \
-             some thread missed its quota (without).  The assertion only \
-             applies to lock-array STMs; a single-seqlock STM (capability \
-             lock_array = false) admits no hold-and-wait cycle, so it is \
-             instead required to complete.")
-  in
   let print_report stm (r : Storm.report) =
     Format.printf "%-10s %a@." stm Storm.pp_report r
   in
-  let run stm all_stms threads quota watchdog wd_window wd_starve wd_calm
-      expect_livelock seed cm jobs =
-    let stms = if all_stms then S.all_stms else [ stm ] in
+  let run (c : Cli.Storm.t) =
+    let stms = if c.all_stms then S.all_stms else [ c.spec.Storm.stm ] in
     let specs =
-      Array.of_list
-        (List.map
-           (fun stm ->
-             {
-               Storm.default with
-               Storm.stm;
-               cm;
-               nthreads = threads;
-               quota;
-               watchdog;
-               wd_window;
-               wd_starve;
-               wd_calm;
-               seed;
-             })
-           stms)
+      Array.of_list (List.map (fun stm -> { c.spec with Storm.stm }) stms)
     in
     let plan = Array.map (fun s -> Job.Storm_run s) specs in
-    let res = Cli.execute ~jobs plan in
+    let res = Cli.execute ~jobs:c.jobs plan in
     (* The livelock expectation is a lock-array property: symmetric
        hold-and-wait needs at least two locks.  An STM without one (a
        single global seqlock) is obstruction-free on this workload — the
        CAS winner always commits — so under --expect-livelock it must
        instead complete. *)
     let expects_livelock stm =
-      expect_livelock
+      c.expect_livelock
       && (Tstm_tm.Registry.capabilities stm).Tstm_tm.Tm_intf.lock_array
     in
     let failed = ref false in
@@ -598,7 +453,8 @@ let storm_cmd =
             let expects = expects_livelock specs.(i).Storm.stm in
             let bad =
               if expects then
-                if watchdog then r.Storm.livelocks = 0 else r.Storm.completed
+                if c.spec.Storm.watchdog then r.Storm.livelocks = 0
+                else r.Storm.completed
               else not r.Storm.completed
             in
             if bad then begin
@@ -606,7 +462,7 @@ let storm_cmd =
               Printf.printf "  FAILED: %s; repro: %s\n"
                 (if expects then "expected a livelock"
                  else "incomplete (some thread missed its quota)")
-                (Storm.repro_command specs.(i))
+                (Cli.Storm.replay specs.(i))
             end
         | _ ->
             failed := true;
@@ -620,123 +476,15 @@ let storm_cmd =
        ~doc:
          "Hot-spot RMW storm: the progress-guarantee workload (pairs of \
           threads hammering the same words in opposite orders)")
-    Term.(
-      const run $ Cli.stm_arg $ all_stms_flag $ threads_arg $ quota_arg
-      $ watchdog_flag
-      $ Cli.watchdog_window_arg ~default:Storm.default.Storm.wd_window
-      $ Cli.watchdog_retry_arg ~default:Storm.default.Storm.wd_starve
-      $ Cli.watchdog_calm_arg ~default:Storm.default.Storm.wd_calm
-      $ expect_livelock_flag $ Cli.seed_arg $ Cli.cm_arg $ Cli.jobs_arg)
+    Term.(const run $ Cli.Storm.term)
 
 let fault_cmd =
   let module FR = Tstm_harness.Fault_run in
   let module BReal = Tstm_harness.Bench_real in
   let module Fault = Tstm_fault.Fault in
-  let d = FR.default in
-  let structure_conv =
-    let parse s =
-      match W.structure_of_string s with
-      | Some x -> Ok x
-      | None -> Error (`Msg (Printf.sprintf "unknown structure %S" s))
-    in
-    Arg.conv
-      (parse, fun ppf s -> Format.pp_print_string ppf (W.structure_to_string s))
-  in
-  let structure_arg =
-    Arg.(
-      value
-      & opt structure_conv d.FR.structure
-      & info [ "structure" ] ~docv:"STRUCT"
-          ~doc:"Structure under fault: list, rbtree, skiplist or hashset.")
-  in
-  let kind_conv =
-    Arg.enum
-      [
-        ("crash", `K (Fault.Crash : Fault.kind));
-        ("hang", `K (Fault.Hang : Fault.kind));
-        ("oom", `K (Fault.Oom : Fault.kind));
-        ("all", `All);
-      ]
-  in
-  let kind_arg =
-    Arg.(
-      value
-      & opt kind_conv (`K d.FR.kind)
-      & info [ "kind" ] ~docv:"KIND"
-          ~doc:"Fault kind to arm: crash, hang, oom or all.")
-  in
-  let seeds_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seeds" ] ~docv:"N"
-          ~doc:"Sweep fault-plan seeds SEED..SEED+N-1 (1 = just --seed).")
-  in
-  let domains_arg =
-    Arg.(
-      value & opt int d.FR.domains
-      & info [ "t"; "domains" ] ~doc:"Worker domains (real hardware).")
-  in
-  let ops_arg =
-    Arg.(
-      value & opt int d.FR.per_thread
-      & info [ "ops" ] ~doc:"Operations per worker job.")
-  in
-  let initial_arg =
-    Arg.(
-      value & opt int d.FR.initial_size
-      & info [ "initial" ] ~doc:"Pre-populated structure size.")
-  in
-  let key_range_arg =
-    Arg.(
-      value & opt int d.FR.key_range
-      & info [ "key-range" ] ~doc:"Keys are drawn uniformly from 1..RANGE.")
-  in
-  let update_arg =
-    Arg.(
-      value & opt float d.FR.update_pct
-      & info [ "update" ] ~doc:"Update transaction share, percent.")
-  in
-  let limit_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "limit" ] ~docv:"L"
-          ~doc:
-            "Cap the number of fired injections (replaying a prior run's \
-             schedule).")
-  in
-  let expect_heal_flag =
-    Arg.(
-      value & flag
-      & info [ "expect-heal" ]
-          ~doc:
-            "Assert the sweep exercised self-healing: exit non-zero unless \
-             every run healed cleanly $(b,and) at least one injection \
-             fired.")
-  in
-  let run stm all_stms structure kind seeds domains ops initial key_range
-      update limit expect_heal seed =
-    let base =
-      {
-        FR.stm;
-        kind = d.FR.kind;
-        structure;
-        domains;
-        per_thread = ops;
-        key_range;
-        initial_size = initial;
-        update_pct = update;
-        limit;
-        seed;
-      }
-    in
-    let stms = if all_stms then BReal.stm_names else [ stm ] in
-    let kinds =
-      match kind with
-      | `All -> ([ Fault.Crash; Fault.Hang; Fault.Oom ] : Fault.kind list)
-      | `K k -> [ k ]
-    in
-    match FR.plan ~seeds ~stms ~kinds base with
+  let run (c : Cli.Fault.t) =
+    let stms = if c.all_stms then BReal.stm_names else [ c.spec.FR.stm ] in
+    match FR.plan ~seeds:c.seeds ~stms ~kinds:(Cli.Fault.kinds c) c.spec with
     | exception Invalid_argument msg -> `Error (false, msg)
     | specs ->
         (* Real-domain runs cannot be forked into the job pool; the sweep
@@ -777,10 +525,10 @@ let fault_cmd =
                   if r.FR.leak_words <> 0 then
                     Printf.printf "  LEAK: %d words after drain\n"
                       r.FR.leak_words;
-                  Printf.printf "  repro: %s\n" (FR.repro_command spec)
+                  Printf.printf "  repro: %s\n" (Cli.Fault.replay spec)
                 end)
           specs;
-        if expect_heal && !total_fired = 0 then begin
+        if c.expect_heal && !total_fired = 0 then begin
           failed := true;
           Printf.printf "fault: --expect-heal, but no injection ever fired\n"
         end;
@@ -793,231 +541,41 @@ let fault_cmd =
          "Fault-injection sweep on real domains: seeded crash/hang/OOM \
           plans that the runtime must heal (respawn-and-requeue, bounded \
           alloc retry) with zero arena drift")
-    Term.(
-      ret
-        (const run $ Cli.real_stm_arg $ Cli.real_all_stms_flag $ structure_arg
-        $ kind_arg $ seeds_arg $ domains_arg $ ops_arg $ initial_arg
-        $ key_range_arg $ update_arg $ limit_arg $ expect_heal_flag
-        $ Cli.seed_arg))
+    Term.(ret (const run $ Cli.Fault.term))
 
 let serve_cmd =
   let module Sv = Tstm_service.Service in
-  let module Arrival = Tstm_service.Arrival in
+  let module SR = Tstm_service.Service_real in
   let module Slo = Tstm_obs.Slo in
-  let d = Sv.default in
-  let shed_conv =
-    let parse s =
-      match Sv.shed_of_string s with Ok p -> Ok p | Error m -> Error (`Msg m)
-    in
-    Arg.conv
-      (parse, fun ppf p -> Format.pp_print_string ppf (Sv.shed_to_string p))
-  in
-  let backend_conv =
-    let parse s =
-      match Sv.backend_of_string s with
-      | Ok b -> Ok b
-      | Error m -> Error (`Msg m)
-    in
-    Arg.conv
-      (parse, fun ppf b -> Format.pp_print_string ppf (Sv.backend_to_string b))
-  in
-  let arrival_conv =
-    let parse s =
-      match Arrival.of_string s with
-      | Ok a -> Ok a
-      | Error m -> Error (`Msg m)
-    in
-    Arg.conv
-      (parse, fun ppf a -> Format.pp_print_string ppf (Arrival.to_string a))
-  in
-  let all_stms_flag =
-    Arg.(
-      value & flag
-      & info [ "all-stms" ]
-          ~doc:"Serve on every registered STM (overrides --stm).")
-  in
-  let shed_arg =
-    Arg.(
-      value & opt shed_conv d.Sv.shed
-      & info [ "shed" ] ~docv:"POLICY"
-          ~doc:
-            "Load-shedding policy: none, drop-newest, deadline (default) or \
-             serialize-hot — each step keeps the previous one's behaviour \
-             and adds its own.")
-  in
-  let all_sheds_flag =
-    Arg.(
-      value & flag
-      & info [ "all-sheds" ]
-          ~doc:"Run every shedding policy in ladder order (overrides --shed).")
-  in
-  let backend_arg =
-    Arg.(
-      value & opt backend_conv d.Sv.backend
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:
-            "What the service serves: an integer-set structure (list, \
-             rbtree, skiplist, hashset) or the multi-tenant vacation \
-             reservation service.")
-  in
-  let workers_arg =
-    Arg.(
-      value & opt int d.Sv.workers
-      & info [ "workers" ] ~doc:"Dispatcher fibers (simulated CPUs).")
-  in
-  let shards_arg =
-    Arg.(
-      value & opt int d.Sv.shards
-      & info [ "shards" ] ~doc:"Admission queues / tenants.")
-  in
-  let arrival_arg =
-    Arg.(
-      value & opt arrival_conv d.Sv.arrival
-      & info [ "arrival" ] ~docv:"PROCESS"
-          ~doc:
-            "Arrival process: poisson:RATE, bursty:RATE:BOOST:PERIOD or \
-             diurnal:RATE:PERIOD[:AMP] (sessions per second).")
-  in
-  let overload_arg =
-    Arg.(
-      value
-      & opt float (match d.Sv.overload with Some x -> x | None -> 0.0)
-      & info [ "overload" ] ~docv:"X"
-          ~doc:
-            "Replace the arrival base rate with $(docv) times the calibrated \
-             closed-loop capacity (0 = use the --arrival rate as-is).")
-  in
-  let session_arg =
-    Arg.(
-      value & opt int d.Sv.session
-      & info [ "session" ] ~doc:"Requests per arriving session.")
-  in
-  let horizon_arg =
-    Arg.(
-      value & opt float d.Sv.horizon
-      & info [ "horizon" ] ~doc:"Arrival window, virtual seconds.")
-  in
-  let deadline_arg =
-    Arg.(
-      value & opt float d.Sv.deadline
-      & info [ "deadline" ] ~doc:"Per-request deadline, virtual seconds.")
-  in
-  let budget_arg =
-    Arg.(
-      value & opt int d.Sv.retry_budget
-      & info [ "budget" ] ~doc:"Transaction attempts per request before it \
-                                fails fast as budget-exhausted.")
-  in
-  let queue_cap_arg =
-    Arg.(
-      value & opt int d.Sv.queue_cap
-      & info [ "queue-cap" ]
-          ~doc:"Per-shard admission bound (ignored by --shed none).")
-  in
-  let batch_arg =
-    Arg.(
-      value & opt int d.Sv.batch
-      & info [ "batch" ] ~doc:"Requests dequeued from one shard at a time.")
-  in
-  let watchdog_flag =
-    Arg.(
-      value & flag
-      & info [ "watchdog" ]
-          ~doc:
-            "Arm the progress watchdog (also felt by serialize-hot: a \
-             degraded level turns every shard owner-only).")
-  in
-  let record_flag =
-    Arg.(
-      value & flag
-      & info [ "record" ]
-          ~doc:
-            "Record per-shard operation histories and run the \
-             linearizability checker after drain (intset backends only).")
-  in
-  let seeds_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seeds" ] ~docv:"N"
-          ~doc:"Sweep service seeds 0..N-1 (1 = just --seed).")
-  in
-  let periods_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "periods" ]
-          ~doc:"Slices in the per-period SLO table (--metrics-csv).")
-  in
-  let real_flag =
-    Arg.(
-      value & flag
-      & info [ "real" ]
-          ~doc:
-            "Serve on real domains (Runtime_real) instead of the simulator: \
-             wall-clock arrivals into mutex-protected shard queues, \
-             dispatcher domains, per-request crash-retry budgets and a \
-             fault-fed circuit breaker.  Simulator-only flags (--shed, \
-             --overload, --session, --batch, --watchdog, --record, --san, \
-             --seeds, --metrics-csv, --jobs, --all-stms, --all-sheds) do \
-             not apply.")
-  in
-  let fault_seed_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fault-seed" ] ~docv:"S"
-          ~doc:
-            "Arm a crash/hang/OOM fault plan (default rates) with seed \
-             $(docv) for the duration of a --real run.")
-  in
-  let fault_limit_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fault-limit" ] ~docv:"L"
-          ~doc:"Cap fired injections of the --real fault plan at $(docv).")
-  in
-  let run_real stm backend workers shards arrival horizon deadline budget
-      queue_cap seed fault_seed fault_limit =
-    let module SR = Tstm_service.Service_real in
+  (* --real maps the command line onto the wall-clock service's spec. *)
+  let run_real (c : Cli.Serve.t) =
     let module Fault = Tstm_fault.Fault in
-    match backend with
+    let s = c.spec in
+    match s.Sv.backend with
     | Sv.Vacation ->
         `Error (false, "serve --real supports the intset backends only")
     | Sv.Intset structure -> (
         let spec =
           {
-            SR.default with
-            SR.stm;
-            workers;
-            shards;
+            SR.stm = s.Sv.stm;
+            workers = s.Sv.workers;
+            shards = s.Sv.shards;
             structure;
-            arrival;
-            horizon_s = horizon;
-            deadline_s = deadline;
-            fault_budget = budget;
-            queue_cap;
-            seed;
+            arrival = s.Sv.arrival;
+            horizon_s = s.Sv.horizon;
+            deadline_s = s.Sv.deadline;
+            fault_budget = s.Sv.retry_budget;
+            queue_cap = s.Sv.queue_cap;
+            seed = s.Sv.seed;
           }
         in
-        let armed = fault_seed <> None in
-        (match fault_seed with
-        | Some s ->
-            (* Service-shaped plan: a crash/OOM burst dense enough to trip
-               the breaker within one arrival window (the library default
-               rates are tuned for long benchmark runs).  Hangs are left
-               out — the dispatchers run under plain [R.run], so a hang
-               only adds latency without feeding the breaker.  Use
-               --fault-limit to bound the burst and watch the breaker
-               recover. *)
-            let burst =
-              { Fault.crash_pct = 10.0; hang_pct = 0.0; hang_us = 1;
-                oom_pct = 2.0 }
-            in
-            Fault.activate ~config:burst ?limit:fault_limit ~seed:s ()
+        (match c.fault_seed with
+        | Some seed ->
+            Fault.activate ~config:SR.fault_burst ?limit:c.fault_limit ~seed ()
         | None -> ());
         let fault_note = ref "" in
         let finish () =
-          if armed then begin
+          if c.fault_seed <> None then begin
             fault_note := Fault.summary ();
             Fault.deactivate ()
           end
@@ -1051,57 +609,23 @@ let serve_cmd =
             end;
             `Ok ())
   in
-  let run stm all_stms shed all_sheds backend workers shards arrival overload
-      session pattern horizon deadline budget queue_cap batch watchdog
-      wd_window wd_starve wd_calm record san seeds seed metrics_csv periods
-      jobs real fault_seed fault_limit =
-    if real then
-      run_real stm backend workers shards arrival horizon deadline budget
-        queue_cap seed fault_seed fault_limit
-    else if fault_seed <> None || fault_limit <> None then
-      `Error (false, "--fault-seed/--fault-limit require --real")
+  let run (c : Cli.Serve.t) =
+    if c.real then run_real c
     else
-    let base =
-      {
-        d with
-        Sv.stm;
-        shed;
-        backend;
-        workers;
-        shards;
-        arrival;
-        overload = (if overload > 0.0 then Some overload else None);
-        session;
-        pattern;
-        horizon;
-        deadline;
-        retry_budget = budget;
-        queue_cap;
-        batch;
-        watchdog;
-        wd_window;
-        wd_starve;
-        wd_calm;
-        record;
-        san;
-        seed;
-      }
-    in
-    let stms = if all_stms then S.all_stms else [ stm ] in
-    let sheds = if all_sheds then Sv.all_sheds else [ shed ] in
-    let specs =
-      if seeds <= 1 then
-        Array.of_list
-          (List.concat_map
-             (fun stm -> List.map (fun shed -> { base with Sv.stm; shed }) sheds)
-             stms)
-      else Sv.plan ~seeds ~stms ~sheds base
-    in
-    if metrics_csv <> None && Array.length specs > 1 then
-      `Error (false, "--metrics-csv needs a single run (one stm/shed/seed)")
-    else begin
+      let base = c.spec in
+      let stms = if c.all_stms then S.all_stms else [ base.Sv.stm ] in
+      let sheds = if c.all_sheds then Sv.all_sheds else [ base.Sv.shed ] in
+      let specs =
+        if c.seeds <= 1 then
+          Array.of_list
+            (List.concat_map
+               (fun stm ->
+                 List.map (fun shed -> { base with Sv.stm; shed }) sheds)
+               stms)
+        else Sv.plan ~seeds:c.seeds ~stms ~sheds base
+      in
       let plan = Array.map (fun s -> Job.Serve_run s) specs in
-      let res = Cli.execute ~jobs plan in
+      let res = Cli.execute ~jobs:c.jobs plan in
       let hz = Sv.cycles_per_second () in
       let failed = ref false in
       Array.iteri
@@ -1135,10 +659,10 @@ let serve_cmd =
               if spec.Sv.san then
                 Printf.printf "  san: %d finding(s)\n"
                   (List.length r.Sv.san_findings);
-              (match metrics_csv with
+              (match c.metrics_csv with
               | Some path ->
                   Tstm_obs.Metrics.write ~path
-                    (Sv.per_period_metrics ~periods r);
+                    (Sv.per_period_metrics ~periods:c.periods r);
                   Printf.printf "(per-period SLO CSV written to %s)\n" path
               | None -> ());
               if Sv.failed r then begin
@@ -1150,7 +674,7 @@ let serve_cmd =
                   print_san_findings r.Sv.san_findings;
                 if r.Sv.leak_words <> 0 then
                   Printf.printf "  LEAK: %d words after drain\n" r.Sv.leak_words;
-                Printf.printf "  repro: %s\n" (Sv.repro_command spec)
+                Printf.printf "  repro: %s\n" (Cli.Serve.replay spec)
               end
           | Some _ | None ->
               failed := true;
@@ -1161,7 +685,6 @@ let serve_cmd =
         res.Tstm_exec.Plan.outcomes;
       if !failed then exit 1;
       `Ok ()
-    end
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1169,18 +692,7 @@ let serve_cmd =
          "Open-loop overload service: arrival-driven sessions against a \
           sharded transactional backend with admission control, per-request \
           deadlines/retry budgets and a load-shedding policy ladder")
-    Term.(
-      ret
-        (const run $ Cli.stm_arg $ all_stms_flag $ shed_arg $ all_sheds_flag
-        $ backend_arg $ workers_arg $ shards_arg $ arrival_arg $ overload_arg
-        $ session_arg $ Cli.workload_arg $ horizon_arg $ deadline_arg
-        $ budget_arg $ queue_cap_arg $ batch_arg $ watchdog_flag
-        $ Cli.watchdog_window_arg ~default:d.Sv.wd_window
-        $ Cli.watchdog_retry_arg ~default:d.Sv.wd_starve
-        $ Cli.watchdog_calm_arg ~default:d.Sv.wd_calm
-        $ record_flag $ Cli.san_arg $ seeds_arg $ Cli.seed_arg
-        $ Cli.metrics_csv_arg $ periods_arg $ Cli.jobs_arg $ real_flag
-        $ fault_seed_arg $ fault_limit_arg))
+    Term.(ret (const run $ Cli.Serve.term))
 
 let () =
   let doc = "TinySTM (PPoPP'08) reproduction: figures and experiments" in

@@ -51,15 +51,86 @@ val workload_arg : Tstm_harness.Workload.pattern Cmdliner.Term.t
     ({!Tstm_harness.Workload.pattern_of_string} forms); default
     [Uniform]. *)
 
-val watchdog_window_arg : default:int -> int Cmdliner.Term.t
-(** [--watchdog-window CYCLES]: progress-watchdog window length.  Shared
-    by `repro storm` and `repro serve` (different defaults). *)
+val all_stms_flag : bool Cmdliner.Term.t
+(** [--all-stms]: run every registered STM, overriding [--stm]. *)
 
-val watchdog_retry_arg : default:int -> int Cmdliner.Term.t
-(** [--watchdog-retry-ceiling N]: starvation retry ceiling. *)
+(** {1 Replayable commands}
 
-val watchdog_calm_arg : default:int -> int Cmdliner.Term.t
-(** [--watchdog-calm W]: calm windows before de-escalation. *)
+    `repro stress`, `storm`, `serve` and `fault` parse their command line
+    into an invocation record.  Each flag is declared once, here, and that
+    declaration gives both the term and the flag's text on a replay line,
+    so a printed repro line parses back to the spec that printed it. *)
+
+module Stress : sig
+  type t = {
+    spec : Tstm_harness.Stress.spec;
+    single : bool;  (** [--seed] given: replay that one seed *)
+    seeds : int;
+    all_stms : bool;
+    all_structures : bool;
+    jobs : int;
+  }
+
+  val term : t Cmdliner.Term.t
+
+  val replay : Tstm_harness.Stress.spec -> string
+  (** The `repro stress ...` line replaying exactly this spec. *)
+end
+
+module Storm : sig
+  type t = {
+    spec : Tstm_harness.Storm.spec;  (** seed 42, cm backoff by default *)
+    all_stms : bool;
+    expect_livelock : bool;
+    jobs : int;
+  }
+
+  val term : t Cmdliner.Term.t
+
+  val replay : Tstm_harness.Storm.spec -> string
+  (** The `repro storm ...` line replaying exactly this spec. *)
+end
+
+module Serve : sig
+  type t = {
+    spec : Tstm_service.Service.spec;  (** seed defaults to 42 *)
+    all_stms : bool;
+    all_sheds : bool;
+    seeds : int;
+    metrics_csv : string option;
+    periods : int;
+    jobs : int;
+    real : bool;
+    fault_seed : int option;
+    fault_limit : int option;
+  }
+
+  val term : t Cmdliner.Term.t
+  (** Rejects [--fault-seed]/[--fault-limit] without [--real],
+      [--metrics-csv] with more than one run, and, with [--real], every
+      simulator-only flag given a non-default value. *)
+
+  val replay : Tstm_service.Service.spec -> string
+  (** The `repro serve ...` line replaying exactly this spec. *)
+end
+
+module Fault : sig
+  type t = {
+    spec : Tstm_harness.Fault_run.spec;
+    all_kinds : bool;  (** [--kind all] *)
+    seeds : int;
+    all_stms : bool;
+    expect_heal : bool;
+  }
+
+  val term : t Cmdliner.Term.t
+
+  val kinds : t -> Tstm_fault.Fault.kind list
+  (** The kinds to sweep: every kind for [--kind all], else the spec's. *)
+
+  val replay : Tstm_harness.Fault_run.spec -> string
+  (** The `repro fault ...` line replaying exactly this spec. *)
+end
 
 (** {1 Pooled execution} *)
 
@@ -112,13 +183,6 @@ val eval_points : ?jobs:int -> Job.point list -> Job.point_outcome option array
     real-hardware benchmark path producing machine-readable
     [BENCH_*.json] snapshots ({!Tstm_obs.Bench}) and the noise-aware
     regression comparator. *)
-
-val real_stm_arg : string Cmdliner.Term.t
-(** [--stm STM] (validated by {!Tstm_harness.Bench_real.run_cell}). *)
-
-val real_all_stms_flag : bool Cmdliner.Term.t
-(** [--all-stms]: bench every {!Tstm_harness.Bench_real.stm_names} entry
-    into one snapshot (overrides [--stm]). *)
 
 val real_structure_arg : string Cmdliner.Term.t
 (** [--structure STRUCT]: a structure name or ["vacation"]. *)

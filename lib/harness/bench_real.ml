@@ -1,7 +1,6 @@
 (* Wall-clock benchmark harness over the real-hardware runtime.
 
-   Instantiates the family libraries' STM packagings (the ones [Scenario]
-   registers for the simulator) over [Runtime_real], and drives
+   Takes each registry entry's packaging over [Runtime_real] and drives
    [Driver.step] — the exact paper mix the simulator measures — under a
    Synchrobench-style protocol: a warmup phase, then [reps] fixed-duration
    timed repetitions against one long-lived structure, timed with the
@@ -29,25 +28,16 @@ let () = Sink.set_domain_id R.tid
 
 module type STM = Intf.STM
 
-module Stm_wb = Tinystm.Stm.Write_back (R)
-module Stm_wt = Tinystm.Stm.Write_through (R)
-module Stm_tl2 = Tstm_tl2.Stm.Make (R)
-module Stm_norec = Tstm_norec.Stm.Make (R)
+module Registry = Tstm_tm.Registry
 
 let stms =
-  [
-    (Stm_wb.name, [ "wb" ], (module Stm_wb : STM));
-    (Stm_wt.name, [ "wt" ], (module Stm_wt : STM));
-    (Stm_tl2.name, [], (module Stm_tl2 : STM));
-    (Stm_norec.name, [], (module Stm_norec : STM));
-  ]
+  List.map (fun e -> Registry.(e.name, e.aliases, e.real)) (Registry.all ())
 
-let stm_names = List.map (fun (n, _, _) -> n) stms
+let stm_names = Registry.names ()
 
 let find_stm name =
-  let matches (canon, aliases, _) = canon = name || List.mem name aliases in
-  match List.find_opt matches stms with
-  | Some (canon, _, m) -> Ok (canon, m)
+  match Registry.entry_of name with
+  | Some e -> Ok (e.Registry.name, e.Registry.real)
   | None ->
       Error
         (Printf.sprintf "unknown STM %S (known: %s)" name

@@ -19,22 +19,21 @@
     (Vacation instead runs its transactional consistency audit). *)
 
 val stm_names : string list
-(** Canonical STM names available on the real runtime
-    (["tinystm-wb"], ["tinystm-wt"], ["tl2"], ["norec"]); the aliases
-    ["wb"] and ["wt"] also resolve. *)
+(** {!Tstm_tm.Registry.names}: ["tinystm-wb"], ["tinystm-wt"], ["tl2"],
+    ["norec"]; the aliases ["wb"] and ["wt"] also resolve. *)
 
-(** A packaged STM over {!Tstm_runtime.Runtime_real} — the real-runtime
-    analogue of the registry's simulated packagings. *)
+(** A packaged STM over {!Tstm_runtime.Runtime_real}: a registry entry's
+    [real] field. *)
 module type STM = Tstm_tm.Tm_intf.STM
 
 val stms : (string * string list * (module STM)) list
-(** Every STM on the real runtime as (canonical name, aliases, packaged
-    module), in {!stm_names} order. *)
+(** Every registry entry as (canonical name, aliases, real-domain
+    packaging), in {!stm_names} order. *)
 
 val find_stm : string -> (string * (module STM), string) result
-(** Resolve a name or alias to its canonical name and packaged module
-    (shared by the bench cells, the fault sweep driver and the real-domain
-    service). *)
+(** Resolve a name or alias through the registry to its canonical name and
+    real-domain packaging (shared by the bench cells, the fault sweep
+    driver and the real-domain service). *)
 
 type protocol = {
   duration_s : float;  (** length of each timed repetition *)

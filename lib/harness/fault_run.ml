@@ -185,15 +185,3 @@ let plan ~seeds ~stms ~kinds spec =
                kinds)
            stms)
        (List.init seeds Fun.id))
-
-let repro_command spec =
-  Printf.sprintf
-    "repro fault --stm %s --kind %s --structure %s --domains %d --ops %d \
-     --initial %d --key-range %d --update %g --seed %d%s"
-    spec.stm (Fault.kind_name spec.kind)
-    (Workload.structure_to_string spec.structure)
-    spec.domains spec.per_thread spec.initial_size spec.key_range
-    spec.update_pct spec.seed
-    (match spec.limit with
-    | None -> ""
-    | Some l -> Printf.sprintf " --limit %d" l)

@@ -60,6 +60,3 @@ val plan :
   spec ->
   spec array
 (** Ordered sweep: seeds (outer) x stm x kind (inner). *)
-
-val repro_command : spec -> string
-(** The `repro fault ...` command line replaying exactly this spec. *)

@@ -11,33 +11,7 @@ module Registry = Tstm_tm.Registry
    sink's clock; every scenario runs on the simulated runtime. *)
 let () = Tstm_obs.Sink.set_clock R.now_cycles
 
-(* ------------------------------------------------------------------ *)
-(* The STM registry entries                                            *)
-(* ------------------------------------------------------------------ *)
-
-module Stm_wb = Tinystm.Stm.Write_back (R)
-module Stm_wt = Tinystm.Stm.Write_through (R)
-module Stm_tl2 = Tstm_tl2.Stm.Make (R)
-module Stm_norec = Tstm_norec.Stm.Make (R)
-
-let () =
-  Registry.register ~aliases:[ "wb" ] ~label:"TinySTM-WB"
-    (module Stm_wb : Intf.STM);
-  Registry.register ~aliases:[ "wt" ] ~label:"TinySTM-WT"
-    (module Stm_wt : Intf.STM);
-  Registry.register ~label:"TL2" (module Stm_tl2 : Intf.STM);
-  Registry.register ~label:"NOrec" (module Stm_norec : Intf.STM)
-
-(* Canonical enumeration order for reports: family-major, so columns of
-   the same algorithm family stay adjacent in every table regardless of
-   registration interleaving. *)
-let all_stms =
-  List.concat_map
-    (fun fam ->
-      List.map
-        (fun e -> e.Registry.name)
-        (Registry.filter (fun e -> e.Registry.family = fam)))
-    (Registry.families ())
+let all_stms = Registry.names ()
 
 let stm_label = Registry.label
 

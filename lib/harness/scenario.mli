@@ -2,10 +2,8 @@
     (STM implementation, workload) pair.  All the figure drivers build on
     these.
 
-    Loading this module registers the packaged STM implementations —
-    ["tinystm-wb"] (alias ["wb"]), ["tinystm-wt"] (alias ["wt"]), ["tl2"]
-    and ["norec"] — in {!Tstm_tm.Registry}; every [~stm] argument below is
-    a registry name or alias. *)
+    Every [~stm] argument below is a {!Tstm_tm.Registry} name or alias
+    (["tinystm-wb"]/["wb"], ["tinystm-wt"]/["wt"], ["tl2"], ["norec"]). *)
 
 module R = Tstm_runtime.Runtime_sim
 module Ts : module type of Tinystm.Make (R)
@@ -14,9 +12,8 @@ module No : module type of Tstm_norec.Norec.Make (R)
 module Vac : module type of Tstm_vacation.Vacation.Make (Ts)
 
 val all_stms : string list
-(** Canonical registry names in family-major presentation order: entries
-    of the same algorithm family stay adjacent, families in
-    first-registration order. *)
+(** {!Tstm_tm.Registry.names}: the registration block lists each family's
+    entries together, so report columns of one family stay adjacent. *)
 
 val stm_label : string -> string
 (** Display label, e.g. ["TinySTM-WB"]; raises [Invalid_argument] for

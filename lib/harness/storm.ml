@@ -16,16 +16,11 @@ module Registry = Tstm_tm.Registry
 module Cm = Tstm_cm.Cm
 module Watchdog = Tstm_runtime.Watchdog
 
-(* The STM registry is populated by [Scenario]'s initializer; depend on it
-   explicitly so linking Storm alone is enough to resolve STM names. *)
-let () = ignore (Sys.opaque_identity Scenario.all_stms)
-
 type spec = {
   stm : string;
   cm : string;
   nthreads : int;
   quota : int;
-  deadline : float;
   watchdog : bool;
   wd_window : int;
   wd_starve : int;
@@ -44,7 +39,6 @@ let default =
     cm = "suicide";
     nthreads = 4;
     quota = 32;
-    deadline = 0.002;
     watchdog = false;
     wd_window = 1024;
     wd_starve = 64;
@@ -63,24 +57,8 @@ type report = {
   elapsed : float;
 }
 
-let repro_command spec =
-  let b = Buffer.create 96 in
-  Buffer.add_string b
-    (Printf.sprintf "repro storm --stm %s --cm %s --seed %d" spec.stm spec.cm
-       spec.seed);
-  if spec.nthreads <> default.nthreads then
-    Buffer.add_string b (Printf.sprintf " --threads %d" spec.nthreads);
-  if spec.quota <> default.quota then
-    Buffer.add_string b (Printf.sprintf " --quota %d" spec.quota);
-  if spec.watchdog then Buffer.add_string b " --watchdog";
-  if spec.wd_window <> default.wd_window then
-    Buffer.add_string b (Printf.sprintf " --watchdog-window %d" spec.wd_window);
-  if spec.wd_starve <> default.wd_starve then
-    Buffer.add_string b
-      (Printf.sprintf " --watchdog-retry-ceiling %d" spec.wd_starve);
-  if spec.wd_calm <> default.wd_calm then
-    Buffer.add_string b (Printf.sprintf " --watchdog-calm %d" spec.wd_calm);
-  Buffer.contents b
+(* Virtual seconds before a thread gives up. *)
+let deadline = 0.002
 
 (* The deadline escape: raised from inside the transaction body (before any
    transactional access, so there is nothing to undo even when irrevocable);
@@ -135,7 +113,7 @@ let run_one spec =
          while commits.(tid) < spec.quota do
            ignore
              (M.atomically t (fun tx ->
-                  if R.now () -. t0 >= spec.deadline then raise Deadline;
+                  if R.now () -. t0 >= deadline then raise Deadline;
                   let x = M.read tx first in
                   let y = M.read tx second in
                   M.write tx first (x + 1);

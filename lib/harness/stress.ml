@@ -4,7 +4,7 @@
    instance, run [nthreads] threads of random single-operation transactions
    under an active chaos plan, read the final contents, and check the
    recorded history against sequential set semantics.  Everything is keyed
-   by the spec, so a failing spec *is* the repro — [repro_command] renders
+   by the spec, so a failing spec *is* the repro — [Tstm_exec.Cli] renders
    it as a `repro stress` invocation. *)
 
 module R = Tstm_runtime.Runtime_sim
@@ -23,7 +23,6 @@ type spec = {
   max_retries : int;
   cm : string;
   pattern : Workload.pattern;
-  chaos : Chaos.config;
   site_limit : int option;
   bug : Chaos.bug option;
   window : int;
@@ -41,7 +40,6 @@ let default =
     max_retries = 0;
     cm = "backoff";
     pattern = Workload.Uniform;
-    chaos = Chaos.default;
     site_limit = None;
     bug = None;
     window = 48;
@@ -61,34 +59,6 @@ type report = {
 
 let failed r = r.violation <> None || r.san_findings <> []
 
-let repro_command spec =
-  let b = Buffer.create 96 in
-  Buffer.add_string b
-    (Printf.sprintf "repro stress --stm %s --structure %s --seed %d" spec.stm
-       (Workload.structure_to_string spec.structure)
-       spec.seed);
-  if spec.nthreads <> default.nthreads then
-    Buffer.add_string b (Printf.sprintf " --threads %d" spec.nthreads);
-  if spec.per_thread <> default.per_thread then
-    Buffer.add_string b (Printf.sprintf " --ops %d" spec.per_thread);
-  if spec.key_range <> default.key_range then
-    Buffer.add_string b (Printf.sprintf " --key-range %d" spec.key_range);
-  if spec.max_retries <> default.max_retries then
-    Buffer.add_string b (Printf.sprintf " --max-retries %d" spec.max_retries);
-  if spec.cm <> default.cm then
-    Buffer.add_string b (Printf.sprintf " --cm %s" spec.cm);
-  if spec.pattern <> default.pattern then
-    Buffer.add_string b
-      (Printf.sprintf " --workload %s" (Workload.pattern_to_string spec.pattern));
-  (match spec.site_limit with
-  | Some l -> Buffer.add_string b (Printf.sprintf " --sites %d" l)
-  | None -> ());
-  (match spec.bug with
-  | Some bug -> Buffer.add_string b (" --bug " ^ Chaos.bug_name bug)
-  | None -> ());
-  if spec.san then Buffer.add_string b " --san";
-  Buffer.contents b
-
 (* Sized like [Workload.memory_words_for]: at most [key_range] live elements
    plus transient overshoot of concurrent inserts. *)
 let memory_words spec =
@@ -104,7 +74,7 @@ let run_one spec =
   let history = History.create ~nthreads:spec.nthreads in
   Chaos.with_bug spec.bug (fun () ->
       let final, stats, injected, decisions, san_findings =
-        Chaos.with_plan ~config:spec.chaos ?limit:spec.site_limit
+        Chaos.with_plan ?limit:spec.site_limit
           ~seed:spec.seed (fun () ->
             let body () =
               let (module M) = Registry.get spec.stm in

@@ -3,8 +3,8 @@
 
     Each run is fully determined by its {!spec}: same spec, bit-identical
     schedule, history and verdict.  A failure therefore travels as a spec;
-    {!repro_command} renders it as the `repro stress` invocation that
-    replays it.  Specs and reports are pure data ([Marshal]-safe), so a
+    [Tstm_exec.Cli.Stress.replay] renders it as the `repro stress`
+    invocation that replays it.  Specs and reports are pure data ([Marshal]-safe), so a
     sweep decomposes into independent per-spec jobs ({!plan}) whose reports
     reassemble into the sequential verdict ({!summarize}). *)
 
@@ -20,7 +20,6 @@ type spec = {
       (** contention-manager name ({!Tstm_cm.Cm.of_string} form); the
           default ["backoff"] replays historical runs byte-identically *)
   pattern : Workload.pattern;  (** adversarial key/rate pattern *)
-  chaos : Tstm_chaos.Chaos.config;
   site_limit : int option;  (** cap on fired injection sites (shrinking) *)
   bug : Tstm_chaos.Chaos.bug option;  (** deliberate protocol bug to arm *)
   window : int;  (** checker window *)
@@ -44,9 +43,6 @@ type report = {
 val failed : report -> bool
 (** A run fails when the checker found a violation or the sanitizer
     reported at least one finding. *)
-
-val repro_command : spec -> string
-(** The `repro stress ...` command line replaying exactly this spec. *)
 
 val memory_words : spec -> int
 

@@ -27,10 +27,10 @@ type pattern =
 
 let pattern_to_string = function
   | Uniform -> "uniform"
-  | Zipf theta -> Printf.sprintf "zipf:%g" theta
+  | Zipf theta -> "zipf:" ^ Tstm_util.Float_text.to_string theta
   | Hotspot n -> Printf.sprintf "hotspot:%d" n
   | Bimodal span -> Printf.sprintf "bimodal:%d" span
-  | Asym f -> Printf.sprintf "rates:%g" f
+  | Asym f -> "rates:" ^ Tstm_util.Float_text.to_string f
 
 let pattern_of_string s =
   let base, arg =

@@ -219,9 +219,10 @@ let layers =
     { dir = "structures"; root_module = "Tstm_structures"; lib_name = "tstm_structures"; allowed = [ "util"; "runtime"; "vmm"; "tm" ] };
     { dir = "tuning"; root_module = "Tstm_tuning"; lib_name = "tstm_tuning"; allowed = [ "util"; "obs"; "tinystm" ] };
     { dir = "vacation"; root_module = "Tstm_vacation"; lib_name = "tstm_vacation"; allowed = [ "util"; "runtime"; "tm"; "structures" ] };
-    { dir = "harness"; root_module = "Tstm_harness"; lib_name = "tstm_harness"; allowed = [ "util"; "cm"; "obs"; "chaos"; "fault"; "runtime"; "vmm"; "tm"; "san"; "tinystm"; "tl2"; "norec"; "structures"; "tuning"; "vacation" ] };
+    { dir = "stms"; root_module = "Tstm_stms"; lib_name = "tstm_stms"; allowed = [ "runtime"; "tm"; "tinystm"; "tl2"; "norec" ] };
+    { dir = "harness"; root_module = "Tstm_harness"; lib_name = "tstm_harness"; allowed = [ "util"; "cm"; "obs"; "chaos"; "fault"; "runtime"; "vmm"; "tm"; "stms"; "san"; "tinystm"; "tl2"; "norec"; "structures"; "tuning"; "vacation" ] };
     { dir = "service"; root_module = "Tstm_service"; lib_name = "tstm_service"; allowed = [ "util"; "cm"; "obs"; "chaos"; "fault"; "runtime"; "tm"; "san"; "structures"; "vacation"; "harness" ] };
-    { dir = "exec"; root_module = "Tstm_exec"; lib_name = "tstm_exec"; allowed = [ "util"; "cm"; "obs"; "runtime"; "tm"; "san"; "tinystm"; "harness"; "service" ] };
+    { dir = "exec"; root_module = "Tstm_exec"; lib_name = "tstm_exec"; allowed = [ "util"; "cm"; "obs"; "chaos"; "fault"; "runtime"; "tm"; "san"; "tinystm"; "harness"; "service" ] };
     { dir = "lint"; root_module = "Tstm_lint"; lib_name = "tstm_lint"; allowed = [] };
   ]
 

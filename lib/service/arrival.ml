@@ -54,12 +54,12 @@ let times t ~seed ~horizon =
     go 0.0 []
 
 let to_string t =
-  match t.shape with
-  | Poisson -> Printf.sprintf "poisson:%g" t.rate
-  | Bursty { boost; period } ->
-      Printf.sprintf "bursty:%g:%g:%g" t.rate boost period
-  | Diurnal { amp; period } ->
-      Printf.sprintf "diurnal:%g:%g:%g" t.rate period amp
+  let f = Tstm_util.Float_text.to_string in
+  String.concat ":"
+    (match t.shape with
+    | Poisson -> [ "poisson"; f t.rate ]
+    | Bursty { boost; period } -> [ "bursty"; f t.rate; f boost; f period ]
+    | Diurnal { amp; period } -> [ "diurnal"; f t.rate; f period; f amp ])
 
 let usage =
   "known arrival processes: poisson:RATE, bursty:RATE:BOOST:PERIOD, \

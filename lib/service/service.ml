@@ -22,16 +22,11 @@ module Registry = Tstm_tm.Registry
 module Cm = Tstm_cm.Cm
 module Workload = Tstm_harness.Workload
 module Driver = Tstm_harness.Driver
-module Scenario = Tstm_harness.Scenario
 module History = Tstm_chaos.History
 module San = Tstm_san.San
 module Slo = Tstm_obs.Slo
 module Xrand = Tstm_util.Xrand
 module Bitops = Tstm_util.Bitops
-
-(* The STM registry is populated by [Scenario]'s initializer; depend on it
-   explicitly so linking Service alone resolves STM names. *)
-let () = ignore (Sys.opaque_identity Scenario.all_stms)
 
 type shed_policy = No_shed | Drop_newest | Deadline_aware | Serialize_hot
 
@@ -80,11 +75,7 @@ type spec = {
   arrival : Arrival.t;
   overload : float option;
   session : int;
-  think : float;
   pattern : Workload.pattern;
-  key_range : int;
-  initial_size : int;
-  update_pct : float;
   horizon : float;
   deadline : float;
   retry_budget : int;
@@ -110,11 +101,7 @@ let default =
     arrival = { Arrival.shape = Arrival.Poisson; rate = 100_000.0 };
     overload = Some 2.0;
     session = 4;
-    think = 2e-5;
     pattern = Workload.Uniform;
-    key_range = 128;
-    initial_size = 64;
-    update_pct = 20.0;
     horizon = 0.002;
     deadline = 5e-4;
     retry_budget = 8;
@@ -129,6 +116,12 @@ let default =
     san = false;
     seed = 0;
   }
+
+(* The workload shape every service run shares. *)
+let think = 2e-5 (* virtual seconds between a session's requests *)
+let key_range = 128
+let initial_size = 64 (* per-shard pre-population (Intset) *)
+let update_pct = 20.0 (* Intset update share, percent *)
 
 type report = {
   capacity : float;
@@ -157,54 +150,6 @@ let failed r =
   || r.leak_words <> 0
   || not (accounted r.slo)
 
-let repro_command spec =
-  let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Printf.sprintf "repro serve --stm %s --shed %s --seed %d" spec.stm
-       (shed_to_string spec.shed) spec.seed);
-  if spec.cm <> default.cm then
-    Buffer.add_string b (Printf.sprintf " --cm %s" spec.cm);
-  if spec.backend <> default.backend then
-    Buffer.add_string b
-      (Printf.sprintf " --backend %s" (backend_to_string spec.backend));
-  if spec.workers <> default.workers then
-    Buffer.add_string b (Printf.sprintf " --workers %d" spec.workers);
-  if spec.shards <> default.shards then
-    Buffer.add_string b (Printf.sprintf " --shards %d" spec.shards);
-  if spec.arrival <> default.arrival then
-    Buffer.add_string b
-      (Printf.sprintf " --arrival %s" (Arrival.to_string spec.arrival));
-  if spec.overload <> default.overload then
-    Buffer.add_string b
-      (Printf.sprintf " --overload %g"
-         (match spec.overload with Some x -> x | None -> 0.0));
-  if spec.session <> default.session then
-    Buffer.add_string b (Printf.sprintf " --session %d" spec.session);
-  if spec.pattern <> default.pattern then
-    Buffer.add_string b
-      (Printf.sprintf " --workload %s" (Workload.pattern_to_string spec.pattern));
-  if spec.horizon <> default.horizon then
-    Buffer.add_string b (Printf.sprintf " --horizon %g" spec.horizon);
-  if spec.deadline <> default.deadline then
-    Buffer.add_string b (Printf.sprintf " --deadline %g" spec.deadline);
-  if spec.retry_budget <> default.retry_budget then
-    Buffer.add_string b (Printf.sprintf " --budget %d" spec.retry_budget);
-  if spec.queue_cap <> default.queue_cap then
-    Buffer.add_string b (Printf.sprintf " --queue-cap %d" spec.queue_cap);
-  if spec.batch <> default.batch then
-    Buffer.add_string b (Printf.sprintf " --batch %d" spec.batch);
-  if spec.watchdog then Buffer.add_string b " --watchdog";
-  if spec.wd_window <> default.wd_window then
-    Buffer.add_string b (Printf.sprintf " --watchdog-window %d" spec.wd_window);
-  if spec.wd_starve <> default.wd_starve then
-    Buffer.add_string b
-      (Printf.sprintf " --watchdog-retry-ceiling %d" spec.wd_starve);
-  if spec.wd_calm <> default.wd_calm then
-    Buffer.add_string b (Printf.sprintf " --watchdog-calm %d" spec.wd_calm);
-  if spec.record then Buffer.add_string b " --record";
-  if spec.san then Buffer.add_string b " --san";
-  Buffer.contents b
-
 let cycles_per_second () =
   (R.params ()).Tstm_runtime.Cache_model.clock_ghz *. 1e9
 
@@ -225,10 +170,10 @@ type request = { t_arr : float; shard : int; deadline : float; op : op }
    arena; the reserve/cancel/query mix below is the service's own (the
    benchmark's update-tables transactions would grow/shrink the resource
    tables and defeat the zero-drift drain check). *)
-let vac_spec spec =
+let vac_spec =
   {
-    Tstm_vacation.Vacation.n_relations = spec.key_range;
-    n_customers = spec.key_range;
+    Tstm_vacation.Vacation.n_relations = key_range;
+    n_customers = key_range;
     queries_per_tx = 2;
     reserve_pct = 80.0;
     delete_pct = 10.0;
@@ -240,11 +185,11 @@ let gen_op spec gen_key g =
       let p = Xrand.float g *. 100.0 in
       let key = gen_key g in
       Set_op
-        (if p < spec.update_pct /. 2.0 then History.Add key
-         else if p < spec.update_pct then History.Remove key
+        (if p < update_pct /. 2.0 then History.Add key
+         else if p < update_pct then History.Remove key
          else History.Contains key)
   | Vacation ->
-      let vs = vac_spec spec in
+      let vs = vac_spec in
       let picks () =
         List.init vs.Tstm_vacation.Vacation.queries_per_tx (fun _ ->
             let tbl = Xrand.int g 3 in
@@ -270,13 +215,13 @@ let gen_requests spec ~arrival =
   let sessions = Arrival.times arrival ~seed:spec.seed ~horizon:spec.horizon in
   let g = Xrand.create (Bitops.mix ((spec.seed * 7919) + 1)) in
   let pick_shard = Workload.key_gen spec.pattern ~key_range:spec.shards in
-  let pick_key = Workload.key_gen spec.pattern ~key_range:spec.key_range in
+  let pick_key = Workload.key_gen spec.pattern ~key_range:key_range in
   let acc = ref [] in
   List.iter
     (fun t0 ->
       let shard = pick_shard g - 1 in
       for k = 0 to spec.session - 1 do
-        let t_arr = t0 +. (float_of_int k *. spec.think) in
+        let t_arr = t0 +. (float_of_int k *. think) in
         if t_arr < spec.horizon then
           acc :=
             {
@@ -322,15 +267,6 @@ let validate spec =
   if spec.batch < 1 then fail "batch < 1";
   if spec.horizon <= 0.0 then fail "horizon <= 0";
   if spec.deadline <= 0.0 then fail "deadline <= 0";
-  if spec.think < 0.0 then fail "think < 0";
-  if spec.key_range < 2 then fail "key_range < 2";
-  if spec.initial_size < 0 then fail "initial_size < 0";
-  (match spec.backend with
-  | Intset _ when spec.initial_size >= spec.key_range ->
-      fail "key_range must exceed initial_size"
-  | _ -> ());
-  if spec.update_pct < 0.0 || spec.update_pct > 100.0 then
-    fail "update_pct outside [0, 100]";
   (match spec.overload with
   | Some x when not (Float.is_finite x && x > 0.0) ->
       fail "overload must be finite and positive"
@@ -340,11 +276,11 @@ let memory_words spec =
   match spec.backend with
   | Intset _ ->
       (spec.shards
-       * ((spec.initial_size + (8 * spec.workers) + 64) * 24))
+       * ((initial_size + (8 * spec.workers) + 64) * 24))
       + 8192
   | Vacation ->
       let per =
-        Tstm_vacation.Vacation.memory_words_for (vac_spec spec)
+        Tstm_vacation.Vacation.memory_words_for vac_spec
       in
       (spec.shards * per) + 8192
 
@@ -373,8 +309,8 @@ let make_engine (type a) spec
         (fun s ops ->
           let g = Xrand.create (Bitops.mix ((spec.seed * 131) + s)) in
           let inserted = ref 0 in
-          while !inserted < spec.initial_size do
-            let v = 1 + Xrand.int g spec.key_range in
+          while !inserted < initial_size do
+            let v = 1 + Xrand.int g key_range in
             let inv = R.now_cycles () in
             if M.atomically t (fun tx -> ops.D.op_add tx v) then begin
               (match histories with
@@ -439,7 +375,7 @@ let make_engine (type a) spec
       { exec; finalize; cleanup; baseline = empty_baseline; record }
   | Vacation ->
       let module V = Tstm_vacation.Vacation.Make (M) in
-      let vs = vac_spec spec in
+      let vs = vac_spec in
       let tenants =
         Array.init spec.shards (fun s ->
             let v = V.create t in
@@ -540,7 +476,7 @@ let calibrate spec policy =
   let t = M.create ~cm:policy ?watchdog:wd ~memory_words:(memory_words spec) () in
   let engine = make_engine spec (module M) t in
   let g0 = Xrand.create (Bitops.mix ((spec.seed * 11) + 5)) in
-  let pick_key = Workload.key_gen spec.pattern ~key_range:spec.key_range in
+  let pick_key = Workload.key_gen spec.pattern ~key_range:key_range in
   (* One pregenerated op ring per worker keeps the loop allocation-free
      and the op mix identical to the open-loop run's. *)
   let ring_len = 256 in

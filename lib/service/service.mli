@@ -67,12 +67,8 @@ type spec = {
       (** when [Some x], replace the arrival base rate with [x] times the
           calibrated closed-loop capacity (the `--overload 2` CLI form) *)
   session : int;  (** requests per arriving session (>= 1) *)
-  think : float;  (** virtual seconds between a session's requests *)
   pattern : Tstm_harness.Workload.pattern;
       (** skew for both the shard pick and the per-request keys *)
-  key_range : int;
-  initial_size : int;  (** per-shard pre-population (Intset) *)
-  update_pct : float;  (** Intset update share, percent *)
   horizon : float;  (** arrival window, virtual seconds *)
   deadline : float;  (** per-request, virtual seconds *)
   retry_budget : int;  (** max transaction attempts per request (>= 1) *)
@@ -95,7 +91,10 @@ val default : spec
 (** 4 workers x 4 shards of a list-set service on [tinystm-wb]/[backoff]:
     2 ms horizon, Poisson arrivals at 2x calibrated capacity, 0.5 ms
     deadline, budget 8, queue cap 64, batch 4, [Deadline_aware] shedding,
-    watchdog off (window 50_000 / ceiling 64 / calm 2 when armed). *)
+    watchdog off (window 50_000 / ceiling 64 / calm 2 when armed).  Every
+    run, whatever its spec, draws keys from 1..128, pre-populates 64 keys
+    per shard, issues 20 % updates and spaces a session's requests 20 µs
+    apart. *)
 
 type report = {
   capacity : float;  (** calibrated closed-loop commits/s *)
@@ -121,10 +120,6 @@ type report = {
 
 val failed : report -> bool
 (** Violations, sanitizer findings, a leak, or broken accounting. *)
-
-val repro_command : spec -> string
-(** The `repro serve ...` command line replaying exactly this spec
-    (non-default fields only). *)
 
 val cycles_per_second : unit -> float
 (** The simulated clock rate (for converting {!Tstm_obs.Slo} cycles). *)

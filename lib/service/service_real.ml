@@ -26,10 +26,6 @@ type spec = {
   deadline_s : float;
   fault_budget : int;
   queue_cap : int;
-  key_range : int;
-  initial_size : int;
-  update_pct : float;
-  breaker : Breaker.config;
   seed : int;
 }
 
@@ -44,12 +40,18 @@ let default =
     deadline_s = 0.01;
     fault_budget = 8;
     queue_cap = 256;
-    key_range = 1024;
-    initial_size = 128;
-    update_pct = 50.0;
-    breaker = Breaker.default;
     seed = 42;
   }
+
+(* The workload shape every run shares. *)
+let key_range = 1024
+let initial_size = 128 (* per-shard pre-population *)
+let update_pct = 50.0 (* share of add/remove requests, percent *)
+
+(* Hangs are left out: the dispatchers run under plain [R.run], so a hang
+   only adds latency without feeding the breaker. *)
+let fault_burst =
+  { Fault.crash_pct = 10.0; hang_pct = 0.0; hang_us = 1; oom_pct = 2.0 }
 
 type report = {
   offered : int;
@@ -85,9 +87,9 @@ let make_requests spec =
   List.map
     (fun t_arr ->
       let shard = Xrand.int g spec.shards in
-      let key = 1 + Xrand.int g spec.key_range in
+      let key = 1 + Xrand.int g key_range in
       let op =
-        if Xrand.below_percent g spec.update_pct then
+        if Xrand.below_percent g update_pct then
           if Xrand.bool g then Add else Remove
         else Contains
       in
@@ -102,16 +104,14 @@ let validate spec =
   if spec.horizon_s <= 0.0 then invalid_arg "Service_real: horizon <= 0";
   if spec.deadline_s <= 0.0 then invalid_arg "Service_real: deadline <= 0";
   if spec.fault_budget < 1 then invalid_arg "Service_real: fault_budget < 1";
-  if spec.queue_cap < 1 then invalid_arg "Service_real: queue_cap < 1";
-  if spec.key_range < 1 then invalid_arg "Service_real: key_range < 1";
-  if spec.initial_size < 0 then invalid_arg "Service_real: initial_size < 0"
+  if spec.queue_cap < 1 then invalid_arg "Service_real: queue_cap < 1"
 
 let run_packed (module M : BR.STM) spec =
   let module D = Driver.Make (R) (M) in
   let wspec =
-    Workload.make ~structure:spec.structure ~initial_size:spec.initial_size
-      ~update_pct:spec.update_pct ~nthreads:1 ~duration:1.0 ~seed:spec.seed
-      ~key_range:spec.key_range ()
+    Workload.make ~structure:spec.structure ~initial_size:initial_size
+      ~update_pct:update_pct ~nthreads:1 ~duration:1.0 ~seed:spec.seed
+      ~key_range:key_range ()
   in
   let memory_words = Workload.memory_words_for wspec * (spec.shards + 1) in
   let t = M.create ~memory_words () in
@@ -148,7 +148,7 @@ let run_packed (module M : BR.STM) spec =
       Sink.emit ~ts:(Mono.now_ns ()) ~cpu:(R.tid ())
         (Event.Breaker_trip { state = Breaker.state_to_string st })
   in
-  let breaker = Breaker.create ~on_transition spec.breaker in
+  let breaker = Breaker.create ~on_transition Breaker.default in
   let t0_ns = Mono.now_ns () in
   let now_s () = float_of_int (Mono.now_ns () - t0_ns) *. 1e-9 in
   let note v ~lat =

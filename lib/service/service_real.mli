@@ -37,17 +37,20 @@ type spec = {
   deadline_s : float;  (** per-request deadline, seconds *)
   fault_budget : int;  (** injected-crash retries per request (>= 1) *)
   queue_cap : int;  (** per-shard admission bound *)
-  key_range : int;
-  initial_size : int;  (** per-shard pre-population *)
-  update_pct : float;  (** share of add/remove requests, percent *)
-  breaker : Breaker.config;
   seed : int;
 }
 
 val default : spec
 (** 3 workers x 4 shards of hashsets on [tinystm-wb]: Poisson arrivals at
     20k requests/s for 0.2 s, 10 ms deadline, fault budget 8, queue cap
-    256, 50 % updates, default breaker. *)
+    256.  Every run, whatever its spec, draws keys from 1..1024,
+    pre-populates 128 keys per shard, issues 50 % updates and uses
+    {!Breaker.default}. *)
+
+val fault_burst : Tstm_fault.Fault.config
+(** The fault plan `repro serve --real --fault-seed` arms: 10 % crashes and
+    2 % OOMs, no hangs — dense enough to trip the breaker within one
+    arrival window. *)
 
 type report = {
   offered : int;  (** arrivals generated from the schedule *)

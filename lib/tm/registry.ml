@@ -2,12 +2,11 @@
 
    The registry is the single point of STM dispatch in the repository:
    harness, CLIs and tests resolve an implementation by its canonical name
-   (or a short alias) and get back a first-class [(module Tm_intf.STM)].
-   Entries are registered at module-initialisation time by the library that
-   instantiates the implementation over a concrete runtime (see
-   [Tstm_harness.Scenario], which registers tinystm-wb, tinystm-wt, tl2 and
-   norec over the simulated runtime); a binary that links that library sees
-   the entries before [main] runs.
+   (or a short alias) and get back a first-class [(module Tm_intf.STM)],
+   packaged over the simulated runtime ([sim]) or over real domains
+   ([real]).  The [tstm_stms] library registers tinystm-wb, tinystm-wt, tl2
+   and norec at module-initialisation time and is linked whole, so any
+   binary that links the harness sees the entries before [main] runs.
 
    Family and capability metadata are pulled from the module itself at
    registration, so the registry is also the single source of truth for
@@ -19,7 +18,8 @@ type entry = {
   aliases : string list;
   family : string;
   capabilities : Tm_intf.capabilities;
-  stm : (module Tm_intf.STM);
+  sim : (module Tm_intf.STM);
+  real : (module Tm_intf.STM);
 }
 
 (* Registration order is the presentation order (figures, CLIs), so keep an
@@ -37,8 +37,9 @@ let entry_of name =
 
 let mem name = entry_of name <> None
 
-let register ?(aliases = []) ?label (stm : (module Tm_intf.STM)) =
-  let module M = (val stm) in
+let register ?(aliases = []) ?label ~(sim : (module Tm_intf.STM))
+    ~(real : (module Tm_intf.STM)) () =
+  let module M = (val sim) in
   let name = M.name in
   let label = Option.value label ~default:name in
   List.iter
@@ -53,7 +54,8 @@ let register ?(aliases = []) ?label (stm : (module Tm_intf.STM)) =
       aliases;
       family = M.family;
       capabilities = M.capabilities;
-      stm;
+      sim;
+      real;
     }
     :: !entries
 
@@ -62,9 +64,7 @@ let unknown name =
     (Printf.sprintf "unknown STM %S (known: %s)" name
        (String.concat ", " (names ())))
 
-let find name = Option.map (fun e -> e.stm) (entry_of name)
-
-let get name = match find name with Some stm -> stm | None -> unknown name
+let get name = match entry_of name with Some e -> e.sim | None -> unknown name
 
 let canonical name =
   match entry_of name with Some e -> e.name | None -> unknown name

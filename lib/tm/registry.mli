@@ -1,12 +1,13 @@
 (** Name-keyed registry of packaged {!Tm_intf.STM} implementations — the
-    single STM dispatch point in the repository.
+    single STM list in the repository, for both runtimes.
 
-    Implementations register themselves (typically at module initialisation
-    of the library that instantiates them over a concrete runtime, e.g.
-    [Tstm_harness.Scenario] for the simulated runtime) under a canonical
-    name plus optional short aliases; harness and CLI code resolves either
-    form.  Lookups raise [Invalid_argument] listing the known names, so a
-    typo in a CLI flag produces an actionable message.
+    Each entry carries the same STM packaged twice: over the simulated
+    runtime ({!Tstm_runtime.Runtime_sim}) and over real domains
+    ({!Tstm_runtime.Runtime_real}).  The [tstm_stms] library registers
+    every entry in one block at link time; harness and CLI code resolves a
+    canonical name or one of its short aliases.  Lookups raise
+    [Invalid_argument] listing the known names, so a typo in a CLI flag
+    produces an actionable message.
 
     Each entry carries the module's self-declared algorithm [family] and
     {!Tm_intf.capabilities}, so drivers filter plans by capability
@@ -18,22 +19,26 @@ type entry = {
   aliases : string list;
   family : string;  (** e.g. ["tinystm"], ["tl2"], ["norec"] *)
   capabilities : Tm_intf.capabilities;
-  stm : (module Tm_intf.STM);
+  sim : (module Tm_intf.STM);  (** over the simulated runtime *)
+  real : (module Tm_intf.STM);  (** over real domains *)
 }
 
 val register :
-  ?aliases:string list -> ?label:string -> (module Tm_intf.STM) -> unit
-(** Register under the module's [name]; [family] and [capabilities] are
-    read off the module.  [aliases] are alternate lookup keys (e.g. ["wb"]
+  ?aliases:string list ->
+  ?label:string ->
+  sim:(module Tm_intf.STM) ->
+  real:(module Tm_intf.STM) ->
+  unit ->
+  unit
+(** Register under the modules' [name]; [family] and [capabilities] are
+    read off [sim].  [aliases] are alternate lookup keys (e.g. ["wb"]
     for ["tinystm-wb"]); [label] is the display label used in figure
     headings (defaults to the name).  Raises [Invalid_argument] when the
     name or an alias is already bound. *)
 
-val find : string -> (module Tm_intf.STM) option
-(** Resolve a canonical name or alias; [None] when unknown. *)
-
 val get : string -> (module Tm_intf.STM)
-(** Like {!find}; raises [Invalid_argument] when unknown. *)
+(** Resolve a canonical name or alias to its simulated packaging; raises
+    [Invalid_argument] when unknown. *)
 
 val mem : string -> bool
 

@@ -24,7 +24,7 @@ let () =
   | Some (spec, rep) ->
       let v = match rep.Stress.violation with Some m -> m | None -> "?" in
       Printf.eprintf "chaos-smoke: FAILED\n%s\nreplay: %s\n" v
-        (Stress.repro_command spec);
+        (Tstm_exec.Cli.Stress.replay spec);
       exit 1
   | None -> ());
   if r.Stress.total_injected = 0 then begin

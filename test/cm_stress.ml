@@ -22,7 +22,7 @@ let fail_with label (spec, (rep : Stress.report)) =
   List.iter
     (fun f -> Printf.eprintf "%s\n" (Tstm_san.San.render f))
     rep.Stress.san_findings;
-  Printf.eprintf "replay: %s\n" (Stress.repro_command spec);
+  Printf.eprintf "replay: %s\n" (Tstm_exec.Cli.Stress.replay spec);
   exit 1
 
 let sweep label ~seeds spec =

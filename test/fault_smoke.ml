@@ -56,7 +56,7 @@ let sweep () =
       let r = FR.run_one spec in
       if not (FR.healed r) then
         fail "not healed (%s): error=%s leak=%d violations=[%s]"
-          (FR.repro_command spec)
+          (Tstm_exec.Cli.Fault.replay spec)
           (Option.value ~default:"-" r.FR.error)
           r.FR.leak_words
           (String.concat "; " r.FR.violations);
@@ -125,10 +125,7 @@ let bench_failed_rep () =
   attempt 0
 
 let service_burst () =
-  let burst =
-    { Fault.crash_pct = 10.0; hang_pct = 0.0; hang_us = 1; oom_pct = 2.0 }
-  in
-  Fault.activate ~config:burst ~limit:12 ~seed:7 ();
+  Fault.activate ~config:SR.fault_burst ~limit:12 ~seed:7 ();
   let r =
     Fun.protect ~finally:Fault.deactivate (fun () -> SR.run_one SR.default)
   in

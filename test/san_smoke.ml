@@ -32,7 +32,7 @@ let () =
       List.iter
         (fun f -> Printf.eprintf "%s\n" (San.render f))
         rep.Stress.san_findings;
-      Printf.eprintf "replay: %s\n" (Stress.repro_command spec);
+      Printf.eprintf "replay: %s\n" (Tstm_exec.Cli.Stress.replay spec);
       exit 1
   | None -> ());
   (* Teeth spot check: the armed skip-validation bug must produce findings. *)

@@ -818,7 +818,7 @@ let mutations_during f =
   List.rev !log
 
 let test_read_only_path (e : Registry.entry) () =
-  let (module S) = e.Registry.stm in
+  let (module S) = e.Registry.sim in
   let stm = e.Registry.name in
   let t = S.create ~memory_words:4096 () in
   let words = 8 in

@@ -17,6 +17,7 @@ module Storm = Tstm_harness.Storm
 module Scenario = Tstm_harness.Scenario
 module Job = Tstm_exec.Job
 module Plan = Tstm_exec.Plan
+module Cli = Tstm_exec.Cli
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -173,7 +174,7 @@ let test_watchdog_defaults () =
 
 let test_repro_commands_render_thresholds () =
   let storm =
-    Storm.repro_command
+    Cli.Storm.replay
       { Storm.default with Storm.wd_window = 2048; wd_starve = 32; wd_calm = 3 }
   in
   check_bool "storm window flag" true
@@ -182,9 +183,9 @@ let test_repro_commands_render_thresholds () =
     (contains ~sub:"--watchdog-retry-ceiling 32" storm);
   check_bool "storm calm flag" true (contains ~sub:"--watchdog-calm 3" storm);
   check_bool "storm defaults stay implicit" false
-    (contains ~sub:"--watchdog-window" (Storm.repro_command Storm.default));
+    (contains ~sub:"--watchdog-window" (Cli.Storm.replay Storm.default));
   let serve =
-    Service.repro_command
+    Cli.Serve.replay
       {
         Service.default with
         Service.watchdog = true;
@@ -196,8 +197,171 @@ let test_repro_commands_render_thresholds () =
     (contains ~sub:"--watchdog-window 9999" serve);
   check_bool "serve shed flag" true (contains ~sub:"--shed serialize-hot" serve);
   check_bool "serve defaults stay implicit" false
-    (contains ~sub:"--watchdog-window"
-       (Service.repro_command Service.default))
+    (contains ~sub:"--watchdog-window" (Cli.Serve.replay Service.default))
+
+(* ------------------------------------------------------------------ *)
+(* Replay lines parse back to the spec that printed them               *)
+(* ------------------------------------------------------------------ *)
+
+(* Parse a replay line ("repro CMD FLAG...") with CMD's own term. *)
+let parse_line term line =
+  match String.split_on_char ' ' line with
+  | "repro" :: cmd :: args -> (
+      let null = Format.make_formatter (fun _ _ _ -> ()) ignore in
+      match
+        Cmdliner.Cmd.eval_value ~err:null ~help:null
+          ~argv:(Array.of_list (cmd :: args))
+          (Cmdliner.Cmd.v (Cmdliner.Cmd.info cmd) term)
+      with
+      | Ok (`Ok v) -> v
+      | _ -> Alcotest.fail ("replay line does not parse: " ^ line))
+  | _ -> Alcotest.fail ("not a repro line: " ^ line)
+
+let roundtrip label term replay get spec =
+  let line = replay spec in
+  check_bool (label ^ " round-trips: " ^ line) true
+    (get (parse_line term line) = spec)
+
+let test_replay_lines_roundtrip () =
+  let module St = Tstm_harness.Stress in
+  let module FR = Tstm_harness.Fault_run in
+  roundtrip "stress" Cli.Stress.term Cli.Stress.replay
+    (fun (c : Cli.Stress.t) -> c.spec)
+    {
+      St.stm = "norec";
+      structure = W.Skiplist;
+      nthreads = 3;
+      per_thread = 7;
+      key_range = 9;
+      seed = 5;
+      max_retries = 2;
+      cm = "karma";
+      pattern = W.Zipf 0.9999999;
+      site_limit = Some 4;
+      bug = Some Tstm_chaos.Chaos.Skip_validation;
+      window = 24;
+      san = true;
+    };
+  roundtrip "storm" Cli.Storm.term Cli.Storm.replay
+    (fun (c : Cli.Storm.t) -> c.spec)
+    {
+      Storm.stm = "tl2";
+      cm = "serialize:4";
+      nthreads = 6;
+      quota = 9;
+      watchdog = true;
+      wd_window = 2048;
+      wd_starve = 32;
+      wd_calm = 3;
+      seed = 7;
+    };
+  let serve =
+    {
+      Service.stm = "tinystm-wt";
+      cm = Service.default.Service.cm;
+      backend = Service.Vacation;
+      workers = 3;
+      shards = 5;
+      arrival = { Arrival.shape = Arrival.Poisson; rate = 1234567.0 };
+      overload = None;
+      session = 2;
+      pattern = W.Asym 1.0000001;
+      horizon = 0.0012345678;
+      deadline = 0.00025;
+      retry_budget = 5;
+      queue_cap = 17;
+      batch = 2;
+      shed = Service.Serialize_hot;
+      watchdog = true;
+      wd_window = 9999;
+      wd_starve = 33;
+      wd_calm = 4;
+      record = true;
+      san = true;
+      seed = 11;
+    }
+  in
+  List.iter
+    (roundtrip "serve" Cli.Serve.term Cli.Serve.replay (fun (c : Cli.Serve.t) ->
+         c.spec))
+    [
+      serve;
+      {
+        serve with
+        Service.backend = Service.Intset W.Hashset;
+        overload = Some 1.2345678;
+        arrival =
+          Arrival.
+            { shape = Bursty { boost = 3.3333333; period = 1e-3 }; rate = 7e4 };
+      };
+    ];
+  roundtrip "fault" Cli.Fault.term Cli.Fault.replay
+    (fun (c : Cli.Fault.t) -> c.spec)
+    {
+      FR.stm = "norec";
+      kind = Tstm_fault.Fault.Hang;
+      structure = W.List;
+      domains = 2;
+      per_thread = 50;
+      key_range = 64;
+      initial_size = 16;
+      update_pct = 33.3333333;
+      limit = Some 5;
+      seed = 9;
+    }
+
+(* Default specs print the same lines they always have: old repro lines
+   keep their meaning. *)
+let test_default_replay_lines () =
+  check_string "stress" "repro stress --stm tinystm-wb --structure list --seed 0"
+    (Cli.Stress.replay Tstm_harness.Stress.default);
+  check_string "storm" "repro storm --stm tinystm-wb --cm suicide --seed 0"
+    (Cli.Storm.replay Storm.default);
+  check_string "serve" "repro serve --stm tinystm-wb --shed deadline --seed 0"
+    (Cli.Serve.replay Service.default);
+  check_string "fault"
+    "repro fault --stm tinystm-wb --kind crash --structure hashset --domains \
+     3 --ops 400 --initial 128 --key-range 512 --update 50 --seed 42"
+    (Cli.Fault.replay Tstm_harness.Fault_run.default)
+
+(* `serve --real` runs none of the simulator's machinery, so a
+   simulator-only flag given with it is an error, not silently ignored. *)
+let test_serve_real_rejects_sim_flags () =
+  let parses args =
+    let null = Format.make_formatter (fun _ _ _ -> ()) ignore in
+    match
+      Cmdliner.Cmd.eval_value ~err:null ~help:null
+        ~argv:(Array.of_list ("serve" :: args))
+        (Cmdliner.Cmd.v (Cmdliner.Cmd.info "serve") Cli.Serve.term)
+    with
+    | Ok (`Ok _) -> true
+    | _ -> false
+  in
+  check_bool "--real alone" true (parses [ "--real" ]);
+  check_bool "--real with shared flags" true
+    (parses [ "--real"; "--stm"; "tl2"; "--horizon"; "0.1"; "--fault-seed"; "3" ]);
+  List.iter
+    (fun args ->
+      check_bool
+        (String.concat " " args ^ " with --real")
+        false
+        (parses ("--real" :: args)))
+    [
+      [ "--shed"; "none" ];
+      [ "--overload"; "3" ];
+      [ "--session"; "2" ];
+      [ "--batch"; "2" ];
+      [ "--watchdog" ];
+      [ "--record" ];
+      [ "--san" ];
+      [ "--seeds"; "2" ];
+      [ "--metrics-csv"; "m.csv" ];
+      [ "--all-stms" ];
+      [ "--all-sheds" ];
+      [ "--workload"; "zipf:1.2" ];
+      [ "--jobs"; "2" ];
+    ];
+  check_bool "--fault-seed without --real" false (parses [ "--fault-seed"; "3" ])
 
 (* ------------------------------------------------------------------ *)
 (* Spec validation and parsing                                         *)
@@ -216,7 +380,6 @@ let test_spec_validation () =
   expect_invalid "deadline" { d with Service.deadline = 0.0 };
   expect_invalid "queue cap" { d with Service.queue_cap = 0 };
   expect_invalid "overload" { d with Service.overload = Some (-2.0) };
-  expect_invalid "population" { d with Service.initial_size = d.Service.key_range };
   match Service.backend_of_string "btree" with
   | Ok _ -> Alcotest.fail "accepted unknown backend"
   | Error e -> check_bool "backend error message" true (contains ~sub:"btree" e)
@@ -477,6 +640,12 @@ let () =
           Alcotest.test_case "watchdog defaults" `Quick test_watchdog_defaults;
           Alcotest.test_case "repro thresholds" `Quick
             test_repro_commands_render_thresholds;
+          Alcotest.test_case "replay lines round-trip" `Quick
+            test_replay_lines_roundtrip;
+          Alcotest.test_case "default replay lines" `Quick
+            test_default_replay_lines;
+          Alcotest.test_case "serve --real rejects simulator-only flags"
+            `Quick test_serve_real_rejects_sim_flags;
           Alcotest.test_case "spec validation" `Quick test_spec_validation;
         ] );
       ( "breaker",
