@@ -315,6 +315,48 @@ let test_pinned_chaos_stress_digest () =
     "chaos-stress digest pinned" "cea7a710e62506c2fa04e2e0d7c91e78"
     (digest (String.concat "\n" lines))
 
+(* Every registered STM on the simulated list under a real-sampler fault
+   plan: stalls and allocation failures only (a crash would escape the
+   scheduler), with the sink collecting.  The per-tid hash sampler's
+   decisions, the counts they move and the traced fault sequence are
+   pinned, so a sampler that draws at a different point, in a different
+   order or from a different index moves this digest. *)
+let test_pinned_real_sampler_digest () =
+  let module Fault = Tstm_fault.Fault in
+  let module Ring = Tstm_obs.Ring in
+  let spec =
+    W.make ~structure:W.List ~initial_size:64 ~update_pct:20.0 ~nthreads:4
+      ~duration:0.002 ~seed:5 ()
+  in
+  let config =
+    { Fault.crash_pct = 0.0; hang_pct = 0.5; hang_us = 1; oom_pct = 2.0 }
+  in
+  let run stm =
+    Fault.with_plan ~config ~seed:3 (fun () ->
+        let r, c, _ =
+          Scenario.run_intset_observed ~stm ~period:0.001 ~n_periods:2 spec
+        in
+        let faults = Buffer.create 256 in
+        Array.iter
+          (fun ring ->
+            Ring.iter ring (fun { Ring.ts; cpu; ev } ->
+                match ev with
+                | Tstm_obs.Event.Tx_fault { kind; point } ->
+                    Printf.bprintf faults "\n  %d %d %s %s" cpu ts kind point
+                | _ -> ()))
+          c.Tstm_obs.Sink.rings;
+        Printf.sprintf
+          "%s fired=%d decisions=%d commits=%d aborts_alloc=%d \
+           faults_hang=%d%s"
+          stm (Fault.fired ()) (Fault.decisions ()) r.W.commits
+          r.W.stats.Tstm_tm.Tm_stats.aborts_alloc
+          r.W.stats.Tstm_tm.Tm_stats.faults_hang (Buffer.contents faults))
+  in
+  let lines = List.map run Scenario.all_stms in
+  Alcotest.(check string)
+    "real-sampler digest pinned" "c34ab8ff081a20c209906619bfeb36dc"
+    (digest (String.concat "\n" lines))
+
 (* ------------------------------------------------------------------ *)
 (* Crash recovery: a SIGKILLed worker is requeued, output unchanged    *)
 (* ------------------------------------------------------------------ *)
@@ -377,5 +419,7 @@ let () =
             test_pinned_traced_digest;
           Alcotest.test_case "pinned digest: chaos stress" `Quick
             test_pinned_chaos_stress_digest;
+          Alcotest.test_case "pinned digest: real sampler" `Quick
+            test_pinned_real_sampler_digest;
         ] );
     ]
