@@ -481,7 +481,6 @@ let storm_cmd =
 let fault_cmd =
   let module FR = Tstm_harness.Fault_run in
   let module BReal = Tstm_harness.Bench_real in
-  let module Fault = Tstm_fault.Fault in
   let run (c : Cli.Fault.t) =
     let stms = if c.all_stms then BReal.stm_names else [ c.spec.FR.stm ] in
     match FR.plan ~seeds:c.seeds ~stms ~kinds:(Cli.Fault.kinds c) c.spec with
@@ -505,7 +504,7 @@ let fault_cmd =
                    detected / %d recovered, %d alloc aborts, %d capacity \
                    verdicts -> %s\n"
                   spec.FR.stm
-                  (Fault.kind_name spec.FR.kind)
+                  (FR.kind_name spec.FR.kind)
                   (W.structure_to_string spec.FR.structure)
                   spec.FR.seed r.FR.fired r.FR.decisions r.FR.commits
                   r.FR.heal.Tstm_runtime.Runtime_real.crashes_healed
@@ -549,7 +548,6 @@ let serve_cmd =
   let module Slo = Tstm_obs.Slo in
   (* --real maps the command line onto the wall-clock service's spec. *)
   let run_real (c : Cli.Serve.t) =
-    let module Fault = Tstm_fault.Fault in
     let s = c.spec in
     match s.Sv.backend with
     | Sv.Vacation ->
@@ -571,13 +569,14 @@ let serve_cmd =
         in
         (match c.fault_seed with
         | Some seed ->
-            Fault.activate ~config:SR.fault_burst ?limit:c.fault_limit ~seed ()
+            Tstm_chaos.Plan.activate ~config:SR.fault_burst
+              ?limit:c.fault_limit ~seed ()
         | None -> ());
         let fault_note = ref "" in
         let finish () =
           if c.fault_seed <> None then begin
-            fault_note := Fault.summary ();
-            Fault.deactivate ()
+            fault_note := Tstm_chaos.Plan.summary ();
+            Tstm_chaos.Plan.deactivate ()
           end
         in
         match Fun.protect ~finally:finish (fun () -> SR.run_one spec) with

@@ -13,7 +13,6 @@ module F = Tstm_harness.Figures
 module W = Tstm_harness.Workload
 module Registry = Tstm_tm.Registry
 module Progress = Tstm_obs.Progress
-module Chaos = Tstm_chaos.Chaos
 module St = Tstm_harness.Stress
 module Sm = Tstm_harness.Storm
 module FR = Tstm_harness.Fault_run
@@ -353,8 +352,8 @@ module Stress = struct
   let bug_conv =
     Arg.enum
       (List.map
-         (fun b -> (Chaos.bug_name b, b))
-         [ Chaos.Skip_extension; Chaos.Skip_validation ])
+         (fun b -> (Tstm_chaos.Plan.bug_name b, b))
+         Tstm_chaos.Plan.[ Skip_extension; Skip_validation ])
 
   let fields =
     [
@@ -727,8 +726,7 @@ module Fault = struct
       expect_heal = false;
     }
 
-  let all_kinds : Tstm_fault.Fault.kind list =
-    Tstm_fault.Fault.[ Crash; Hang; Oom ]
+  let all_kinds = FR.[ Crash; Hang; Oom ]
 
   let kinds t = if t.all_kinds then all_kinds else [ t.spec.FR.kind ]
 
@@ -739,7 +737,7 @@ module Fault = struct
   (* [all] sweeps every kind, as --all-stms sweeps every STM. *)
   let kind_conv =
     Arg.enum
-      (List.map (fun k -> (Tstm_fault.Fault.kind_name k, Some k)) all_kinds
+      (List.map (fun k -> (FR.kind_name k, Some k)) all_kinds
       @ [ ("all", None) ])
 
   let fields =

@@ -125,7 +125,7 @@ module Fault : sig
 
   val term : t Cmdliner.Term.t
 
-  val kinds : t -> Tstm_fault.Fault.kind list
+  val kinds : t -> Tstm_harness.Fault_run.kind list
   (** The kinds to sweep: every kind for [--kind all], else the spec's. *)
 
   val replay : Tstm_harness.Fault_run.spec -> string

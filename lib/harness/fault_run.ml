@@ -1,14 +1,18 @@
 (* Seeded fault sweeps on real domains.  See fault_run.mli. *)
 
 module R = Tstm_runtime.Runtime_real
-module Fault = Tstm_fault.Fault
+module Plan = Tstm_chaos.Plan
 module Intf = Tstm_tm.Tm_intf
 module Stats = Tstm_tm.Tm_stats
 module Xrand = Tstm_util.Xrand
 
+type kind = Crash | Hang | Oom
+
+let kind_name = function Crash -> "crash" | Hang -> "hang" | Oom -> "oom"
+
 type spec = {
   stm : string;
-  kind : Fault.kind;
+  kind : kind;
   structure : Workload.structure;
   domains : int;
   per_thread : int;
@@ -22,7 +26,7 @@ type spec = {
 let default =
   {
     stm = "tinystm-wb";
-    kind = Fault.Crash;
+    kind = Crash;
     structure = Workload.Hashset;
     domains = 3;
     per_thread = 400;
@@ -50,21 +54,16 @@ let healed r = r.error = None && r.violations = [] && r.leak_words = 0
 (* Each sweep run arms exactly one fault kind, at rates high enough to
    fire dozens of injections per run on this workload size (the default
    rates are tuned for long service runs, not short sweeps). *)
-let config_for (k : Fault.kind) =
-  match k with
-  | Fault.Crash ->
-      { Fault.crash_pct = 2.0; hang_pct = 0.0; hang_us = 1; oom_pct = 0.0 }
-  | Fault.Hang ->
-      { Fault.crash_pct = 0.0; hang_pct = 2.0; hang_us = 20_000; oom_pct = 0.0 }
-  | Fault.Oom ->
-      { Fault.crash_pct = 0.0; hang_pct = 0.0; hang_us = 1; oom_pct = 5.0 }
+let config_for k =
+  Plan.Real
+    (match k with
+    | Crash -> { crash_pct = 2.0; hang_pct = 0.0; hang_us = 1; oom_pct = 0.0 }
+    | Hang -> { crash_pct = 0.0; hang_pct = 2.0; hang_us = 20_000; oom_pct = 0.0 }
+    | Oom -> { crash_pct = 0.0; hang_pct = 0.0; hang_us = 1; oom_pct = 5.0 })
 
 (* Injected hangs stall up to hang_us = 20 ms; a 5 ms heartbeat timeout
    guarantees the monitor actually observes them as stale. *)
-let hang_timeout_for (k : Fault.kind) =
-  match k with
-  | Fault.Hang -> 0.005
-  | Fault.Crash | Fault.Oom -> 0.05
+let hang_timeout_for = function Hang -> 0.005 | Crash | Oom -> 0.05
 
 let validate spec =
   if spec.domains < 1 then invalid_arg "Fault_run: domains < 1";
@@ -121,17 +120,17 @@ let run_packed (module M : Bench_real.STM) spec =
   let limit =
     match (spec.limit, spec.kind) with
     | (Some _ as l), _ -> l
-    | None, Fault.Crash -> Some (4 * spec.domains)
-    | None, (Fault.Hang | Fault.Oom) -> None
+    | None, Crash -> Some (4 * spec.domains)
+    | None, (Hang | Oom) -> None
   in
-  Fault.activate ~config:(config_for spec.kind) ?limit ~seed:spec.seed ();
+  Plan.activate ~config:(config_for spec.kind) ?limit ~seed:spec.seed ();
   let fired = ref 0 and decisions = ref 0 in
   let outcome =
     Fun.protect
       ~finally:(fun () ->
-        fired := Fault.fired ();
-        decisions := Fault.decisions ();
-        Fault.deactivate ())
+        fired := Plan.fired ();
+        decisions := Plan.decisions ();
+        Plan.deactivate ())
     @@ fun () ->
     match
       R.run_healed ~hang_timeout_s:(hang_timeout_for spec.kind)

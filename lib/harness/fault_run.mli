@@ -1,6 +1,6 @@
 (** Seeded fault sweeps on real domains: the `repro fault` driver.
 
-    One run arms a {!Tstm_fault.Fault} plan biased toward a single fault
+    One run arms a [Real] {!Tstm_chaos.Plan} biased toward a single fault
     kind, drives the paper's transaction mix ({!Driver.step}) on real
     domains under {!Tstm_runtime.Runtime_real.run_healed}, and audits the
     aftermath: the run must complete with no escaped exception (crashes
@@ -14,9 +14,13 @@
     plus allocator- and structure-consistency.  Sweeps are sequential and
     in-process (real domains cannot be forked into {!Tstm_exec} jobs). *)
 
+type kind = Crash | Hang | Oom
+
+val kind_name : kind -> string
+
 type spec = {
   stm : string;  (** {!Bench_real} name or alias *)
-  kind : Tstm_fault.Fault.kind;  (** the fault kind this plan arms *)
+  kind : kind;  (** the fault kind this plan arms *)
   structure : Workload.structure;
   domains : int;
   per_thread : int;  (** operations per worker job *)
@@ -56,7 +60,7 @@ val run_one : spec -> report
 val plan :
   seeds:int ->
   stms:string list ->
-  kinds:Tstm_fault.Fault.kind list ->
+  kinds:kind list ->
   spec ->
   spec array
 (** Ordered sweep: seeds (outer) x stm x kind (inner). *)

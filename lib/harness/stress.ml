@@ -2,13 +2,13 @@
 
    One [run_one] executes a fully deterministic chaos run: build a fresh STM
    instance, run [nthreads] threads of random single-operation transactions
-   under an active chaos plan, read the final contents, and check the
+   under an armed [Sim] plan, read the final contents, and check the
    recorded history against sequential set semantics.  Everything is keyed
    by the spec, so a failing spec *is* the repro — [Tstm_exec.Cli] renders
    it as a `repro stress` invocation. *)
 
 module R = Tstm_runtime.Runtime_sim
-module Chaos = Tstm_chaos.Chaos
+module Plan = Tstm_chaos.Plan
 module History = Tstm_chaos.History
 module San = Tstm_san.San
 module Registry = Tstm_tm.Registry
@@ -24,7 +24,7 @@ type spec = {
   cm : string;
   pattern : Workload.pattern;
   site_limit : int option;
-  bug : Chaos.bug option;
+  bug : Plan.bug option;
   window : int;
   san : bool;
 }
@@ -72,9 +72,9 @@ let run_one spec =
     | Error msg -> invalid_arg ("Stress.run_one: " ^ msg)
   in
   let history = History.create ~nthreads:spec.nthreads in
-  Chaos.with_bug spec.bug (fun () ->
+  Plan.with_bug spec.bug (fun () ->
       let final, stats, injected, decisions, san_findings =
-        Chaos.with_plan ?limit:spec.site_limit
+        Plan.with_plan ~config:(Sim Plan.sim_default) ?limit:spec.site_limit
           ~seed:spec.seed (fun () ->
             let body () =
               let (module M) = Registry.get spec.stm in
@@ -94,7 +94,7 @@ let run_one spec =
               if spec.san then San.with_armed ~ncpus:(max 1 spec.nthreads) body
               else (body (), [])
             in
-            (final, stats, Chaos.injected (), Chaos.decisions (), fs))
+            (final, stats, Plan.fired (), Plan.decisions (), fs))
       in
       let events = History.events history in
       let violation =

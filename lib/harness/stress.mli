@@ -14,14 +14,14 @@ type spec = {
   nthreads : int;
   per_thread : int;  (** operations per thread *)
   key_range : int;
-  seed : int;  (** chaos plan seed, also salts the per-thread op streams *)
+  seed : int;  (** plan seed, also salts the per-thread op streams *)
   max_retries : int;  (** 0 = no irrevocable escalation *)
   cm : string;
       (** contention-manager name ({!Tstm_cm.Cm.of_string} form); the
           default ["backoff"] replays historical runs byte-identically *)
   pattern : Workload.pattern;  (** adversarial key/rate pattern *)
   site_limit : int option;  (** cap on fired injection sites (shrinking) *)
-  bug : Tstm_chaos.Chaos.bug option;  (** deliberate protocol bug to arm *)
+  bug : Tstm_chaos.Plan.bug option;  (** deliberate protocol bug to arm *)
   window : int;  (** checker window *)
   san : bool;  (** arm the happens-before sanitizer for the run *)
 }

@@ -206,13 +206,12 @@ let layers =
   [
     { dir = "util"; root_module = "Tstm_util"; lib_name = "tstm_util"; allowed = [] };
     { dir = "obs"; root_module = "Tstm_obs"; lib_name = "tstm_obs"; allowed = [ "util" ] };
-    { dir = "chaos"; root_module = "Tstm_chaos"; lib_name = "tstm_chaos"; allowed = [ "util" ] };
-    { dir = "fault"; root_module = "Tstm_fault"; lib_name = "tstm_fault"; allowed = [ "util"; "obs" ] };
+    { dir = "chaos"; root_module = "Tstm_chaos"; lib_name = "tstm_chaos"; allowed = [ "util"; "obs" ] };
     { dir = "cm"; root_module = "Tstm_cm"; lib_name = "tstm_cm"; allowed = [ "util" ] };
-    { dir = "runtime"; root_module = "Tstm_runtime"; lib_name = "tstm_runtime"; allowed = [ "util"; "obs"; "chaos"; "fault" ] };
-    { dir = "vmm"; root_module = "Tstm_vmm"; lib_name = "tstm_vmm"; allowed = [ "util"; "fault"; "runtime" ] };
+    { dir = "runtime"; root_module = "Tstm_runtime"; lib_name = "tstm_runtime"; allowed = [ "util"; "obs"; "chaos" ] };
+    { dir = "vmm"; root_module = "Tstm_vmm"; lib_name = "tstm_vmm"; allowed = [ "util"; "chaos"; "runtime" ] };
     { dir = "san"; root_module = "Tstm_san"; lib_name = "tstm_san"; allowed = [ "util"; "runtime" ] };
-    { dir = "tm"; root_module = "Tstm_tm"; lib_name = "tstm_tm"; allowed = [ "util"; "cm"; "obs"; "chaos"; "fault"; "runtime"; "vmm"; "san" ] };
+    { dir = "tm"; root_module = "Tstm_tm"; lib_name = "tstm_tm"; allowed = [ "util"; "cm"; "obs"; "chaos"; "runtime"; "vmm"; "san" ] };
     { dir = "tinystm"; root_module = "Tinystm"; lib_name = "tinystm"; allowed = [ "util"; "cm"; "runtime"; "vmm"; "tm" ] };
     { dir = "tl2"; root_module = "Tstm_tl2"; lib_name = "tstm_tl2"; allowed = [ "util"; "cm"; "runtime"; "vmm"; "tm" ] };
     { dir = "norec"; root_module = "Tstm_norec"; lib_name = "tstm_norec"; allowed = [ "util"; "cm"; "runtime"; "vmm"; "tm" ] };
@@ -220,9 +219,9 @@ let layers =
     { dir = "tuning"; root_module = "Tstm_tuning"; lib_name = "tstm_tuning"; allowed = [ "util"; "obs"; "tinystm" ] };
     { dir = "vacation"; root_module = "Tstm_vacation"; lib_name = "tstm_vacation"; allowed = [ "util"; "runtime"; "tm"; "structures" ] };
     { dir = "stms"; root_module = "Tstm_stms"; lib_name = "tstm_stms"; allowed = [ "runtime"; "tm"; "tinystm"; "tl2"; "norec" ] };
-    { dir = "harness"; root_module = "Tstm_harness"; lib_name = "tstm_harness"; allowed = [ "util"; "cm"; "obs"; "chaos"; "fault"; "runtime"; "vmm"; "tm"; "stms"; "san"; "tinystm"; "tl2"; "norec"; "structures"; "tuning"; "vacation" ] };
-    { dir = "service"; root_module = "Tstm_service"; lib_name = "tstm_service"; allowed = [ "util"; "cm"; "obs"; "chaos"; "fault"; "runtime"; "tm"; "san"; "structures"; "vacation"; "harness" ] };
-    { dir = "exec"; root_module = "Tstm_exec"; lib_name = "tstm_exec"; allowed = [ "util"; "cm"; "obs"; "chaos"; "fault"; "runtime"; "tm"; "san"; "tinystm"; "harness"; "service" ] };
+    { dir = "harness"; root_module = "Tstm_harness"; lib_name = "tstm_harness"; allowed = [ "util"; "cm"; "obs"; "chaos"; "runtime"; "vmm"; "tm"; "stms"; "san"; "tinystm"; "tl2"; "norec"; "structures"; "tuning"; "vacation" ] };
+    { dir = "service"; root_module = "Tstm_service"; lib_name = "tstm_service"; allowed = [ "util"; "cm"; "obs"; "chaos"; "runtime"; "tm"; "san"; "structures"; "vacation"; "harness" ] };
+    { dir = "exec"; root_module = "Tstm_exec"; lib_name = "tstm_exec"; allowed = [ "util"; "cm"; "obs"; "chaos"; "runtime"; "tm"; "san"; "tinystm"; "harness"; "service" ] };
     { dir = "lint"; root_module = "Tstm_lint"; lib_name = "tstm_lint"; allowed = [] };
   ]
 

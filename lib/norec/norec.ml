@@ -281,12 +281,12 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
            p.rv <- time;
            if Probe.on () then Probe.seqlock_validate ~cpu:d.tid ~value:time
          end);
-      if Probe.on () then Probe.lock_cas ();
+      if Probe.on () then Probe.perturb ~tid:d.tid d.stats Lock_cas;
       if not (R.cas t.ctl seq_slot p.rv (p.rv + 1)) then acquire_seq t d
       else begin
         (* Stored before the probe: the sanitizer ignores "ctl". *)
         if t.cm_active then R.set t.ctl committer_slot d.tid;
-        if Probe.on () then Probe.seqlock_acquired ~cpu:d.tid ~drawn:(p.rv + 2)
+        if Probe.on () then Probe.seqlock_acquired ~cpu:d.tid d.stats ~drawn:(p.rv + 2)
       end
     end
 
@@ -297,7 +297,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       p.rv
     else begin
       acquire_seq t d;
-      if Probe.on () then Probe.commit_point ();
+      if Probe.on () then Probe.perturb ~tid:d.tid d.stats Write_back;
       let wv = p.rv + 2 in
       let words = V.words t.mem in
       for k = 0 to G.length p.w_addr - 1 do
@@ -306,7 +306,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       (* The snapshot-consistency check must see the write set still under
          the sequence lock, before the new even value is published. *)
       if Probe.on () then Probe.commit_publish ~cpu:d.tid ~wv;
-      if Probe.on () then Probe.clock_inc ();
+      if Probe.on () then Probe.perturb ~tid:d.tid d.stats Clock_inc;
       R.set t.ctl seq_slot wv;
       if Probe.on () then Probe.seqlock_released ~cpu:d.tid;
       wv

@@ -140,7 +140,7 @@ let run ~nthreads body =
 (* Self-healing run: heartbeat monitoring + respawn-and-requeue            *)
 (* ---------------------------------------------------------------------- *)
 
-module Fault = Tstm_fault.Fault
+module Plan = Tstm_chaos.Plan
 
 type heal_report = {
   crashes_healed : int;
@@ -174,7 +174,7 @@ let run_healed ?(hang_timeout_s = 0.05) ?(poll_s = 0.001) ?(max_requeues = 128)
     Domain.DLS.set tid_key i;
     (* One explicit heartbeat at job start, so a worker that crashes or
        hangs before its first linearization point is still monitored. *)
-    Fault.tick ~tid:i;
+    Plan.tick ~tid:i;
     body i
   in
   (* Unlike [run], the orchestrating domain is a supervisor, not worker 0:
@@ -189,7 +189,7 @@ let run_healed ?(hang_timeout_s = 0.05) ?(poll_s = 0.001) ?(max_requeues = 128)
   let hangs = ref 0 in
   let recovered = ref 0 in
   let requeues = ref 0 in
-  Fault.clear_ticks ();
+  Plan.clear_ticks ();
   Array.iteri (fun i w -> submit w (job i)) workers;
   let timeout_ns = int_of_float (hang_timeout_s *. 1e9) in
   let all_done () = Array.for_all Fun.id finished in
@@ -209,7 +209,7 @@ let run_healed ?(hang_timeout_s = 0.05) ?(poll_s = 0.001) ?(max_requeues = 128)
             heal_emit ~tid:i "hang-recovered"
           end;
           match err with
-          | Some (Fault.Injected_crash _ as e) ->
+          | Some (Plan.Injected_crash _ as e) ->
               (* The job died of an injected crash.  The parked worker is
                  idle, but the model is a dead domain: shut it down, join
                  it, spawn a replacement, requeue the job.  The requeue
@@ -243,7 +243,7 @@ let run_healed ?(hang_timeout_s = 0.05) ?(poll_s = 0.001) ?(max_requeues = 128)
              that deliberately stops ticking, and the worker resumes on
              its own — so the monitor records the detect/recover pair
              rather than killing a live domain. *)
-          let last = Fault.last_tick ~tid:i in
+          let last = Plan.last_tick ~tid:i in
           let stale =
             last >= 0 && Tstm_obs.Monotonic.now_ns () - last > timeout_ns
           in

@@ -43,11 +43,11 @@ include Runtime_intf.S
 
 (** {2 Self-healing runs}
 
-    {!run_healed} is [run] hardened against the fault kinds
-    {!Tstm_fault.Fault} injects: it dispatches {e all} [nthreads] jobs to
+    {!run_healed} is [run] hardened against the faults a
+    {!Tstm_chaos.Plan} injects: it dispatches {e all} [nthreads] jobs to
     pool domains and keeps the orchestrating domain as a supervisor that
     polls worker heartbeats.  A job that dies of
-    [Tstm_fault.Fault.Injected_crash] is healed — the worker is shut down
+    [Tstm_chaos.Plan.Injected_crash] is healed — the worker is shut down
     and joined, a fresh domain replaces it in the pool, and the job is
     requeued (bounded by [max_requeues], after which the crash propagates) —
     while a worker whose heartbeat goes stale past [hang_timeout_s] is

@@ -115,11 +115,13 @@ let handler_for (s : state) (fb : fiber) =
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
                 (* Yielding charges are the scheduler's preemption points;
-                   an active chaos plan may stretch any of them, reordering
+                   an armed plan may stretch any of them, reordering
                    virtual-time ties.  Same seed, same stretches. *)
                 let c =
-                  if Tstm_chaos.Chaos.enabled () then
-                    c + Tstm_chaos.Chaos.jitter ()
+                  if Tstm_chaos.Plan.enabled () then
+                    match Tstm_chaos.Plan.at Charge ~tid:fb.id with
+                    | Delay n -> c + n
+                    | _ -> c
                   else c
                 in
                 fb.vtime <- fb.vtime + c;

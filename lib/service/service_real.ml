@@ -9,7 +9,7 @@ module Sink = Tstm_obs.Sink
 module Event = Tstm_obs.Event
 module Stats = Tstm_tm.Tm_stats
 module Intf = Tstm_tm.Tm_intf
-module Fault = Tstm_fault.Fault
+module Plan = Tstm_chaos.Plan
 module BR = Tstm_harness.Bench_real
 module Driver = Tstm_harness.Driver
 module Workload = Tstm_harness.Workload
@@ -51,7 +51,7 @@ let update_pct = 50.0 (* share of add/remove requests, percent *)
 (* Hangs are left out: the dispatchers run under plain [R.run], so a hang
    only adds latency without feeding the breaker. *)
 let fault_burst =
-  { Fault.crash_pct = 10.0; hang_pct = 0.0; hang_us = 1; oom_pct = 2.0 }
+  Plan.Real { crash_pct = 10.0; hang_pct = 0.0; hang_us = 1; oom_pct = 2.0 }
 
 type report = {
   offered : int;
@@ -119,11 +119,7 @@ let run_packed (module M : BR.STM) spec =
      orchestrator with injection masked: a caller may arm the fault plan
      around the whole run, but the service's fault surface is the request
      path, not setup or the integrity audit. *)
-  let masked f =
-    let tid = R.tid () in
-    Fault.mask ~tid;
-    Fun.protect ~finally:(fun () -> Fault.unmask ~tid) f
-  in
+  let masked f = Plan.masked ~tid:(R.tid ()) f in
   let opss =
     masked (fun () ->
         Array.init spec.shards (fun _ -> D.make_structure t spec.structure))
@@ -222,7 +218,7 @@ let run_packed (module M : BR.STM) spec =
               ~lat_cycles:(fin - arr_ns);
             Breaker.on_success breaker ~now:(now_s ());
             Mutex.unlock stat_m
-        | exception Fault.Injected_crash _ ->
+        | exception Plan.Injected_crash _ ->
             (* The transaction rolled back cleanly (locks released,
                speculative allocations freed); the request, not the
                worker, absorbs the crash.  Retry within the budget. *)

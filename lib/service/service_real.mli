@@ -13,7 +13,7 @@
     shard).
 
     {b Fault handling.}  A request whose transaction dies of
-    [Tstm_fault.Fault.Injected_crash] is retried in place up to
+    [Tstm_chaos.Plan.Injected_crash] is retried in place up to
     [fault_budget] attempts; every occurrence feeds the circuit
     {!Breaker}, and a request that exhausts the budget — or hits the typed
     arena [Tm_intf.Capacity] — ends with the {!Tstm_obs.Slo.Faulted}
@@ -47,7 +47,7 @@ val default : spec
     pre-populates 128 keys per shard, issues 50 % updates and uses
     {!Breaker.default}. *)
 
-val fault_burst : Tstm_fault.Fault.config
+val fault_burst : Tstm_chaos.Plan.config
 (** The fault plan `repro serve --real --fault-seed` arms: 10 % crashes and
     2 % OOMs, no hangs — dense enough to trip the breaker within one
     arrival window. *)

@@ -291,7 +291,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     !ok
 
   let extend t (d : tx) =
-    if Probe.on () then Probe.clock_sample ();
+    if Probe.on () then Probe.perturb ~tid:d.tid d.stats Clock_sample;
     let now = R.get t.ctl clock_slot in
     if Probe.bug_active Probe.Skip_extension then begin
       (* Deliberately broken protocol (chaos bug injection): accept the new
@@ -514,12 +514,12 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
             G.push p.w_addr addr;
             G.push p.w_val v;
             G.push p.w_next 0;
-            if Probe.on () then Probe.lock_cas ();
+            if Probe.on () then Probe.perturb ~tid:d.tid d.stats Lock_cas;
             if
               R.cas t.locks li l
                 (Lockenc.locked ~tid:d.tid ~payload:(G.length p.w_addr))
             then begin
-              if Probe.on () then Probe.lock_acquired ~cpu:d.tid ~lock:li;
+              if Probe.on () then Probe.lock_acquired ~cpu:d.tid d.stats ~lock:li;
               hier_note_acquired t p addr;
               G.push p.l_idx li;
               G.push p.l_old l;
@@ -535,9 +535,9 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
               write_word t d addr v
             end
         | Config.Write_through ->
-            if Probe.on () then Probe.lock_cas ();
+            if Probe.on () then Probe.perturb ~tid:d.tid d.stats Lock_cas;
             if R.cas t.locks li l (Lockenc.locked ~tid:d.tid ~payload:0) then begin
-              if Probe.on () then Probe.lock_acquired ~cpu:d.tid ~lock:li;
+              if Probe.on () then Probe.lock_acquired ~cpu:d.tid d.stats ~lock:li;
               hier_note_acquired t p addr;
               G.push p.l_idx li;
               G.push p.l_old l;

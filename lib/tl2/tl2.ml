@@ -260,13 +260,13 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
         end
       end
       else begin
-        if Probe.on () then Probe.lock_cas ();
+        if Probe.on () then Probe.perturb ~tid:d.tid d.stats Lock_cas;
         if not (R.cas t.locks li l (locked_by d.tid)) then begin
           release_acquired t d;
           abort Stats.Write_conflict
         end
         else begin
-          if Probe.on () then Probe.lock_acquired ~cpu:d.tid ~lock:li;
+          if Probe.on () then Probe.lock_acquired ~cpu:d.tid d.stats ~lock:li;
           G.push p.l_idx li;
           G.push p.l_old l
         end
@@ -311,10 +311,10 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     if G.length p.w_addr = 0 && G.length d.f_addr = 0 then p.rv
     else begin
       acquire_write_locks t d;
-      if Probe.on () then Probe.clock_inc ();
+      if Probe.on () then Probe.perturb ~tid:d.tid d.stats Clock_inc;
       let wv = R.fetch_add t.ctl clock_slot 1 + 1 in
       if Probe.on () then Probe.clock_advance ~cpu:d.tid ~drawn:wv;
-      if Probe.on () then Probe.commit_point ();
+      if Probe.on () then Probe.perturb ~tid:d.tid d.stats Write_back;
       if
         wv > p.rv + 1
         && (not (Probe.bug_active Probe.Skip_validation))

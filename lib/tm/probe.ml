@@ -1,52 +1,62 @@
 module Sink = Tstm_obs.Sink
 module Event = Tstm_obs.Event
-module Chaos = Tstm_chaos.Chaos
+module Plan = Tstm_chaos.Plan
 module San = Tstm_san.San
-module Fault = Tstm_fault.Fault
 module Watchdog = Tstm_runtime.Watchdog
 module Stats = Tm_stats
 
 let on = Tstm_util.Gate.on
 
-type point = Clock_read | Commit | Abort
+type point = Plan.point =
+  | Charge
+  | Tx_begin
+  | Lock_cas
+  | Lock_acquired
+  | Clock_sample
+  | Clock_inc
+  | Write_back
+  | Clock_read
+  | Commit
+  | Abort
+  | Alloc
 
-let point_name = function
-  | Clock_read -> "clock-read"
-  | Commit -> "commit"
-  | Abort -> "abort"
+type bug = Plan.bug = Skip_extension | Skip_validation
 
-type bug = Chaos.bug = Skip_extension | Skip_validation
-
-let bug_active = Chaos.bug_active
+let bug_active = Plan.bug_active
 
 type span = { mutable start : int; mutable reads0 : int; mutable writes0 : int }
 
 let span () = { start = 0; reads0 = 0; writes0 = 0 }
 
-let without_faults ~tid f =
-  Fault.mask ~tid;
-  Fun.protect ~finally:(fun () -> Fault.unmask ~tid) f
-
 (* Every event calls the systems in the order the call sites always had:
-   traces, chaos schedules, fault replays and virtual time depend on it. *)
+   traces, plan replays and virtual time depend on it. *)
 module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   let emit ev = Sink.emit ~ts:(R.now_cycles ()) ~cpu:(R.tid ()) ev
   let tracing = Sink.enabled
   let sanning = San.enabled
 
-  let preempt () =
-    if Chaos.enabled () then begin
-      let n = Chaos.preempt () in
-      if n > 0 then R.charge n
-    end
+  let fault_fired ~kind p =
+    if tracing () then emit (Event.Tx_fault { kind; point = Plan.point_name p })
 
-  let lock_cas = preempt
-  let clock_sample = preempt
-  let clock_inc = preempt
-  let commit_point = preempt
+  (* The plan's decision at [p].  A delay is simulated time; a crash
+     unwinds through the caller's user-exception path; a hang stalls
+     wall-clock time without a heartbeat tick. *)
+  let perturb ~tid (stats : Stats.t) p =
+    if Plan.enabled () then
+      match Plan.at p ~tid with
+      | Proceed | Oom -> ()
+      | Delay n -> R.charge n
+      | Crash ->
+          stats.faults_crash <- stats.faults_crash + 1;
+          fault_fired ~kind:"crash" p;
+          raise (Plan.Injected_crash { tid; point = Plan.point_name p })
+      | Hang ns ->
+          stats.faults_hang <- stats.faults_hang + 1;
+          fault_fired ~kind:"hang" p;
+          Plan.hang ~ns
 
-  let tx_begin ~cpu =
-    preempt ();
+  let tx_begin ~cpu stats =
+    perturb ~tid:cpu stats Tx_begin;
     if sanning () then San.tx_begin ~cpu
 
   let tx_started span (stats : Stats.t) =
@@ -83,28 +93,6 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   let escalated ~retries =
     if tracing () then emit (Event.Tx_escalate { retries })
 
-  let fault_fired ~kind p =
-    if tracing () then emit (Event.Tx_fault { kind; point = point_name p })
-
-  (* A crash unwinds through the caller's user-exception path; a hang
-     stalls wall-clock time without a heartbeat tick. *)
-  let fault ~tid (stats : Stats.t) p =
-    if Fault.enabled () then
-      match Fault.at_point ~tid with
-      | Fault.Proceed -> ()
-      | Fault.Crash ->
-          stats.faults_crash <- stats.faults_crash + 1;
-          fault_fired ~kind:"crash" p;
-          raise (Fault.Injected_crash { tid; point = point_name p })
-      | Fault.Hang ns ->
-          stats.faults_hang <- stats.faults_hang + 1;
-          fault_fired ~kind:"hang" p;
-          Fault.hang ~ns
-
-  let after_abort ~tid stats =
-    preempt ();
-    fault ~tid stats Abort
-
   let oom () =
     if tracing () then emit (Event.Tx_fault { kind = "oom"; point = "alloc" })
 
@@ -137,9 +125,9 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
 
   let read_accepted ~cpu ~addr = if sanning () then San.read_accept ~cpu ~addr
 
-  let lock_acquired ~cpu ~lock =
+  let lock_acquired ~cpu stats ~lock =
     if sanning () then San.lock_acquire ~cpu ~lock;
-    preempt ();
+    perturb ~tid:cpu stats Lock_acquired;
     if tracing () then emit (Event.Lock_acquire { lock })
 
   let lock_released ~cpu ~lock =
@@ -155,9 +143,9 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   let seqlock_validate ~cpu ~value =
     if sanning () then San.seqlock_validate ~cpu ~value
 
-  let seqlock_acquired ~cpu ~drawn =
+  let seqlock_acquired ~cpu stats ~drawn =
     if sanning () then San.seqlock_acquire ~cpu ~drawn;
-    preempt ();
+    perturb ~tid:cpu stats Lock_acquired;
     if tracing () then emit (Event.Lock_acquire { lock = 0 })
 
   let serial_seqlock_released ~cpu = if sanning () then San.seqlock_release ~cpu

@@ -1,48 +1,51 @@
 (** The one instrumentation call at each linearization point.
 
-    The observability sink, the chaos plan, the sanitizer and the fault
-    plan watch the STMs only through these events; each call site is one
-    line, [if Probe.on () then Probe.lock_acquired ~cpu:d.tid ~lock:li].
+    The observability sink, the perturbation plan and the sanitizer watch
+    the STMs only through these events; each call site is one line,
+    [if Probe.on () then Probe.lock_acquired ~cpu:d.tid d.stats ~lock:li].
     Each event calls the systems that watch its point, in a fixed order,
-    each behind its own [enabled]; DESIGN.md §4k tabulates them.  Only the
-    chaos preemption charges simulated cycles, and sink events are stamped
+    each behind its own [enabled]; DESIGN.md §4k tabulates them.  Only a
+    plan's [Delay] charges simulated cycles, and sink events are stamped
     after it. *)
 
 val on : unit -> bool
 (** One boolean load ({!Tstm_util.Gate.on}): is any hook system armed?
     Top level, outside any functor, so every call site inlines it. *)
 
-(** Where the core consults the fault plan; a crash or hang report names
-    it. *)
-type point = Clock_read | Commit | Abort
+(** Where the plan is consulted ({!Tstm_chaos.Plan.point}); a crash or
+    hang report names it. *)
+type point = Tstm_chaos.Plan.point =
+  | Charge
+  | Tx_begin
+  | Lock_cas
+  | Lock_acquired
+  | Clock_sample
+  | Clock_inc
+  | Write_back
+  | Clock_read
+  | Commit
+  | Abort
+  | Alloc
 
-type bug = Tstm_chaos.Chaos.bug = Skip_extension | Skip_validation
+type bug = Tstm_chaos.Plan.bug = Skip_extension | Skip_validation
 
 val bug_active : bug -> bool
-(** The chaos plan's deliberate protocol bugs, armed apart from the gate. *)
+(** The plan's deliberate protocol bugs, armed apart from the gate. *)
 
 type span
 (** Tracing state of one attempt: its start time and counts. *)
 
 val span : unit -> span
 
-val without_faults : tid:int -> (unit -> 'a) -> 'a
-(** Run [f] with fault injection masked for [tid] (an irrevocable run
-    cannot be rolled back), unmasking also when [f] raises. *)
-
 (** The events, over the runtime that stamps and charges them, grouped as
     in DESIGN.md §4k; [cpu] and [tid] are the calling thread's id. *)
 module Make (R : Tstm_runtime.Runtime_intf.S) : sig
-  (** Chaos preemption points: before an orec or seqlock CAS, before a
-      snapshot extension samples the clock, before the commit-time clock
-      increment, inside a commit that holds its locks. *)
+  val perturb : tid:int -> Tm_stats.t -> point -> unit
+  (** The plan's decision at a point: a delay is charged; a crash counts,
+      is traced and raises [Plan.Injected_crash]; a hang counts, is traced
+      and stalls. *)
 
-  val lock_cas : unit -> unit
-  val clock_sample : unit -> unit
-  val clock_inc : unit -> unit
-  val commit_point : unit -> unit
-
-  val tx_begin : cpu:int -> unit
+  val tx_begin : cpu:int -> Tm_stats.t -> unit
   val tx_started : span -> Tm_stats.t -> unit
   val serial_begin : cpu:int -> span -> Tm_stats.t -> unit
 
@@ -54,11 +57,6 @@ module Make (R : Tstm_runtime.Runtime_intf.S) : sig
   val tx_exit : cpu:int -> committed:bool -> unit
   val escalated : retries:int -> unit
 
-  val fault : tid:int -> Tm_stats.t -> point -> unit
-  (** A crash counts, is traced and raises [Fault.Injected_crash]; a hang
-      counts, is traced and stalls. *)
-
-  val after_abort : tid:int -> Tm_stats.t -> unit
   val oom : unit -> unit
   val watchdog : Tstm_runtime.Watchdog.event -> unit
 
@@ -73,13 +71,13 @@ module Make (R : Tstm_runtime.Runtime_intf.S) : sig
   val clock_rollover : unit -> unit
   val reconfigured : unit -> unit
   val read_accepted : cpu:int -> addr:int -> unit
-  val lock_acquired : cpu:int -> lock:int -> unit
+  val lock_acquired : cpu:int -> Tm_stats.t -> lock:int -> unit
   val lock_released : cpu:int -> lock:int -> unit
   val commit_publish : cpu:int -> wv:int -> unit
   val serial_publish : cpu:int -> wv:int -> unit
 
   val seqlock_validate : cpu:int -> value:int -> unit
-  val seqlock_acquired : cpu:int -> drawn:int -> unit
+  val seqlock_acquired : cpu:int -> Tm_stats.t -> drawn:int -> unit
   val seqlock_released : cpu:int -> unit
   val serial_seqlock_acquired : cpu:int -> wv:int -> unit
   val serial_seqlock_released : cpu:int -> unit

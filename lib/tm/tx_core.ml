@@ -385,7 +385,7 @@ struct
         d.in_tx <- true;
         d.read_only <- read_only;
         cm_begin_attempt t d;
-        if Probe.on () then Probe.tx_begin ~cpu:d.tid;
+        if Probe.on () then Probe.tx_begin ~cpu:d.tid d.stats;
         if not (P.begin_ d) then begin
           (* The clock is exhausted: step out of the fence, roll it over
              inside it, and start this attempt again. *)
@@ -398,13 +398,13 @@ struct
         else begin
           if Probe.on () then Probe.tx_started d.span d.stats;
           match
-            (* Fault consultations live inside this match so an injected
-               crash unwinds through the user-exception branch below:
-               rollback, fence release, [in_tx] cleared — the respawned
-               worker can transact again. *)
-            if Probe.on () then Probe.fault ~tid:d.tid d.stats Probe.Clock_read;
+            (* The clock-read and commit points live inside this match so
+               an injected crash unwinds through the user-exception branch
+               below: rollback, fence release, [in_tx] cleared — the
+               respawned worker can transact again. *)
+            if Probe.on () then Probe.perturb ~tid:d.tid d.stats Clock_read;
             let v = f d in
-            if Probe.on () then Probe.fault ~tid:d.tid d.stats Probe.Commit;
+            if Probe.on () then Probe.perturb ~tid:d.tid d.stats Commit;
             R.charge_local c_tx_end;
             finish_commit d ~stamp:(P.commit d);
             exit_tx d ~committed:true;
@@ -420,7 +420,7 @@ struct
               rollback d;
               Stats.record_abort d.stats reason;
               leave_fence t d;
-              if Probe.on () then Probe.after_abort ~tid:d.tid d.stats;
+              if Probe.on () then Probe.perturb ~tid:d.tid d.stats Abort;
               (* Allocation-failed aborts are capped: after
                  [max_alloc_retries] consecutive failures the arena is
                  genuinely full and retrying cannot help, so escalate to the
@@ -453,7 +453,7 @@ struct
       d.stats.Stats.escalations <- d.stats.Stats.escalations + 1;
       if Probe.on () then Probe.escalated ~retries:tries;
       (* The irrevocable path cannot roll back: faults stay masked. *)
-      Probe.without_faults ~tid:d.tid @@ fun () ->
+      Tstm_chaos.Plan.masked ~tid:d.tid @@ fun () ->
       fence_and t (fun () ->
           R.charge_local c_tx_begin;
           d.in_tx <- true;

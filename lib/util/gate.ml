@@ -1,6 +1,6 @@
-type system = Sink | Chaos | San | Fault
+type system = Sink | Plan | San
 
-let bit = function Sink -> 1 | Chaos -> 2 | San -> 4 | Fault -> 8
+let bit = function Sink -> 1 | Plan -> 2 | San -> 4
 
 (* The armed systems as a bit set, mirrored into one plain bool so the
    hot-path guard is a single load. *)

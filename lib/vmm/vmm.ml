@@ -1,5 +1,5 @@
 module Tap = Tstm_runtime.Tap
-module Fault = Tstm_fault.Fault
+module Plan = Tstm_chaos.Plan
 
 module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   let max_class = 256
@@ -90,7 +90,10 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     (* Injected allocation failure fires before any allocator state is
        touched, so a faulted alloc is indistinguishable from genuine
        exhaustion and leaves the accounting intact by construction. *)
-    if Fault.enabled () && Fault.oom ~tid:(R.tid ()) then raise Out_of_memory;
+    (if Plan.enabled () then
+       match Plan.at Alloc ~tid:(R.tid ()) with
+       | Oom -> raise Out_of_memory
+       | _ -> ());
     let base =
       Tap.suspend ();
       Fun.protect ~finally:Tap.resume (fun () ->

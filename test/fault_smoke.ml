@@ -13,7 +13,7 @@
       goodput above zero, and once the bounded storm ends the breaker
       recovers to closed with the integrity audit green. *)
 
-module Fault = Tstm_fault.Fault
+module Plan = Tstm_chaos.Plan
 module FR = Tstm_harness.Fault_run
 module BR = Tstm_harness.Bench_real
 module Bench = Tstm_obs.Bench
@@ -27,7 +27,7 @@ let fail fmt =
     fmt
 
 let disarmed () =
-  if Fault.enabled () then fail "a fault plan is armed at startup";
+  if Plan.enabled () then fail "a plan is armed at startup";
   let proto =
     { BR.duration_s = 0.02; warmup_s = 0.0; reps = 2; observe = false }
   in
@@ -47,7 +47,7 @@ let disarmed () =
 let sweep () =
   let specs =
     FR.plan ~seeds:2 ~stms:BR.stm_names
-      ~kinds:([ Fault.Crash; Fault.Hang; Fault.Oom ] : Fault.kind list)
+      ~kinds:FR.[ Crash; Hang; Oom ]
       { FR.default with FR.domains = 2; per_thread = 150 }
   in
   let fired = Hashtbl.create 3 in
@@ -60,7 +60,7 @@ let sweep () =
           (Option.value ~default:"-" r.FR.error)
           r.FR.leak_words
           (String.concat "; " r.FR.violations);
-      let k = Fault.kind_name spec.FR.kind in
+      let k = FR.kind_name spec.FR.kind in
       let prev = try Hashtbl.find fired k with Not_found -> 0 in
       Hashtbl.replace fired k (prev + r.FR.fired))
     specs;
@@ -84,19 +84,19 @@ let bench_failed_rep () =
     { BR.default_request with BR.structure = "hashset"; domains = 2; size = 32 }
   in
   let burst =
-    { Fault.crash_pct = 1.0; hang_pct = 0.0; hang_us = 1; oom_pct = 0.0 }
+    Plan.Real { crash_pct = 1.0; hang_pct = 0.0; hang_us = 1; oom_pct = 0.0 }
   in
   let rec attempt s =
     if s >= 20 then
       fail "bench failed-rep: no seed landed the crash in a timed repetition"
     else begin
-      Fault.activate ~config:burst ~limit:1 ~seed:(1000 + s) ();
+      Plan.activate ~config:burst ~limit:1 ~seed:(1000 + s) ();
       let outcome =
         match BR.run_cell { req with BR.seed = s } proto with
         | r -> Some r
-        | exception Fault.Injected_crash _ -> None (* spent during populate *)
+        | exception Plan.Injected_crash _ -> None (* spent during populate *)
       in
-      Fault.deactivate ();
+      Plan.deactivate ();
       match outcome with
       | Some (Ok (cell, integ)) when integ.BR.failed_reps <> [] ->
           let kept = List.length cell.Bench.samples in
@@ -106,7 +106,7 @@ let bench_failed_rep () =
               lost proto.BR.reps;
           List.iter
             (fun (_, e) ->
-              (* The registered printer for [Fault.Injected_crash]. *)
+              (* The registered printer for [Plan.Injected_crash]. *)
               let sub = "injected worker crash" in
               let n = String.length sub and m = String.length e in
               let rec has i =
@@ -125,9 +125,9 @@ let bench_failed_rep () =
   attempt 0
 
 let service_burst () =
-  Fault.activate ~config:SR.fault_burst ~limit:12 ~seed:7 ();
+  Plan.activate ~config:SR.fault_burst ~limit:12 ~seed:7 ();
   let r =
-    Fun.protect ~finally:Fault.deactivate (fun () -> SR.run_one SR.default)
+    Fun.protect ~finally:Plan.deactivate (fun () -> SR.run_one SR.default)
   in
   if SR.failed r then
     fail "service burst: leak=%d violations=[%s]" r.SR.leak_words

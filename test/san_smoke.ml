@@ -8,7 +8,7 @@ module San = Tstm_san.San
 module Stress = Tstm_harness.Stress
 module Scenario = Tstm_harness.Scenario
 module Workload = Tstm_harness.Workload
-module Chaos = Tstm_chaos.Chaos
+module Plan = Tstm_chaos.Plan
 
 let () =
   let structures =
@@ -42,7 +42,7 @@ let () =
       Stress.stm = "tl2";
       per_thread = 8;
       seed = 0;
-      bug = Some Chaos.Skip_validation;
+      bug = Some Plan.Skip_validation;
     }
   in
   let rep = Stress.run_one spec in

@@ -4,7 +4,7 @@
    irrevocable commit. *)
 
 module R = Tstm_runtime.Runtime_sim
-module Chaos = Tstm_chaos.Chaos
+module Plan = Tstm_chaos.Plan
 module History = Tstm_chaos.History
 module Stress = Tstm_harness.Stress
 module Scenario = Tstm_harness.Scenario
@@ -134,7 +134,7 @@ let find_bug_failure bug stms =
   sweep.Stress.first_failure
 
 let test_skip_extension_caught_and_replays () =
-  match find_bug_failure Chaos.Skip_extension [ "tinystm-wb" ] with
+  match find_bug_failure Plan.Skip_extension [ "tinystm-wb" ] with
   | None -> Alcotest.fail "skip-extension bug not caught within 10 seeds"
   | Some (spec, r) ->
       check_bool "verdict is a violation" true (r.Stress.violation <> None);
@@ -152,7 +152,7 @@ let test_skip_extension_caught_and_replays () =
 
 let test_skip_validation_caught () =
   let caught kind =
-    match find_bug_failure Chaos.Skip_validation [ kind ] with
+    match find_bug_failure Plan.Skip_validation [ kind ] with
     | Some _ -> true
     | None -> false
   in
@@ -171,7 +171,7 @@ module Hot (T : Tstm_tm.Tm_intf.TM) = struct
     let a = T.atomically t (fun tx -> T.alloc tx 1) in
     T.atomically t (fun tx -> T.write tx a 0);
     T.reset_stats t;
-    Chaos.with_plan ~seed:1 (fun () ->
+    Plan.with_plan ~config:(Sim Plan.sim_default) ~seed:1 (fun () ->
         R.run ~nthreads (fun _ ->
             for _ = 1 to iters do
               T.atomically t (fun tx -> T.write tx a (T.read tx a + 1))
@@ -239,25 +239,86 @@ let test_max_retries_validated () =
 (* ------------------------------------------------------------------ *)
 
 let test_config_validated () =
-  let bad cfg =
+  let bad config =
     try
-      Chaos.with_plan ~config:cfg ~seed:0 (fun () -> ());
+      Plan.with_plan ~config ~seed:0 (fun () -> ());
       false
     with Invalid_argument _ -> true
   in
+  let sim = Plan.sim_default and real = Plan.real_default in
   check_bool "jitter_pct out of range" true
-    (bad { Chaos.default with Chaos.jitter_pct = -1.0 });
+    (bad (Sim { sim with jitter_pct = -1.0 }));
   check_bool "preempt_pct out of range" true
-    (bad { Chaos.default with Chaos.preempt_pct = 101.0 });
-  check_bool "jitter_max < 1" true
-    (bad { Chaos.default with Chaos.jitter_max = 0 })
+    (bad (Sim { sim with preempt_pct = 101.0 }));
+  check_bool "jitter_max < 1" true (bad (Sim { sim with jitter_max = 0 }));
+  check_bool "crash_pct out of range" true
+    (bad (Real { real with crash_pct = -0.5 }));
+  check_bool "oom_pct out of range" true
+    (bad (Real { real with oom_pct = 100.5 }));
+  check_bool "crash_pct + hang_pct > 100" true
+    (bad (Real { real with crash_pct = 60.0; hang_pct = 50.0 }));
+  check_bool "hang_us < 1" true (bad (Real { real with hang_us = 0 }));
+  check_bool "defaults accepted" false
+    (bad (Sim sim) || bad (Real real))
 
 let test_inactive_plan_is_silent () =
-  Chaos.deactivate ();
-  check_bool "disabled" true (not (Chaos.enabled ()));
-  check_int "no jitter" 0 (Chaos.jitter ());
-  check_int "no preemption" 0 (Chaos.preempt ());
-  check_int "no injections" 0 (Chaos.injected ())
+  Plan.deactivate ();
+  check_bool "disabled" true (not (Plan.enabled ()));
+  List.iter
+    (fun point ->
+      check_bool (Plan.point_name point ^ " proceeds") true
+        (Plan.at point ~tid:0 = Proceed))
+    [ Charge; Lock_cas; Clock_read; Commit; Abort; Alloc ];
+  check_int "no injections" 0 (Plan.fired ());
+  check_int "no decisions" 0 (Plan.decisions ())
+
+(* The real sampler's replay discipline: thread t's k-th decision is a
+   function of (seed, t, k) alone, whatever the interleaving, and the
+   limit is exact even when domains race for it. *)
+let real_config =
+  Plan.Real { crash_pct = 20.0; hang_pct = 20.0; hang_us = 50; oom_pct = 30.0 }
+
+let real_points = Plan.[| Clock_read; Commit; Abort; Alloc |]
+
+let draws ~tid n =
+  List.init n (fun k -> Plan.at real_points.(k mod 4) ~tid)
+
+let test_real_sampler_interleaving () =
+  let n = 400 in
+  let run order =
+    Plan.with_plan ~config:real_config ~seed:9 (fun () ->
+        let out = Array.make 2 [] in
+        List.iter (fun tid -> out.(tid) <- draws ~tid n) order;
+        check_int "every draw counted" (2 * n) (Plan.decisions ());
+        out)
+  in
+  let zero_first = run [ 0; 1 ] and one_first = run [ 1; 0 ] in
+  let racing =
+    Plan.with_plan ~config:real_config ~seed:9 (fun () ->
+        let d = Domain.spawn (fun () -> draws ~tid:1 n) in
+        let mine = draws ~tid:0 n in
+        [| mine; Domain.join d |])
+  in
+  check_bool "some decisions fire" true
+    (List.exists (fun d -> d <> Plan.Proceed) zero_first.(0));
+  for tid = 0 to 1 do
+    let name = Printf.sprintf "tid %d" tid in
+    check_bool (name ^ ": tid 1 first = tid 0 first") true
+      (one_first.(tid) = zero_first.(tid));
+    check_bool (name ^ ": racing domains = tid 0 first") true
+      (racing.(tid) = zero_first.(tid))
+  done
+
+let test_real_limit_exact_under_race () =
+  let limit = 37 in
+  let fired ds = List.length (List.filter (fun d -> d <> Plan.Proceed) ds) in
+  Plan.with_plan ~config:real_config ~limit ~seed:4 (fun () ->
+      let d = Domain.spawn (fun () -> draws ~tid:1 2_000) in
+      let mine = draws ~tid:0 2_000 in
+      let theirs = Domain.join d in
+      check_int "fired = limit" limit (Plan.fired ());
+      check_int "decisions that fired = limit" limit
+        (fired mine + fired theirs))
 
 let () =
   Alcotest.run "chaos"
@@ -313,5 +374,9 @@ let () =
           Alcotest.test_case "config validated" `Quick test_config_validated;
           Alcotest.test_case "inactive plan silent" `Quick
             test_inactive_plan_is_silent;
+          Alcotest.test_case "real sampler: same draws in any interleaving"
+            `Quick test_real_sampler_interleaving;
+          Alcotest.test_case "real sampler: limit exact under a race" `Quick
+            test_real_limit_exact_under_race;
         ] );
     ]

@@ -279,8 +279,8 @@ let test_pinned_traced_digest () =
   let chaotic =
     List.map
       (fun stm ->
-        Tstm_chaos.Chaos.with_plan ~seed:11 (fun () ->
-            traced ~cm:Tstm_cm.Cm.Karma stm))
+        Tstm_chaos.Plan.(with_plan ~config:(Sim sim_default) ~seed:11)
+          (fun () -> traced ~cm:Tstm_cm.Cm.Karma stm))
       Scenario.all_stms
   in
   Alcotest.(check string)
@@ -322,17 +322,17 @@ let test_pinned_chaos_stress_digest () =
    pinned, so a sampler that draws at a different point, in a different
    order or from a different index moves this digest. *)
 let test_pinned_real_sampler_digest () =
-  let module Fault = Tstm_fault.Fault in
+  let module Plan = Tstm_chaos.Plan in
   let module Ring = Tstm_obs.Ring in
   let spec =
     W.make ~structure:W.List ~initial_size:64 ~update_pct:20.0 ~nthreads:4
       ~duration:0.002 ~seed:5 ()
   in
   let config =
-    { Fault.crash_pct = 0.0; hang_pct = 0.5; hang_us = 1; oom_pct = 2.0 }
+    Plan.Real { crash_pct = 0.0; hang_pct = 0.5; hang_us = 1; oom_pct = 2.0 }
   in
   let run stm =
-    Fault.with_plan ~config ~seed:3 (fun () ->
+    Plan.with_plan ~config ~seed:3 (fun () ->
         let r, c, _ =
           Scenario.run_intset_observed ~stm ~period:0.001 ~n_periods:2 spec
         in
@@ -348,7 +348,7 @@ let test_pinned_real_sampler_digest () =
         Printf.sprintf
           "%s fired=%d decisions=%d commits=%d aborts_alloc=%d \
            faults_hang=%d%s"
-          stm (Fault.fired ()) (Fault.decisions ()) r.W.commits
+          stm (Plan.fired ()) (Plan.decisions ()) r.W.commits
           r.W.stats.Tstm_tm.Tm_stats.aborts_alloc
           r.W.stats.Tstm_tm.Tm_stats.faults_hang (Buffer.contents faults))
   in

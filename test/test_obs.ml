@@ -199,18 +199,17 @@ let test_null_sink_neutral () =
 (* The probe gate is on exactly while some hook system is armed, and the
    scoped arming helpers restore it even when their body raises. *)
 let test_probe_gate () =
-  let module Chaos = Tstm_chaos.Chaos in
+  let module Plan = Tstm_chaos.Plan in
   let module San = Tstm_san.San in
-  let module Fault = Tstm_fault.Fault in
+  let config = Plan.Sim Plan.sim_default in
   let on = Tstm_tm.Probe.on in
   let check msg want = Alcotest.(check bool) msg want (on ()) in
   let collect () = Obs.Sink.install (Obs.Sink.Collect (Obs.Sink.collector ())) in
   let systems =
     [
       ("sink", collect, fun () -> Obs.Sink.install Obs.Sink.Null);
-      ("chaos", (fun () -> Chaos.activate ~seed:1 ()), Chaos.deactivate);
+      ("plan", (fun () -> Plan.activate ~config ~seed:1 ()), Plan.deactivate);
       ("san", (fun () -> San.arm ~ncpus:2 ()), San.disarm);
-      ("fault", (fun () -> Fault.activate ~seed:1 ()), Fault.deactivate);
     ]
   in
   check "off with nothing armed" false;
@@ -221,14 +220,14 @@ let test_probe_gate () =
       disarm ();
       check (name ^ " disarmed turns it off") false)
     systems;
-  (* All four armed: the gate stays on until the last one is disarmed. *)
+  (* All three armed: the gate stays on until the last one is disarmed. *)
   List.iter (fun (_, arm, _) -> arm ()) systems;
   List.iteri
     (fun i (name, _, disarm) ->
       disarm ();
       check
-        (Printf.sprintf "after disarming %s (%d left)" name (3 - i))
-        (i < 3))
+        (Printf.sprintf "after disarming %s (%d left)" name (2 - i))
+        (i < 2))
     (List.rev systems);
   let raises name f =
     let body () =
@@ -240,8 +239,7 @@ let test_probe_gate () =
     | exception Exit -> ());
     check (name ^ " restores the gate after a raise") false
   in
-  raises "Chaos.with_plan" (fun body -> Chaos.with_plan ~seed:1 body);
-  raises "Fault.with_plan" (fun body -> Fault.with_plan ~seed:1 body);
+  raises "Plan.with_plan" (fun body -> Plan.with_plan ~config ~seed:1 body);
   raises "San.with_armed" (fun body -> fst (San.with_armed ~ncpus:2 body));
   raises "Sink.with_sink" (fun body ->
       Obs.Sink.with_sink (Obs.Sink.Collect (Obs.Sink.collector ())) body)

@@ -395,7 +395,7 @@ let test_healed_respawns_crashed_workers () =
     Runtime_real.run_healed ~nthreads:n (fun tid ->
         if not (Atomic.exchange crashed.(tid) true) then
           raise
-            (Tstm_fault.Fault.Injected_crash { tid; point = "test" });
+            (Tstm_chaos.Plan.Injected_crash { tid; point = "test" });
         Atomic.incr completed.(tid))
   in
   check_int "one crash healed per tid" n r.Runtime_real.crashes_healed;
@@ -410,10 +410,10 @@ let test_healed_requeue_budget_bounds_crash_loops () =
      budget runs out and the crash propagates as that worker's error. *)
   match
     Runtime_real.run_healed ~max_requeues:3 ~nthreads:1 (fun tid ->
-        raise (Tstm_fault.Fault.Injected_crash { tid; point = "test" }))
+        raise (Tstm_chaos.Plan.Injected_crash { tid; point = "test" }))
   with
   | _ -> Alcotest.fail "endless crash loop terminated without error"
-  | exception Tstm_fault.Fault.Injected_crash _ -> ()
+  | exception Tstm_chaos.Plan.Injected_crash _ -> ()
 
 let test_healed_propagates_non_crash_errors () =
   (* Only injected crashes are healed; a plain job exception fails the

@@ -6,7 +6,7 @@
 module San = Tstm_san.San
 module R = Tstm_runtime.Runtime_sim
 module V = Tstm_vmm.Vmm.Make (Tstm_runtime.Runtime_sim)
-module Chaos = Tstm_chaos.Chaos
+module Plan = Tstm_chaos.Plan
 module St = Tstm_harness.Stress
 module S = Tstm_harness.Scenario
 module W = Tstm_harness.Workload
@@ -224,7 +224,7 @@ let teeth ?(kinds = [ San.Stale_read ]) ?(allow_tie = false) stm bug () =
   let san, chk, fs = first_seeds spec in
   check_bool
     (Printf.sprintf "sanitizer flags %s on %s (first seed %d)"
-       (Chaos.bug_name bug) stm san)
+       (Plan.bug_name bug) stm san)
     true (san >= 0);
   check_bool
     (Printf.sprintf "sanitizer needs %s seeds (san %d, checker %s)"
@@ -319,15 +319,15 @@ let () =
       ( "teeth",
         [
           Alcotest.test_case "skip-extension on wb" `Quick
-            (teeth "tinystm-wb" Chaos.Skip_extension);
+            (teeth "tinystm-wb" Plan.Skip_extension);
           Alcotest.test_case "skip-validation on tl2" `Quick
-            (teeth "tl2" Chaos.Skip_validation);
+            (teeth "tl2" Plan.Skip_validation);
           Alcotest.test_case "skip-validation on norec (torn commit)" `Quick
-            (teeth ~allow_tie:true "norec" Chaos.Skip_validation);
+            (teeth ~allow_tie:true "norec" Plan.Skip_validation);
           Alcotest.test_case "skip-extension on norec" `Quick
             (teeth
                ~kinds:[ San.Read_beyond_snapshot; San.Stale_read ]
-               "norec" Chaos.Skip_extension);
+               "norec" Plan.Skip_extension);
         ] );
       ( "precision",
         [

@@ -238,7 +238,7 @@ let test_replay_lines_roundtrip () =
       cm = "karma";
       pattern = W.Zipf 0.9999999;
       site_limit = Some 4;
-      bug = Some Tstm_chaos.Chaos.Skip_validation;
+      bug = Some Tstm_chaos.Plan.Skip_validation;
       window = 24;
       san = true;
     };
@@ -299,7 +299,7 @@ let test_replay_lines_roundtrip () =
     (fun (c : Cli.Fault.t) -> c.spec)
     {
       FR.stm = "norec";
-      kind = Tstm_fault.Fault.Hang;
+      kind = FR.Hang;
       structure = W.List;
       domains = 2;
       per_thread = 50;
