@@ -1,15 +1,7 @@
-(* One process-global perturbation plan, two samplers.
-
-   The simulator's sampler draws from one SplitMix64 stream: sound only
-   because the simulator is single-threaded under the hood.  On real
-   domains decisions are made concurrently, so the stream is replaced by a
-   stateless hash of (seed, tid, per-tid decision index).  Everything
-   else — lifecycle, limit, counters, masks, heartbeats — is shared.
-
-   Past the limit the stream sampler stops touching its RNG: no further
-   decision can fire, and runs with different limits may diverge (the
-   schedule already has).  A run capped at [limit = fired ()] of a
-   previous run therefore reproduces that run exactly. *)
+(* The perturbation plan; plan.mli describes its two samplers and their
+   replay discipline.  Past the limit the stream sampler stops touching
+   its RNG: no further decision can fire, and runs with different limits
+   may diverge (the schedule already has). *)
 
 module X = Tstm_util.Xrand
 module Bitops = Tstm_util.Bitops

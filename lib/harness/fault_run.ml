@@ -58,7 +58,8 @@ let config_for k =
   Plan.Real
     (match k with
     | Crash -> { crash_pct = 2.0; hang_pct = 0.0; hang_us = 1; oom_pct = 0.0 }
-    | Hang -> { crash_pct = 0.0; hang_pct = 2.0; hang_us = 20_000; oom_pct = 0.0 }
+    | Hang ->
+        { crash_pct = 0.0; hang_pct = 2.0; hang_us = 20_000; oom_pct = 0.0 }
     | Oom -> { crash_pct = 0.0; hang_pct = 0.0; hang_us = 1; oom_pct = 5.0 })
 
 (* Injected hangs stall up to hang_us = 20 ms; a 5 ms heartbeat timeout

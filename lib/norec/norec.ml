@@ -286,7 +286,8 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       else begin
         (* Stored before the probe: the sanitizer ignores "ctl". *)
         if t.cm_active then R.set t.ctl committer_slot d.tid;
-        if Probe.on () then Probe.seqlock_acquired ~cpu:d.tid d.stats ~drawn:(p.rv + 2)
+        if Probe.on () then
+          Probe.seqlock_acquired ~cpu:d.tid d.stats ~drawn:(p.rv + 2)
       end
     end
 

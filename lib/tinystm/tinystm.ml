@@ -519,7 +519,8 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
               R.cas t.locks li l
                 (Lockenc.locked ~tid:d.tid ~payload:(G.length p.w_addr))
             then begin
-              if Probe.on () then Probe.lock_acquired ~cpu:d.tid d.stats ~lock:li;
+              if Probe.on () then
+                Probe.lock_acquired ~cpu:d.tid d.stats ~lock:li;
               hier_note_acquired t p addr;
               G.push p.l_idx li;
               G.push p.l_old l;
@@ -537,7 +538,8 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
         | Config.Write_through ->
             if Probe.on () then Probe.perturb ~tid:d.tid d.stats Lock_cas;
             if R.cas t.locks li l (Lockenc.locked ~tid:d.tid ~payload:0) then begin
-              if Probe.on () then Probe.lock_acquired ~cpu:d.tid d.stats ~lock:li;
+              if Probe.on () then
+                Probe.lock_acquired ~cpu:d.tid d.stats ~lock:li;
               hier_note_acquired t p addr;
               G.push p.l_idx li;
               G.push p.l_old l;

@@ -87,7 +87,7 @@ let test_exact_lines () =
     ~line:3 ~rule:"layering";
   expect
     ~path:(corpus ^ "/lib/tinystm/bad_plan_layering.ml")
-    ~line:3 ~rule:"layering";
+    ~line:4 ~rule:"layering";
   expect ~path:(corpus ^ "/lib/vmm/dune") ~line:3 ~rule:"layering";
   expect ~path:(corpus ^ "/bin/bad_random_cli.ml") ~line:2
     ~rule:"stdlib-random"
