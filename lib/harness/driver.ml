@@ -2,6 +2,7 @@ module Make
     (R : Tstm_runtime.Runtime_intf.S)
     (T : Tstm_tm.Tm_intf.TM) =
 struct
+  module Shm = Tstm_runtime.Shm
   module Ll = Tstm_structures.Intset_list.Make (T)
   module Rb = Tstm_structures.Rbtree.Make (T)
   module Sk = Tstm_structures.Skiplist.Make (T)
@@ -90,7 +91,7 @@ struct
      every update transaction performs writes and the structure size stays
      (almost) constant — the paper's harness discipline. *)
   let step t ops (spec : Workload.spec) ctx g pending =
-    if ctx.idle > 0 then R.charge_local ctx.idle;
+    if ctx.idle > 0 then Shm.charge_local ctx.idle;
     if ctx.span > 0 then
       (* Long-reader role (bimodal pattern): one scan transaction of [span]
          lookups instead of the paper mix. *)
@@ -150,7 +151,7 @@ struct
            the pattern contributes key skew and per-thread think-time. *)
         let idle = Workload.idle_cycles pattern ~tid in
         for _ = 1 to per_thread do
-          if idle > 0 then R.charge_local idle;
+          if idle > 0 then Shm.charge_local idle;
           let key = draw_key g in
           let op =
             match Tstm_util.Xrand.int g 4 with
@@ -223,11 +224,11 @@ struct
           while !periods_done < n_periods do
             step t ops spec ctx g pending;
             incr mine;
-            R.set ctl (commit_slot 0) !mine;
+            Shm.set ctl (commit_slot 0) !mine;
             if R.now () >= !next then begin
               let total = ref 0 in
               for k = 0 to spec.Workload.nthreads - 1 do
-                total := !total + R.get ctl (commit_slot k)
+                total := !total + Shm.get ctl (commit_slot k)
               done;
               let thr = float_of_int (!total - !last_total) /. period in
               last_total := !total;
@@ -236,13 +237,13 @@ struct
               next := R.now () +. period
             end
           done;
-          R.set ctl stop_slot 1
+          Shm.set ctl stop_slot 1
         end
         else
-          while R.get ctl stop_slot = 0 do
+          while Shm.get ctl stop_slot = 0 do
             step t ops spec ctx g pending;
             incr mine;
-            R.set ctl (commit_slot tid) !mine
+            Shm.set ctl (commit_slot tid) !mine
           done)
 
   (* ------------------------------------------------------------------ *)

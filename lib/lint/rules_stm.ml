@@ -137,10 +137,85 @@ let vmm_charge =
                         (Printf.sprintf
                            "entry point `%s` reaches a raw Vmm load/store \
                             but never charges Sim_sched cycles \
-                            (R.charge/charge_local/charge_noyield)"
+                            (Shm.charge/charge_local, \
+                            Sim_sched.charge_noyield)"
                            f.fn_name))
                  else None)
                g.roots))
+
+(* --- runtime-direct -------------------------------------------------- *)
+
+(* The operations every barrier makes: reached through a functor's runtime
+   argument they compile, without flambda, to [caml_applyN] plus an
+   indirect call per access; [Shm] has them as direct calls. *)
+let runtime_ops =
+  [ "get"; "set"; "cas"; "fetch_add"; "sarray_length"; "sarray_label";
+    "charge"; "charge_local"; "yield"; "tid"; "is_simulated" ]
+
+let is_runtime_sig (mty : Parsetree.module_type) =
+  match mty.pmty_desc with
+  | Pmty_ident { txt; _ } -> Astq.suffix_matches ~pat:[ "Runtime_intf"; "S" ] txt
+  | _ -> false
+
+(* Every [P.op] inside the body of a functor whose parameter [P] has the
+   runtime signature. *)
+let runtime_calls str =
+  let out = ref [] in
+  let params = ref [] in
+  let open Ast_iterator in
+  let it =
+    {
+      default_iterator with
+      module_expr =
+        (fun it m ->
+          match m.pmod_desc with
+          | Pmod_functor (Named ({ txt = Some p; _ }, mty), body)
+            when is_runtime_sig mty ->
+              it.module_type it mty;
+              params := p :: !params;
+              it.module_expr it body;
+              params := List.tl !params
+          | _ -> default_iterator.module_expr it m);
+      expr =
+        (fun it e ->
+          (match e.pexp_desc with
+          | Pexp_ident { txt; loc } -> (
+              match Astq.flatten txt with
+              | Some (p :: (_ :: _ as rest))
+                when List.mem p !params
+                     && List.mem (List.nth rest (List.length rest - 1))
+                          runtime_ops ->
+                  out := (String.concat "." (p :: rest), loc) :: !out
+              | _ -> ())
+          | _ -> ());
+          default_iterator.expr it e);
+    }
+  in
+  it.structure it str;
+  List.rev !out
+
+let runtime_direct =
+  let id = "runtime-direct" in
+  mk ~id ~severity:Finding.Error
+    ~scope_doc:"lib/vmm, lib/tm, lib/tinystm, lib/tl2, lib/norec"
+    ~scope:(fun p -> in_stm p || under2 ~a:"lib" ~b:"vmm" p)
+    ~doc:
+      "shared-memory accesses, charges, yields and thread ids are direct \
+       Shm calls, never paths through the functor's runtime argument"
+    (File_pass
+       (fun file ->
+         match file.str with
+         | None -> []
+         | Some str ->
+             List.map
+               (fun (path, loc) ->
+                 Finding.of_location ~rule:id ~severity:Finding.Error loc
+                   (Printf.sprintf
+                      "`%s` goes through the runtime functor argument \
+                       (caml_applyN and an indirect call per access); call \
+                       Shm directly"
+                      path))
+               (runtime_calls str)))
 
 (* --- tap-pairing ----------------------------------------------------- *)
 
@@ -357,4 +432,5 @@ let layering =
            files;
          List.rev !out))
 
-let rules = [ stm_lock_pairing; vmm_charge; tap_pairing; layering ]
+let rules =
+  [ stm_lock_pairing; vmm_charge; runtime_direct; tap_pairing; layering ]

@@ -10,6 +10,10 @@
     - [vmm-charge] (the same directories plus lib/structures): raw Vmm word
       accesses ([V.load]/[V.store]) are only reachable from entry points
       that charge Sim_sched cycles.
+    - [runtime-direct] (lib/vmm, lib/tm, lib/tinystm, lib/tl2, lib/norec):
+      inside a functor over [Runtime_intf.S], no path through the runtime
+      parameter reaches an access, charge, yield or thread id
+      ([R.get], [R.charge], [R.tid], ...); those are direct [Shm] calls.
     - [tap-pairing] (lib): sanitizer/tap producer hooks come in pairs per
       module (acquire/release, tx_begin/tx_exit, fence entry/exit,
       suspend/resume, vmm_alloc/vmm_free).

@@ -7,6 +7,7 @@
 module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   module V = Tstm_vmm.Vmm.Make (R)
   module G = Tstm_util.Growbuf
+  module Shm = Tstm_runtime.Shm
   module Bloom = Tstm_util.Bloom
   module Stats = Tstm_tm.Tm_stats
   module Tx = Tstm_tm.Tx_core
@@ -39,8 +40,9 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
 
   type inst = {
     mem : V.t;
-    ctl : R.sarray;  (* fence mode / sequence lock / committer, padded *)
-    prios : R.sarray;  (* the core's published priorities *)
+    words : Shm.t;  (* [V.words mem], read by every barrier *)
+    ctl : Shm.t;  (* fence mode / sequence lock / committer, padded *)
+    prios : Shm.t;  (* the core's published priorities *)
     cm_active : bool;
   }
 
@@ -91,10 +93,10 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     | Cm.Backoff | Cm.Serialize _ -> ()
     | Cm.Suicide -> abort reason
     | Cm.Karma | Cm.Greedy ->
-        let enemy = R.get t.ctl committer_slot in
+        let enemy = Shm.get t.ctl committer_slot in
         if enemy <> d.tid then begin
-          let self_prio = R.get t.prios (flag_slot d.tid) in
-          let enemy_prio = R.get t.prios (flag_slot enemy) in
+          let self_prio = Shm.get t.prios (flag_slot d.tid) in
+          let enemy_prio = Shm.get t.prios (flag_slot enemy) in
           match
             Cm.on_enemy d.eff_cm ~self_prio ~enemy_prio ~self_tid:d.tid
               ~enemy_tid:enemy
@@ -106,12 +108,12 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   (* Sample the sequence word until it is even; consult the contention
      manager at every held observation. *)
   let rec seq_even t d ~reason =
-    R.charge_local c_seq;
-    let s = R.get t.ctl seq_slot in
+    Shm.charge_local c_seq;
+    let s = Shm.get t.ctl seq_slot in
     if not (seq_locked s) then s
     else begin
       conflict_on_holder t d ~reason;
-      R.yield ();
+      Shm.yield ();
       seq_even t d ~reason
     end
 
@@ -122,22 +124,22 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   let rec validate t (d : tx) ~reason =
     d.stats.Stats.validations <- d.stats.Stats.validations + 1;
     let time = seq_even t d ~reason in
-    let words = V.words t.mem in
+    let words = t.words in
     let p = d.p in
     let n = G.length p.r_addr in
     let ok = ref true in
     let k = ref 0 in
     while !ok && !k < n do
-      R.charge_local c_val;
+      Shm.charge_local c_val;
       d.stats.Stats.val_locks_processed <-
         d.stats.Stats.val_locks_processed + 1;
-      if R.get words (G.get p.r_addr !k) <> G.get p.r_val !k then ok := false;
+      if Shm.get words (G.get p.r_addr !k) <> G.get p.r_val !k then ok := false;
       k := !k + 1
     done;
     if not !ok then abort Stats.Validation_failed
     else begin
-      R.charge_local c_seq;
-      if R.get t.ctl seq_slot <> time then validate t d ~reason else time
+      Shm.charge_local c_seq;
+      if Shm.get t.ctl seq_slot <> time then validate t d ~reason else time
     end
 
   (* Fast-forward: move the snapshot to the current sequence value after a
@@ -164,12 +166,12 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
 
   (* Search the write set backwards so the most recent write wins. *)
   let write_set_find p addr =
-    R.charge_local c_bloom;
+    Shm.charge_local c_bloom;
     if Bloom.may_contain p.bloom addr then begin
       let rec go k =
         if k < 0 then None
         else begin
-          R.charge_local c_scan;
+          Shm.charge_local c_scan;
           if G.get p.w_addr k = addr then Some k else go (k - 1)
         end
       in
@@ -178,10 +180,10 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     else None
 
   let read_word t (d : tx) addr =
-    R.charge_local c_op;
+    Shm.charge_local c_op;
     if d.irrevocable then begin
       d.stats.Stats.reads <- d.stats.Stats.reads + 1;
-      R.get (V.words t.mem) addr
+      Shm.get t.words addr
     end
     else
       let p = d.p in
@@ -190,17 +192,17 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
           d.stats.Stats.reads <- d.stats.Stats.reads + 1;
           G.get p.w_val k
       | None ->
-          let words = V.words t.mem in
-          let v = ref (R.get words addr) in
+          let words = t.words in
+          let v = ref (Shm.get words addr) in
           (* The NOrec post-validation loop: the value is accepted only
              when the sequence word still equals the snapshot after the
              load; any movement (a writer committing or committed)
              triggers validation and fast-forward, then a re-read. *)
-          R.charge_local c_seq;
-          while R.get t.ctl seq_slot <> p.rv do
+          Shm.charge_local c_seq;
+          while Shm.get t.ctl seq_slot <> p.rv do
             extend t d ~reason:Stats.Read_conflict;
-            v := R.get words addr;
-            R.charge_local c_seq
+            v := Shm.get words addr;
+            Shm.charge_local c_seq
           done;
           G.push p.r_addr addr;
           G.push p.r_val !v;
@@ -209,11 +211,11 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
           !v
 
   let write_word t (d : tx) addr v =
-    R.charge_local c_op;
+    Shm.charge_local c_op;
     if d.read_only then invalid_arg "Norec.write: transaction is read-only";
     if d.irrevocable then begin
       d.stats.Stats.writes <- d.stats.Stats.writes + 1;
-      R.set (V.words t.mem) addr v
+      Shm.set t.words addr v
     end
     else begin
       let p = d.p in
@@ -246,10 +248,10 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
      contention decision here — nothing is invested yet, so aborting self
      would only re-enter the same wait. *)
   let rec sample_snapshot t =
-    R.charge_local c_seq;
-    let s = R.get t.ctl seq_slot in
+    Shm.charge_local c_seq;
+    let s = Shm.get t.ctl seq_slot in
     if seq_locked s then begin
-      R.yield ();
+      Shm.yield ();
       sample_snapshot t
     end
     else s
@@ -265,11 +267,11 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
      [Skip_validation] bug blindly fast-forwards instead — the classic
      torn-commit mistake value validation exists to prevent. *)
   let rec acquire_seq t (d : tx) =
-    R.charge_local c_seq;
-    let s = R.get t.ctl seq_slot in
+    Shm.charge_local c_seq;
+    let s = Shm.get t.ctl seq_slot in
     if seq_locked s then begin
       conflict_on_holder t d ~reason:Stats.Write_conflict;
-      R.yield ();
+      Shm.yield ();
       acquire_seq t d
     end
     else begin
@@ -282,10 +284,10 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
            if Probe.on () then Probe.seqlock_validate ~cpu:d.tid ~value:time
          end);
       if Probe.on () then Probe.perturb ~tid:d.tid d.stats Lock_cas;
-      if not (R.cas t.ctl seq_slot p.rv (p.rv + 1)) then acquire_seq t d
+      if not (Shm.cas t.ctl seq_slot p.rv (p.rv + 1)) then acquire_seq t d
       else begin
         (* Stored before the probe: the sanitizer ignores "ctl". *)
-        if t.cm_active then R.set t.ctl committer_slot d.tid;
+        if t.cm_active then Shm.set t.ctl committer_slot d.tid;
         if Probe.on () then
           Probe.seqlock_acquired ~cpu:d.tid d.stats ~drawn:(p.rv + 2)
       end
@@ -300,15 +302,15 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       acquire_seq t d;
       if Probe.on () then Probe.perturb ~tid:d.tid d.stats Write_back;
       let wv = p.rv + 2 in
-      let words = V.words t.mem in
+      let words = t.words in
       for k = 0 to G.length p.w_addr - 1 do
-        R.set words (G.get p.w_addr k) (G.get p.w_val k)
+        Shm.set words (G.get p.w_addr k) (G.get p.w_val k)
       done;
       (* The snapshot-consistency check must see the write set still under
          the sequence lock, before the new even value is published. *)
       if Probe.on () then Probe.commit_publish ~cpu:d.tid ~wv;
       if Probe.on () then Probe.perturb ~tid:d.tid d.stats Clock_inc;
-      R.set t.ctl seq_slot wv;
+      Shm.set t.ctl seq_slot wv;
       if Probe.on () then Probe.seqlock_released ~cpu:d.tid;
       wv
     end
@@ -323,11 +325,11 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
      cannot fail. *)
   let serial_commit (d : tx) =
     let t = d.owner in
-    let s = R.get t.ctl seq_slot in
+    let s = Shm.get t.ctl seq_slot in
     let wv = s + 2 in
-    ignore (R.cas t.ctl seq_slot s (s + 1));
+    ignore (Shm.cas t.ctl seq_slot s (s + 1));
     if Probe.on () then Probe.serial_seqlock_acquired ~cpu:d.tid ~wv;
-    R.set t.ctl seq_slot wv;
+    Shm.set t.ctl seq_slot wv;
     if Probe.on () then Probe.serial_seqlock_released ~cpu:d.tid;
     wv
 
@@ -367,13 +369,14 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     let flags = R.sarray_make (flag_slot max_threads + 8) 0 in
     let ctl = R.sarray_make ctl_len 0 in
     let mem = V.create ~words:memory_words in
-    R.sarray_label (V.words mem) "mem";
+    let words = V.words mem in
+    Shm.label words "mem";
     Core.make
-      { mem; ctl; prios; cm_active }
+      { mem; words; ctl; prios; cm_active }
       ~ctl ~mode_slot ~flags ~prios ~max_threads ~max_retries ~cm ?watchdog ()
 
   let memory t = (Core.fam t).mem
-  let clock_value t = R.get (Core.fam t).ctl seq_slot
+  let clock_value t = Shm.get (Core.fam t).ctl seq_slot
   let read (tx : tx) addr = read_word tx.owner tx addr
   let write (tx : tx) addr v = write_word tx.owner tx addr v
   let alloc = Core.alloc

@@ -1,7 +1,7 @@
 (** The execution substrate every other library is parameterised over.
 
-    A [RUNTIME] provides (i) shared flat [int] arrays with atomic operations
-    — the only memory the STM metadata and the virtual word memory live in —
+    A [RUNTIME] provides (i) construction of the shared flat [int] arrays —
+    the only memory the STM metadata and the virtual word memory live in —
     and (ii) a notion of threads and time.  Two implementations exist:
 
     - {!Runtime_real}: OCaml 5 domains and [Atomic]; wall-clock time; cycle
@@ -12,70 +12,39 @@
       thread-scaling figures on a single-core machine.
 
     The STM algorithms are written once against this signature, so the code
-    that produces the figures is the same code that runs on real domains. *)
+    that produces the figures is the same code that runs on real domains.
+
+    Accessing an array, charging cycles, yielding and asking for the
+    thread id are not here: they are the concrete {!Shm} operations, which
+    the barriers call directly so that no access goes through the functor
+    argument (DESIGN.md §4k).  What remains ties a packaging to its
+    runtime: which kind of array [sarray_make] builds, how [run] schedules
+    threads, and which clock [now]/[now_cycles] read. *)
 
 module type S = sig
   val name : string
   (** Human-readable runtime name, e.g. ["sim"] or ["domains"]. *)
 
-  val is_simulated : bool
-
-  (** {1 Shared memory} *)
-
-  type sarray
-  (** A fixed-length array of [int] words shared between threads.  All
-      accesses behave as sequentially consistent atomic operations. *)
+  type sarray = Shm.t
+  (** A fixed-length array of [int] words shared between threads; see
+      {!Shm} for its operations. *)
 
   val sarray_make : int -> int -> sarray
-  (** [sarray_make len init]. *)
-
-  val sarray_length : sarray -> int
-
-  val get : sarray -> int -> int
-  val set : sarray -> int -> int -> unit
-
-  val cas : sarray -> int -> int -> int -> bool
-  (** [cas a i expected desired] atomically replaces [a.(i)] when it equals
-      [expected]; returns whether it did. *)
-
-  val fetch_add : sarray -> int -> int -> int
-  (** [fetch_add a i d] atomically adds [d] and returns the previous value. *)
-
-  (** {1 Threads and time} *)
+  (** [sarray_make len init]: a [Shm.Sim] array in the simulator, a
+      [Shm.Real] one on real hardware. *)
 
   val run : nthreads:int -> (int -> unit) -> unit
   (** [run ~nthreads body] executes [body tid] for [tid] in [0..nthreads-1],
       one thread per (real or simulated) CPU, and returns when all have
       finished.  Calls must not be nested. *)
 
-  val tid : unit -> int
-  (** Id of the calling thread; [0] outside {!run}. *)
-
   val now : unit -> float
   (** Seconds.  In the simulator this is the calling fiber's virtual time and
-      it only advances through {!charge} and shared-memory operations; in the
+      it only advances through charges and shared-memory operations; in the
       real runtime it is the wall clock. *)
 
   val now_cycles : unit -> int
   (** Cycle-granularity timestamp for event tracing: the calling fiber's
       virtual time in the simulator, wall-clock nanoseconds on real
       hardware.  [0] outside {!run} in the simulator. *)
-
-  val sarray_label : sarray -> string -> unit
-  (** Name a shared array for contention attribution in traces (e.g.
-      ["locks"]).  A no-op on real hardware and whenever the observability
-      sink is disabled; never affects costs or results. *)
-
-  val charge : int -> unit
-  (** [charge c] accounts [c] cycles of thread-private work.  In the
-      simulator this is also a preemption point; a no-op on real hardware. *)
-
-  val charge_local : int -> unit
-  (** Like {!charge} but never a preemption point — for small bookkeeping
-      costs where a context switch per call would only slow the simulation
-      (interleaving at shared-memory operations is what matters for
-      correctness).  A no-op on real hardware. *)
-
-  val yield : unit -> unit
-  (** Politely give other threads a chance to run (spin-wait back-off). *)
 end

@@ -1,17 +1,22 @@
 let name = "domains"
 let is_simulated = false
 
-type sarray = int Atomic.t array
+type sarray = Shm.t
 
-let sarray_make len init = Array.init len (fun _ -> Atomic.make init)
-let sarray_length = Array.length
-let get a i = Atomic.get a.(i)
-let set a i v = Atomic.set a.(i) v
-let cas a i expected desired = Atomic.compare_and_set a.(i) expected desired
-let fetch_add a i d = Atomic.fetch_and_add a.(i) d
+let sarray_make len init = Shm.Real (Array.init len (fun _ -> Atomic.make init))
 
-let tid_key = Domain.DLS.new_key (fun () -> 0)
-let tid () = Domain.DLS.get tid_key
+(* The per-access code lives in [Shm]; these are its names under this
+   runtime. *)
+let sarray_length = Shm.length
+let get = Shm.get
+let set = Shm.set
+let cas = Shm.cas
+let fetch_add = Shm.fetch_add
+let sarray_label = Shm.label
+let tid = Shm.tid
+let charge = Shm.charge
+let charge_local = Shm.charge_local
+let yield = Shm.yield
 
 (* Worker-domain pool.
 
@@ -121,7 +126,7 @@ let run ~nthreads body =
     ~finally:(fun () -> in_run := false)
     (fun () ->
       let job i () =
-        Domain.DLS.set tid_key i;
+        Shm.set_real_tid i;
         body i
       in
       let workers = ensure_workers (nthreads - 1) in
@@ -171,7 +176,7 @@ let run_healed ?(hang_timeout_s = 0.05) ?(poll_s = 0.001) ?(max_requeues = 128)
   in_run := true;
   Fun.protect ~finally:(fun () -> in_run := false) @@ fun () ->
   let job i () =
-    Domain.DLS.set tid_key i;
+    Shm.set_real_tid i;
     (* One explicit heartbeat at job start, so a worker that crashes or
        hangs before its first linearization point is still monitored. *)
     Plan.tick ~tid:i;
@@ -276,7 +281,3 @@ let run_healed ?(hang_timeout_s = 0.05) ?(poll_s = 0.001) ?(max_requeues = 128)
 
 let now () = Tstm_obs.Monotonic.now_s ()
 let now_cycles () = Tstm_obs.Monotonic.now_ns ()
-let sarray_label _ _ = ()
-let charge _ = ()
-let charge_local _ = ()
-let yield () = Domain.cpu_relax ()

@@ -1,21 +1,24 @@
 (** The real-hardware implementation of {!Runtime_intf.S}: one OCaml domain
     per thread, [Atomic] cells for shared words, monotonic wall-clock time,
-    and zero-cost [charge].  Functionally interchangeable with
+    and zero-cost charges.  Functionally interchangeable with
     {!Runtime_sim}; used by the wall-clock bench path
     ([Tstm_harness.Bench_real]), the examples, and tests that exercise true
     parallelism.
 
     {2 Semantics and guarantees}
 
-    - {b Shared arrays.}  [sarray] is an [int Atomic.t array]; [get]/[set]
-      are sequentially-consistent atomic loads/stores, [cas] is
+    - {b Shared arrays.}  [sarray_make] builds a [Shm.Real], an
+      [int Atomic.t array]; the STM barriers access it through {!Shm}
+      directly, never through this module.  [get]/[set] are
+      sequentially-consistent atomic loads/stores, [cas] is
       [Atomic.compare_and_set], and [fetch_add] is the hardware
       [Atomic.fetch_and_add] — a single atomic read-modify-write, safe as a
       clock-bump or counter under contention.
-    - {b Thread identity.}  [tid] reads a domain-local key.  [run]
-      assigns ids [0 .. nthreads-1]; the orchestrating domain is thread 0
-      and worker domains are handed their id with each job, so ids are
-      stable within a run and dense across it — they can index per-thread
+    - {b Thread identity.}  [run] binds each job's id with
+      {!Shm.set_real_tid} (a domain-local key) and {!Shm.tid} reads it.
+      Ids are [0 .. nthreads-1]; the orchestrating domain is thread 0 and
+      worker domains are handed their id with each job, so ids are stable
+      within a run and dense across it — they can index per-thread
       descriptor arrays directly.
     - {b Domain pool.}  Worker domains are spawned once and reused across
       [run] calls (parked on a condition variable between jobs), so a
@@ -35,11 +38,29 @@
       nanoseconds as [int].  Under this runtime a "cycle" is therefore a
       nanosecond, and STM commit/abort latencies recorded through
       [Tstm_obs.Sink] are wall-clock nanoseconds.
-    - {b Costs.}  [charge] / [charge_local] / [sarray_label] are no-ops:
-      real hardware charges its own cycles.  [yield] is
-      [Domain.cpu_relax], suitable inside spin loops. *)
+    - {b Costs.}  Off the simulator {!Shm.charge} / {!Shm.charge_local} /
+      {!Shm.label} are no-ops: real hardware charges its own cycles.
+      {!Shm.yield} is [Domain.cpu_relax], suitable inside spin loops. *)
 
 include Runtime_intf.S
+
+(** {2 Aliases}
+
+    The names this runtime has always exported, bound to {!Shm}'s code. *)
+
+val is_simulated : bool
+(** [false]. *)
+
+val sarray_length : sarray -> int
+val get : sarray -> int -> int
+val set : sarray -> int -> int -> unit
+val cas : sarray -> int -> int -> int -> bool
+val fetch_add : sarray -> int -> int -> int
+val sarray_label : sarray -> string -> unit
+val tid : unit -> int
+val charge : int -> unit
+val charge_local : int -> unit
+val yield : unit -> unit
 
 (** {2 Self-healing runs}
 

@@ -11,73 +11,22 @@ let params () = !current_params
 let name = "sim"
 let is_simulated = true
 
-type sarray = {
-  data : int array;
-  cache : Cache_model.t;
-  p : Cache_model.params;
-  mutable label : string;
-}
+type sarray = Shm.t
 
 let sarray_make len init =
   let p = !current_params in
-  { data = Array.make len init; cache = Cache_model.create !glob len; p;
-    label = "" }
+  Shm.Sim
+    { data = Array.make len init; cache = Cache_model.create !glob len; p;
+      label = "" }
 
-let sarray_length a = Array.length a.data
-
-(* Each access first charges its base cost (a preemption point, so another
-   fiber may interleave here), then executes atomically, adding the
-   cache-contention penalty discovered at execution time.  The [Tap]
-   emission sits inside the same atomic window as the access itself (no
-   charge separates them), so a tap consumer observes accesses in exactly
-   the order they execute; emission never charges cycles, keeping tapped
-   runs bit-identical to untapped ones. *)
-
-let get a i =
-  if Sim_sched.inside () then begin
-    Sim_sched.charge a.p.Cache_model.read_hit;
-    let cost = Cache_model.read_cost a.cache ~cpu:(Sim_sched.tid ()) ~index:i in
-    Sim_sched.charge_noyield (cost - a.p.Cache_model.read_hit)
-  end;
-  let v = a.data.(i) in
-  if Tap.enabled () then Tap.access ~label:a.label ~index:i Tap.Get;
-  v
-
-let set a i v =
-  if Sim_sched.inside () then begin
-    Sim_sched.charge a.p.Cache_model.write_hit;
-    let cost = Cache_model.write_cost a.cache ~cpu:(Sim_sched.tid ()) ~index:i in
-    Sim_sched.charge_noyield (cost - a.p.Cache_model.write_hit)
-  end;
-  a.data.(i) <- v;
-  if Tap.enabled () then Tap.access ~label:a.label ~index:i Tap.Set
-
-let cas a i expected desired =
-  if Sim_sched.inside () then begin
-    Sim_sched.charge (a.p.Cache_model.write_hit + a.p.Cache_model.cas_extra);
-    let cost = Cache_model.write_cost a.cache ~cpu:(Sim_sched.tid ()) ~index:i in
-    Sim_sched.charge_noyield (cost - a.p.Cache_model.write_hit)
-  end;
-  let ok =
-    if a.data.(i) = expected then begin
-      a.data.(i) <- desired;
-      true
-    end
-    else false
-  in
-  if Tap.enabled () then Tap.access ~label:a.label ~index:i (Tap.Cas ok);
-  ok
-
-let fetch_add a i d =
-  if Sim_sched.inside () then begin
-    Sim_sched.charge (a.p.Cache_model.write_hit + a.p.Cache_model.cas_extra);
-    let cost = Cache_model.write_cost a.cache ~cpu:(Sim_sched.tid ()) ~index:i in
-    Sim_sched.charge_noyield (cost - a.p.Cache_model.write_hit)
-  end;
-  let old = a.data.(i) in
-  a.data.(i) <- old + d;
-  if Tap.enabled () then Tap.access ~label:a.label ~index:i Tap.Faa;
-  old
+(* The per-access code lives in [Shm]; these are its names under this
+   runtime. *)
+let sarray_length = Shm.length
+let get = Shm.get
+let set = Shm.set
+let cas = Shm.cas
+let fetch_add = Shm.fetch_add
+let sarray_label = Shm.label
 
 (* Start every run with cold private caches so a result depends only on the
    experiment, not on what the process simulated before.  The run
@@ -91,21 +40,13 @@ let run ~nthreads body =
     ~finally:(fun () -> if Tap.enabled () then Tap.run_boundary ())
     (fun () -> Sim_sched.run ~nthreads body)
 
-let tid = Sim_sched.tid
+let tid = Shm.tid
 
 let now () =
   float_of_int (Sim_sched.now_cycles ())
   /. (!current_params.Cache_model.clock_ghz *. 1e9)
 
 let now_cycles = Sim_sched.now_cycles
-
-let sarray_label a label =
-  a.label <- label;
-  Cache_model.set_label a.cache label
-
-let charge = Sim_sched.charge
-let charge_local = Sim_sched.charge_noyield
-
-(* A blocked spinner must advance virtual time or the min-time scheduler
-   would never run anyone else. *)
-let yield () = Sim_sched.charge 64
+let charge = Shm.charge
+let charge_local = Shm.charge_local
+let yield = Shm.yield

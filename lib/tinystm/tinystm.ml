@@ -5,6 +5,7 @@ module Hmask = Hmask
 module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   module V = Tstm_vmm.Vmm.Make (R)
   module G = Tstm_util.Growbuf
+  module Shm = Tstm_runtime.Shm
   module Stats = Tstm_tm.Tm_stats
   module Tx = Tstm_tm.Tx_core
   open Tx
@@ -29,17 +30,18 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
 
   type inst = {
     mem : V.t;
+    words : Shm.t;  (* [V.words mem], read by every barrier *)
     mutable cfg : Config.t;
-    mutable locks : R.sarray;
-    mutable hier : R.sarray;
-    mutable hier2 : R.sarray;  (* coarser second counter level; len 1 = off *)
-    ctl : R.sarray;  (* clock / fence mode / roll-over count, padded apart *)
+    mutable locks : Shm.t;
+    mutable hier : Shm.t;
+    mutable hier2 : Shm.t;  (* coarser second counter level; len 1 = off *)
+    ctl : Shm.t;  (* clock / fence mode / roll-over count, padded apart *)
     max_clock : int;
     conflict_wait : int;  (* bounded re-check attempts on a foreign lock *)
     cm_active : bool;
       (* kill flags / priorities are live; false on the default path *)
-    kill_flags : R.sarray;  (* per-thread remote-abort flags, padded apart *)
-    prios : R.sarray;  (* the core's published priorities *)
+    kill_flags : Shm.t;  (* per-thread remote-abort flags, padded apart *)
+    prios : Shm.t;  (* the core's published priorities *)
   }
 
   type desc = {
@@ -148,23 +150,23 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   (* ------------------------------------------------------------------ *)
 
   let reset_clock t =
-    R.set t.ctl clock_slot 0;
-    for i = 0 to R.sarray_length t.locks - 1 do
-      R.set t.locks i 0
+    Shm.set t.ctl clock_slot 0;
+    for i = 0 to Shm.length t.locks - 1 do
+      Shm.set t.locks i 0
     done;
-    for i = 0 to R.sarray_length t.hier - 1 do
-      R.set t.hier i 0
+    for i = 0 to Shm.length t.hier - 1 do
+      Shm.set t.hier i 0
     done;
-    for i = 0 to R.sarray_length t.hier2 - 1 do
-      R.set t.hier2 i 0
+    for i = 0 to Shm.length t.hier2 - 1 do
+      Shm.set t.hier2 i 0
     done;
-    ignore (R.fetch_add t.ctl rollover_slot 1);
+    ignore (Shm.fetch_add t.ctl rollover_slot 1);
     if Probe.on () then Probe.clock_rollover ()
 
   (* Another thread may have completed the roll-over while we waited for
      the fence; re-check before paying for the reset. *)
   let roll_over t =
-    if R.get t.ctl clock_slot >= t.max_clock - 1 then reset_clock t
+    if Shm.get t.ctl clock_slot >= t.max_clock - 1 then reset_clock t
 
   (* ------------------------------------------------------------------ *)
   (* Hierarchical locking (paper §3.2)                                   *)
@@ -180,10 +182,10 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   let hier_touch_read t p addr i =
     if hier2_enabled t then begin
       let g = Config.hier2_index t.cfg addr in
-      if Hmask.add p.hmask2 g then p.hsnap2.(g) <- R.get t.hier2 g;
+      if Hmask.add p.hmask2 g then p.hsnap2.(g) <- Shm.get t.hier2 g;
       if
         (not (Hmask.mem p.hmask_read i)) && not (Hmask.mem p.hmask_write i)
-      then p.hsnap.(i) <- R.get t.hier i;
+      then p.hsnap.(i) <- Shm.get t.hier i;
       (* Group membership records the partitions that carry read entries. *)
       if Hmask.add p.hmask_read i then G.push p.l2_members.(g) i
     end
@@ -191,7 +193,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       (not (Hmask.mem p.hmask_read i)) && not (Hmask.mem p.hmask_write i)
     then begin
       ignore (Hmask.add p.hmask_read i);
-      p.hsnap.(i) <- R.get t.hier i
+      p.hsnap.(i) <- Shm.get t.hier i
     end
     else ignore (Hmask.add p.hmask_read i)
 
@@ -210,15 +212,15 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     if hier_enabled t then begin
       let i = Config.hier_index t.cfg addr in
       if (not (Hmask.mem p.hmask_write i)) && not (Hmask.mem p.hmask_read i)
-      then p.hsnap.(i) <- R.get t.hier i;
+      then p.hsnap.(i) <- Shm.get t.hier i;
       ignore (Hmask.add p.hmask_write i);
       p.own_inc.(i) <- p.own_inc.(i) + 1;
-      ignore (R.fetch_add t.hier i 1);
+      ignore (Shm.fetch_add t.hier i 1);
       if hier2_enabled t then begin
         let g = Config.hier2_index t.cfg addr in
-        if Hmask.add p.hmask2 g then p.hsnap2.(g) <- R.get t.hier2 g;
+        if Hmask.add p.hmask2 g then p.hsnap2.(g) <- Shm.get t.hier2 g;
         p.own_inc2.(g) <- p.own_inc2.(g) + 1;
-        ignore (R.fetch_add t.hier2 g 1)
+        ignore (Shm.fetch_add t.hier2 g 1)
       end
     end
 
@@ -234,7 +236,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     while !ok && !k < n do
       let li = G.get buf !k in
       let ver = G.get buf (!k + 1) in
-      let l = R.get t.locks li in
+      let l = Shm.get t.locks li in
       d.stats.Stats.val_locks_processed <-
         d.stats.Stats.val_locks_processed + 1;
       (if Lockenc.is_locked l then begin
@@ -250,7 +252,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   let validate_level1 t (d : tx) ok i =
     if !ok then begin
       let p = d.p in
-      let c = R.get t.hier i in
+      let c = Shm.get t.hier i in
       if c = p.hsnap.(i) + p.own_inc.(i) then
         (* Fast path: no foreign lock acquisition in this partition since we
            first touched it. *)
@@ -269,7 +271,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       Hmask.iter p.hmask2 (fun g ->
           if !ok then begin
             let members = p.l2_members.(g) in
-            let c2 = R.get t.hier2 g in
+            let c2 = Shm.get t.hier2 g in
             if c2 = p.hsnap2.(g) + p.own_inc2.(g) then begin
               let entries = ref 0 in
               for k = 0 to G.length members - 1 do
@@ -292,7 +294,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
 
   let extend t (d : tx) =
     if Probe.on () then Probe.perturb ~tid:d.tid d.stats Clock_sample;
-    let now = R.get t.ctl clock_slot in
+    let now = Shm.get t.ctl clock_slot in
     if Probe.bug_active Probe.Skip_extension then begin
       (* Deliberately broken protocol (chaos bug injection): accept the new
          snapshot bound without validating the read set.  Exists solely so
@@ -320,8 +322,8 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   let rec wait_bounded t li attempts =
     if attempts <= 0 then false
     else begin
-      R.yield ();
-      if Lockenc.is_locked (R.get t.locks li) then
+      Shm.yield ();
+      if Lockenc.is_locked (Shm.get t.locks li) then
         wait_bounded t li (attempts - 1)
       else true
     end
@@ -341,8 +343,8 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     | Cm.Backoff | Cm.Serialize _ -> wait_for_unlock t li
     | Cm.Suicide -> false
     | Cm.Karma | Cm.Greedy -> (
-        let self_prio = R.get t.prios (flag_slot d.tid) in
-        let enemy_prio = R.get t.prios (flag_slot enemy) in
+        let self_prio = Shm.get t.prios (flag_slot d.tid) in
+        let enemy_prio = Shm.get t.prios (flag_slot enemy) in
         match
           Cm.on_enemy d.eff_cm ~self_prio ~enemy_prio ~self_tid:d.tid
             ~enemy_tid:enemy
@@ -350,15 +352,15 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
         | Cm.Abort_now -> false
         | Cm.Wait_retry -> wait_bounded t li Cm.wait_bound
         | Cm.Kill_enemy ->
-            R.set t.kill_flags (flag_slot enemy) 1;
+            Shm.set t.kill_flags (flag_slot enemy) 1;
             wait_bounded t li Cm.wait_bound)
 
   (* Remote-abort poll: a kill-capable enemy flagged us; honour it at the
      next barrier entry (never while irrevocable — those run alone inside
      the fence and cannot be aborted). *)
   let check_killed t (d : tx) =
-    if t.cm_active && R.get t.kill_flags (flag_slot d.tid) <> 0 then begin
-      R.set t.kill_flags (flag_slot d.tid) 0;
+    if t.cm_active && Shm.get t.kill_flags (flag_slot d.tid) <> 0 then begin
+      Shm.set t.kill_flags (flag_slot d.tid) 0;
       abort Stats.Killed
     end
 
@@ -372,15 +374,13 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   (* Read and write barriers (paper §3.1)                                *)
   (* ------------------------------------------------------------------ *)
 
-  let mem_words t = V.words t.mem
-
   let rec read_word t (d : tx) addr =
-    R.charge_local c_op;
+    Shm.charge_local c_op;
     if d.irrevocable then begin
       (* Serial slow path inside the fence: no concurrent transaction exists,
          memory is the truth. *)
       d.stats.Stats.reads <- d.stats.Stats.reads + 1;
-      R.get (mem_words t) addr
+      Shm.get t.words addr
     end
     else begin
     check_killed t d;
@@ -405,7 +405,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       end
     in
     let li = Config.lock_index t.cfg addr in
-    let l1 = R.get t.locks li in
+    let l1 = Shm.get t.locks li in
     if Lockenc.is_locked l1 then begin
       if Lockenc.owner l1 <> d.tid then
         if resolve_conflict t d li (Lockenc.owner l1) then read_word t d addr
@@ -416,13 +416,13 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       | Config.Write_through ->
           (* Memory holds our latest value. *)
           d.stats.Stats.reads <- d.stats.Stats.reads + 1;
-          R.get (mem_words t) addr
+          Shm.get t.words addr
       | Config.Write_back ->
           (* Follow the lock's write-set chain; fall back to memory when the
              lock covers the address but we never wrote it (the committed
              value cannot change while we hold the lock). *)
           let rec find e =
-            if e = 0 then R.get (mem_words t) addr
+            if e = 0 then Shm.get t.words addr
             else
               let k = e - 1 in
               if G.get p.w_addr k = addr then G.get p.w_val k
@@ -432,8 +432,8 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
           find (Lockenc.payload l1)
     end
     else begin
-      let v = R.get (mem_words t) addr in
-      let l2 = R.get t.locks li in
+      let v = Shm.get t.words addr in
+      let l2 = Shm.get t.locks li in
       if l1 <> l2 then
         (* The lock changed under us (concurrent acquire/release or a
            write-through abort bumping the incarnation): retry. *)
@@ -460,18 +460,18 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     end
 
   let rec write_word t (d : tx) addr v =
-    R.charge_local c_op;
+    Shm.charge_local c_op;
     if d.read_only then
       invalid_arg "Tinystm.write: transaction is read-only";
     if d.irrevocable then begin
       d.stats.Stats.writes <- d.stats.Stats.writes + 1;
-      R.set (mem_words t) addr v
+      Shm.set t.words addr v
     end
     else begin
     check_killed t d;
     let p = d.p in
     let li = Config.lock_index t.cfg addr in
-    let l = R.get t.locks li in
+    let l = Shm.get t.locks li in
     if Lockenc.is_locked l then begin
       if Lockenc.owner l <> d.tid then
         if resolve_conflict t d li (Lockenc.owner l) then write_word t d addr v
@@ -481,8 +481,8 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       (match t.cfg.Config.strategy with
       | Config.Write_through ->
           G.push p.u_addr addr;
-          G.push p.u_val (R.get (mem_words t) addr);
-          R.set (mem_words t) addr v
+          G.push p.u_val (Shm.get t.words addr);
+          Shm.set t.words addr v
       | Config.Write_back -> (
           let rec find e =
             if e = 0 then None
@@ -497,7 +497,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
               G.push p.w_addr addr;
               G.push p.w_val v;
               G.push p.w_next (Lockenc.payload l);
-              R.set t.locks li
+              Shm.set t.locks li
                 (Lockenc.locked ~tid:d.tid ~payload:(G.length p.w_addr))));
       d.stats.Stats.writes <- d.stats.Stats.writes + 1
       end
@@ -516,7 +516,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
             G.push p.w_next 0;
             if Probe.on () then Probe.perturb ~tid:d.tid d.stats Lock_cas;
             if
-              R.cas t.locks li l
+              Shm.cas t.locks li l
                 (Lockenc.locked ~tid:d.tid ~payload:(G.length p.w_addr))
             then begin
               if Probe.on () then
@@ -537,15 +537,15 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
             end
         | Config.Write_through ->
             if Probe.on () then Probe.perturb ~tid:d.tid d.stats Lock_cas;
-            if R.cas t.locks li l (Lockenc.locked ~tid:d.tid ~payload:0) then begin
+            if Shm.cas t.locks li l (Lockenc.locked ~tid:d.tid ~payload:0) then begin
               if Probe.on () then
                 Probe.lock_acquired ~cpu:d.tid d.stats ~lock:li;
               hier_note_acquired t p addr;
               G.push p.l_idx li;
               G.push p.l_old l;
               G.push p.u_addr addr;
-              G.push p.u_val (R.get (mem_words t) addr);
-              R.set (mem_words t) addr v;
+              G.push p.u_val (Shm.get t.words addr);
+              Shm.set t.words addr v;
               d.stats.Stats.writes <- d.stats.Stats.writes + 1
             end
             else write_word t d addr v
@@ -577,7 +577,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       p.h_dim <> t.cfg.Config.hierarchy
       || p.h2_dim <> t.cfg.Config.hierarchy2
     then fresh_hier_state p t.cfg.Config.hierarchy t.cfg.Config.hierarchy2;
-    p.rv <- R.get t.ctl clock_slot;
+    p.rv <- Shm.get t.ctl clock_slot;
     if Probe.on () then Probe.clock_read ~cpu:d.tid ~value:p.rv;
     p.rv < t.max_clock - 1
 
@@ -586,7 +586,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     let n = G.length p.l_idx in
     let probing = Probe.on () in
     for k = 0 to n - 1 do
-      R.set t.locks (G.get p.l_idx k)
+      Shm.set t.locks (G.get p.l_idx k)
         (Lockenc.unlocked ~version:wv ~incarnation:0);
       if probing then Probe.lock_released ~cpu:d.tid ~lock:(G.get p.l_idx k)
     done
@@ -602,7 +602,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     | Config.Write_back ->
         (* Memory was never touched: restore the previous lock words. *)
         for k = 0 to n - 1 do
-          R.set t.locks (G.get p.l_idx k) (G.get p.l_old k);
+          Shm.set t.locks (G.get p.l_idx k) (G.get p.l_old k);
           released k
         done
     | Config.Write_through ->
@@ -617,9 +617,9 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
             if inc <= Lockenc.max_incarnation then
               Lockenc.unlocked ~version:(Lockenc.version old) ~incarnation:inc
             else
-              Lockenc.unlocked ~version:(R.get t.ctl clock_slot) ~incarnation:0
+              Lockenc.unlocked ~version:(Shm.get t.ctl clock_slot) ~incarnation:0
           in
-          R.set t.locks (G.get p.l_idx k) word;
+          Shm.set t.locks (G.get p.l_idx k) word;
           released k
         done
 
@@ -629,7 +629,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       (* No locks acquired: the incremental snapshot is consistent as-is. *)
       p.rv
     else begin
-      let wv = R.fetch_add t.ctl clock_slot 1 + 1 in
+      let wv = Shm.fetch_add t.ctl clock_slot 1 + 1 in
       if Probe.on () then Probe.clock_advance ~cpu:d.tid ~drawn:wv;
       if wv >= t.max_clock then abort Stats.Rollover;
       (* Validation is unnecessary when no other transaction committed since
@@ -639,9 +639,9 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       (match t.cfg.Config.strategy with
       | Config.Write_back ->
           let n = G.length p.w_addr in
-          let words = mem_words t in
+          let words = t.words in
           for k = 0 to n - 1 do
-            R.set words (G.get p.w_addr k) (G.get p.w_val k)
+            Shm.set words (G.get p.w_addr k) (G.get p.w_val k)
           done
       | Config.Write_through -> ());
       (* The snapshot-consistency check must see the write set still under
@@ -657,9 +657,9 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     | Config.Write_back -> ()
     | Config.Write_through ->
         (* Undo in reverse order so earlier values win for rewritten words. *)
-        let words = mem_words t in
+        let words = t.words in
         for k = G.length p.u_addr - 1 downto 0 do
-          R.set words (G.get p.u_addr k) (G.get p.u_val k)
+          Shm.set words (G.get p.u_addr k) (G.get p.u_val k)
         done);
     (* Shadow state must be restored while the orecs still protect the
        written words, i.e. before the releases below. *)
@@ -671,11 +671,11 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   let serial_commit (d : tx) =
     let t = d.owner in
     let wv =
-      let wv = R.fetch_add t.ctl clock_slot 1 + 1 in
+      let wv = Shm.fetch_add t.ctl clock_slot 1 + 1 in
       if wv < t.max_clock then wv
       else begin
         reset_clock t;
-        R.fetch_add t.ctl clock_slot 1 + 1
+        Shm.fetch_add t.ctl clock_slot 1 + 1
       end
     in
     if Probe.on () then Probe.serial_publish ~cpu:d.tid ~wv;
@@ -727,13 +727,15 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     let hier = R.sarray_make config.Config.hierarchy 0 in
     let locks = R.sarray_make config.Config.n_locks 0 in
     let mem = V.create ~words:memory_words in
-    R.sarray_label locks "locks";
-    R.sarray_label hier "hier";
-    R.sarray_label hier2 "hier2";
-    R.sarray_label (V.words mem) "mem";
+    let words = V.words mem in
+    Shm.label locks "locks";
+    Shm.label hier "hier";
+    Shm.label hier2 "hier2";
+    Shm.label words "mem";
     Core.make
       {
         mem;
+        words;
         cfg = config;
         locks;
         hier;
@@ -750,8 +752,8 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
 
   let memory t = (Core.fam t).mem
   let config t = (Core.fam t).cfg
-  let clock_value t = R.get (Core.fam t).ctl clock_slot
-  let rollovers t = R.get (Core.fam t).ctl rollover_slot
+  let clock_value t = Shm.get (Core.fam t).ctl clock_slot
+  let rollovers t = Shm.get (Core.fam t).ctl rollover_slot
 
   (* Re-tuning reuses the roll-over fence (paper §4.2): fresh lock and
      hierarchy arrays, and the clock restarts from zero. *)
@@ -765,10 +767,10 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
         f.locks <- R.sarray_make cfg.Config.n_locks 0;
         f.hier <- R.sarray_make cfg.Config.hierarchy 0;
         f.hier2 <- R.sarray_make cfg.Config.hierarchy2 0;
-        R.sarray_label f.locks "locks";
-        R.sarray_label f.hier "hier";
-        R.sarray_label f.hier2 "hier2";
-        R.set f.ctl clock_slot 0;
+        Shm.label f.locks "locks";
+        Shm.label f.hier "hier";
+        Shm.label f.hier2 "hier2";
+        Shm.set f.ctl clock_slot 0;
         if Probe.on () then Probe.reconfigured ())
 
   (* ------------------------------------------------------------------ *)

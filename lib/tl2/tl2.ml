@@ -1,6 +1,7 @@
 module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   module V = Tstm_vmm.Vmm.Make (R)
   module G = Tstm_util.Growbuf
+  module Shm = Tstm_runtime.Shm
   module Bloom = Tstm_util.Bloom
   module Stats = Tstm_tm.Tm_stats
   module Tx = Tstm_tm.Tx_core
@@ -37,11 +38,12 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
 
   type inst = {
     mem : V.t;
+    words : Shm.t;  (* [V.words mem], read by every barrier *)
     n_locks : int;
     shifts : int;
-    locks : R.sarray;
-    ctl : R.sarray;  (* fence mode / clock, padded apart *)
-    prios : R.sarray;  (* the core's published priorities *)
+    locks : Shm.t;
+    ctl : Shm.t;  (* fence mode / clock, padded apart *)
+    prios : Shm.t;  (* the core's published priorities *)
   }
 
   type desc = {
@@ -89,8 +91,8 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   let rec wait_bounded t li attempts =
     if attempts <= 0 then false
     else begin
-      R.yield ();
-      if is_locked (R.get t.locks li) then wait_bounded t li (attempts - 1)
+      Shm.yield ();
+      if is_locked (Shm.get t.locks li) then wait_bounded t li (attempts - 1)
       else true
     end
 
@@ -107,8 +109,8 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     match d.eff_cm with
     | Cm.Backoff | Cm.Serialize _ | Cm.Suicide -> false
     | Cm.Karma | Cm.Greedy -> (
-        let self_prio = R.get t.prios (flag_slot d.tid) in
-        let enemy_prio = R.get t.prios (flag_slot enemy) in
+        let self_prio = Shm.get t.prios (flag_slot d.tid) in
+        let enemy_prio = Shm.get t.prios (flag_slot enemy) in
         match
           Cm.on_enemy d.eff_cm ~self_prio ~enemy_prio ~self_tid:d.tid
             ~enemy_tid:enemy
@@ -129,12 +131,12 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
 
   (* Search the write set backwards so the most recent write wins. *)
   let write_set_find p addr =
-    R.charge_local c_bloom;
+    Shm.charge_local c_bloom;
     if Bloom.may_contain p.bloom addr then begin
       let rec go k =
         if k < 0 then None
         else begin
-          R.charge_local c_scan;
+          Shm.charge_local c_scan;
           if G.get p.w_addr k = addr then Some k else go (k - 1)
         end
       in
@@ -143,11 +145,11 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     else None
 
   let rec read_word t (d : tx) addr =
-    R.charge_local c_op;
+    Shm.charge_local c_op;
     if d.irrevocable then begin
       (* Serial slow path inside the fence: memory is the truth. *)
       d.stats.Stats.reads <- d.stats.Stats.reads + 1;
-      R.get (V.words t.mem) addr
+      Shm.get t.words addr
     end
     else
     let p = d.p in
@@ -157,7 +159,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
         G.get p.w_val k
     | None ->
         let li = lock_index t addr in
-        let l1 = R.get t.locks li in
+        let l1 = Shm.get t.locks li in
         if is_locked l1 then begin
           (* TL2 has no encounter-time ownership: a locked orec always
              belongs to a committing transaction. *)
@@ -165,8 +167,8 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
           else abort Stats.Read_conflict
         end
         else begin
-          let v = R.get (V.words t.mem) addr in
-          let l2 = R.get t.locks li in
+          let v = Shm.get t.words addr in
+          let l2 = Shm.get t.locks li in
           if l1 <> l2 then read_word t d addr
           else if version l1 > p.rv then
             (* No snapshot extension in TL2: newer data forces an abort. *)
@@ -183,11 +185,11 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
         end
 
   let write_word t (d : tx) addr v =
-    R.charge_local c_op;
+    Shm.charge_local c_op;
     if d.read_only then invalid_arg "Tl2.write: transaction is read-only";
     if d.irrevocable then begin
       d.stats.Stats.writes <- d.stats.Stats.writes + 1;
-      R.set (V.words t.mem) addr v
+      Shm.set t.words addr v
     end
     else begin
     let p = d.p in
@@ -219,7 +221,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     let p = d.p in
     let probing = Probe.on () in
     for k = 0 to G.length p.l_idx - 1 do
-      R.set t.locks (G.get p.l_idx k) (G.get p.l_old k);
+      Shm.set t.locks (G.get p.l_idx k) (G.get p.l_old k);
       if probing then Probe.lock_released ~cpu:d.tid ~lock:(G.get p.l_idx k)
     done;
     G.clear p.l_idx;
@@ -229,7 +231,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     let rec go k =
       k >= 0
       && begin
-           R.charge_local c_scan;
+           Shm.charge_local c_scan;
            G.get p.l_idx k = li || go (k - 1)
          end
     in
@@ -247,7 +249,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     let p = d.p in
     let n = G.length p.w_addr in
     let rec take li =
-      let l = R.get t.locks li in
+      let l = Shm.get t.locks li in
       if is_locked l then begin
         (* Owned by another committing transaction: abort immediately
            (the reference implementation's default policy), unless the
@@ -261,7 +263,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       end
       else begin
         if Probe.on () then Probe.perturb ~tid:d.tid d.stats Lock_cas;
-        if not (R.cas t.locks li l (locked_by d.tid)) then begin
+        if not (Shm.cas t.locks li l (locked_by d.tid)) then begin
           release_acquired t d;
           abort Stats.Write_conflict
         end
@@ -285,7 +287,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     let k = ref 0 in
     while !ok && !k < n do
       let li = G.get p.r_set !k in
-      let l = R.get t.locks li in
+      let l = Shm.get t.locks li in
       d.stats.Stats.val_locks_processed <-
         d.stats.Stats.val_locks_processed + 1;
       (if is_locked l then
@@ -302,7 +304,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     !ok
 
   let begin_ (d : tx) =
-    d.p.rv <- R.get d.owner.ctl clock_slot;
+    d.p.rv <- Shm.get d.owner.ctl clock_slot;
     if Probe.on () then Probe.clock_read ~cpu:d.tid ~value:d.p.rv;
     true
 
@@ -312,7 +314,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     else begin
       acquire_write_locks t d;
       if Probe.on () then Probe.perturb ~tid:d.tid d.stats Clock_inc;
-      let wv = R.fetch_add t.ctl clock_slot 1 + 1 in
+      let wv = Shm.fetch_add t.ctl clock_slot 1 + 1 in
       if Probe.on () then Probe.clock_advance ~cpu:d.tid ~drawn:wv;
       if Probe.on () then Probe.perturb ~tid:d.tid d.stats Write_back;
       if
@@ -323,16 +325,16 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
         release_acquired t d;
         abort Stats.Validation_failed
       end;
-      let words = V.words t.mem in
+      let words = t.words in
       for k = 0 to G.length p.w_addr - 1 do
-        R.set words (G.get p.w_addr k) (G.get p.w_val k)
+        Shm.set words (G.get p.w_addr k) (G.get p.w_val k)
       done;
       (* The snapshot-consistency check must see the write set still under
          lock, before any orec is released. *)
       if Probe.on () then Probe.commit_publish ~cpu:d.tid ~wv;
       let probing = Probe.on () in
       for k = 0 to G.length p.l_idx - 1 do
-        R.set t.locks (G.get p.l_idx k) (unlocked ~version:wv);
+        Shm.set t.locks (G.get p.l_idx k) (unlocked ~version:wv);
         if probing then Probe.lock_released ~cpu:d.tid ~lock:(G.get p.l_idx k)
       done;
       wv
@@ -348,7 +350,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   (* Keep the clock moving so the serial commit has a unique serialization
      point with respect to the version order. *)
   let serial_commit (d : tx) =
-    let wv = R.fetch_add d.owner.ctl clock_slot 1 + 1 in
+    let wv = Shm.fetch_add d.owner.ctl clock_slot 1 + 1 in
     if Probe.on () then Probe.serial_publish ~cpu:d.tid ~wv;
     wv
 
@@ -393,14 +395,15 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     let ctl = R.sarray_make ctl_len 0 in
     let locks = R.sarray_make n_locks 0 in
     let mem = V.create ~words:memory_words in
-    R.sarray_label locks "locks";
-    R.sarray_label (V.words mem) "mem";
+    let words = V.words mem in
+    Shm.label locks "locks";
+    Shm.label words "mem";
     Core.make
-      { mem; n_locks; shifts; locks; ctl; prios }
+      { mem; words; n_locks; shifts; locks; ctl; prios }
       ~ctl ~mode_slot ~flags ~prios ~max_threads ~max_retries ~cm ?watchdog ()
 
   let memory t = (Core.fam t).mem
-  let clock_value t = R.get (Core.fam t).ctl clock_slot
+  let clock_value t = Shm.get (Core.fam t).ctl clock_slot
   let read (tx : tx) addr = read_word tx.owner tx addr
   let write (tx : tx) addr v = write_word tx.owner tx addr v
   let alloc = Core.alloc

@@ -3,6 +3,7 @@ module Event = Tstm_obs.Event
 module Plan = Tstm_chaos.Plan
 module San = Tstm_san.San
 module Watchdog = Tstm_runtime.Watchdog
+module Shm = Tstm_runtime.Shm
 module Stats = Tm_stats
 
 let on = Tstm_util.Gate.on
@@ -31,7 +32,11 @@ let span () = { start = 0; reads0 = 0; writes0 = 0 }
 (* Every event calls the systems in the order the call sites always had:
    traces, plan replays and virtual time depend on it. *)
 module Make (R : Tstm_runtime.Runtime_intf.S) = struct
-  let emit ev = Sink.emit ~ts:(R.now_cycles ()) ~cpu:(R.tid ()) ev
+  (* Out of line: inlined into a barrier, the clock read through [R] would
+     put an indirect call back on the read path. *)
+  let[@inline never] emit ev =
+    Sink.emit ~ts:(R.now_cycles ()) ~cpu:(Shm.tid ()) ev
+
   let tracing = Sink.enabled
   let sanning = San.enabled
 
@@ -45,7 +50,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     if Plan.enabled () then
       match Plan.at p ~tid with
       | Proceed | Oom -> ()
-      | Delay n -> R.charge n
+      | Delay n -> Shm.charge n
       | Crash ->
           stats.faults_crash <- stats.faults_crash + 1;
           fault_fired ~kind:"crash" p;
@@ -117,7 +122,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
 
   let clock_advance ~cpu ~drawn =
     if sanning () then San.clock_advance ~cpu ~drawn
-  let reconfigured () = if sanning () then San.rollover ~cpu:(R.tid ())
+  let reconfigured () = if sanning () then San.rollover ~cpu:(Shm.tid ())
 
   let clock_rollover () =
     reconfigured ();

@@ -11,6 +11,7 @@
 module G = Tstm_util.Growbuf
 module Stats = Tm_stats
 module Cm = Tstm_cm.Cm
+module Shm = Tstm_runtime.Shm
 
 (* Fixed bookkeeping costs (cycles) charged in the simulated runtime on top
    of the shared-memory access costs; no-ops on real hardware. *)
@@ -96,11 +97,11 @@ struct
 
   type t = {
     fam : P.t;
-    ctl : R.sarray;
+    ctl : Shm.t;
     mode_slot : int;
-    flags : R.sarray;
-    prios : R.sarray;
-    kill_flags : R.sarray option;
+    flags : Shm.t;
+    prios : Shm.t;
+    kill_flags : Shm.t option;
     descs : tx option array;
     max_threads : int;
     max_retries : int;
@@ -111,10 +112,10 @@ struct
 
   let make fam ~ctl ~mode_slot ~flags ~prios ?kill_flags ~max_threads
       ~max_retries ~cm ?watchdog () =
-    R.sarray_label ctl "ctl";
-    R.sarray_label flags "flags";
-    Option.iter (fun k -> R.sarray_label k "cm-kill") kill_flags;
-    R.sarray_label prios "cm-prio";
+    Shm.label ctl "ctl";
+    Shm.label flags "flags";
+    Option.iter (fun k -> Shm.label k "cm-kill") kill_flags;
+    Shm.label prios "cm-prio";
     {
       fam;
       ctl;
@@ -155,7 +156,7 @@ struct
     }
 
   let desc_for t =
-    let tid = R.tid () in
+    let tid = Shm.tid () in
     if tid >= t.max_threads then
       invalid_arg (module_name ^ ": thread id exceeds max_threads");
     match t.descs.(tid) with
@@ -175,48 +176,48 @@ struct
      instance. *)
 
   let rec enter_fence t d =
-    if R.get t.ctl t.mode_slot <> 0 then begin
-      R.yield ();
+    if Shm.get t.ctl t.mode_slot <> 0 then begin
+      Shm.yield ();
       enter_fence t d
     end
     else begin
-      R.set t.flags (flag_slot d.tid) 1;
-      if R.get t.ctl t.mode_slot <> 0 then begin
-        R.set t.flags (flag_slot d.tid) 0;
-        R.yield ();
+      Shm.set t.flags (flag_slot d.tid) 1;
+      if Shm.get t.ctl t.mode_slot <> 0 then begin
+        Shm.set t.flags (flag_slot d.tid) 0;
+        Shm.yield ();
         enter_fence t d
       end
       else if Probe.on () then Probe.fence_pass ~cpu:d.tid
     end
 
   let leave_fence t d =
-    R.set t.flags (flag_slot d.tid) 0;
+    Shm.set t.flags (flag_slot d.tid) 0;
     if Probe.on () then Probe.thread_park ~cpu:d.tid
 
   let fence_and t f =
     let rec acquire () =
-      if not (R.cas t.ctl t.mode_slot 0 1) then begin
-        R.yield ();
+      if not (Shm.cas t.ctl t.mode_slot 0 1) then begin
+        Shm.yield ();
         acquire ()
       end
     in
     acquire ();
     for tid = 0 to t.max_threads - 1 do
-      while R.get t.flags (flag_slot tid) <> 0 do
-        R.yield ()
+      while Shm.get t.flags (flag_slot tid) <> 0 do
+        Shm.yield ()
       done
     done;
-    if Probe.on () then Probe.fence_owner_entry ~cpu:(R.tid ());
+    if Probe.on () then Probe.fence_owner_entry ~cpu:(Shm.tid ());
     (* Release the fence even when [f] raises: an escalated transaction runs
        arbitrary user code here. *)
     match f () with
     | v ->
-        if Probe.on () then Probe.fence_owner_exit ~cpu:(R.tid ());
-        R.set t.ctl t.mode_slot 0;
+        if Probe.on () then Probe.fence_owner_exit ~cpu:(Shm.tid ());
+        Shm.set t.ctl t.mode_slot 0;
         v
     | exception e ->
-        if Probe.on () then Probe.fence_owner_exit ~cpu:(R.tid ());
-        R.set t.ctl t.mode_slot 0;
+        if Probe.on () then Probe.fence_owner_exit ~cpu:(Shm.tid ());
+        Shm.set t.ctl t.mode_slot 0;
         raise e
 
   let roll_over t = fence_and t (fun () -> P.roll_over t.fam)
@@ -233,10 +234,10 @@ struct
   let backoff d attempts =
     let n = Cm.backoff_cycles ~rng:d.rng ~attempts in
     d.stats.Stats.backoff_cycles <- d.stats.Stats.backoff_cycles + n;
-    R.charge n;
-    if not R.is_simulated then
+    Shm.charge n;
+    if not (Shm.is_simulated ()) then
       for _ = 1 to n / 8 do
-        R.yield ()
+        Shm.yield ()
       done
 
   (* Watchdog plumbing: feed commit/abort heartbeats, surface its detection
@@ -279,21 +280,21 @@ struct
           | Watchdog.Normal | Watchdog.Serialized -> t.cm));
     if t.cm_active then begin
       (match t.kill_flags with
-      | Some k -> R.set k (flag_slot d.tid) 0
+      | Some k -> Shm.set k (flag_slot d.tid) 0
       | None -> ());
       if Cm.needs_prio d.eff_cm then begin
         let p =
           match d.eff_cm with
           | Cm.Greedy ->
               (* Seniority ticket, drawn once and kept across aborts. *)
-              if d.ticket = 0 then d.ticket <- R.fetch_add t.prios 0 1 + 1;
+              if d.ticket = 0 then d.ticket <- Shm.fetch_add t.prios 0 1 + 1;
               d.ticket
           | _ ->
               (* Karma: work invested since the last commit, aborted
                  attempts included; [+ 1] keeps live publications nonzero. *)
               d.stats.Stats.reads + d.stats.Stats.writes - d.work0 + 1
         in
-        R.set t.prios (flag_slot d.tid) p
+        Shm.set t.prios (flag_slot d.tid) p
       end
     end
 
@@ -303,7 +304,7 @@ struct
     d.work0 <- d.stats.Stats.reads + d.stats.Stats.writes;
     d.ticket <- 0;
     if t.cm_active && Cm.needs_prio d.eff_cm then
-      R.set t.prios (flag_slot d.tid) 0
+      Shm.set t.prios (flag_slot d.tid) 0
 
   (* ------------------------------------------------------------------ *)
   (* Memory management and transaction exit                              *)
@@ -381,7 +382,7 @@ struct
         escalate tries
       else begin
         enter_fence t d;
-        R.charge_local c_tx_begin;
+        Shm.charge_local c_tx_begin;
         d.in_tx <- true;
         d.read_only <- read_only;
         cm_begin_attempt t d;
@@ -405,7 +406,7 @@ struct
             if Probe.on () then Probe.perturb ~tid:d.tid d.stats Clock_read;
             let v = f d in
             if Probe.on () then Probe.perturb ~tid:d.tid d.stats Commit;
-            R.charge_local c_tx_end;
+            Shm.charge_local c_tx_end;
             finish_commit d ~stamp:(P.commit d);
             exit_tx d ~committed:true;
             v
@@ -455,14 +456,14 @@ struct
       (* The irrevocable path cannot roll back: faults stay masked. *)
       Tstm_chaos.Plan.masked ~tid:d.tid @@ fun () ->
       fence_and t (fun () ->
-          R.charge_local c_tx_begin;
+          Shm.charge_local c_tx_begin;
           d.in_tx <- true;
           d.read_only <- read_only;
           d.irrevocable <- true;
           if Probe.on () then Probe.serial_begin ~cpu:d.tid d.span d.stats;
           match f d with
           | v ->
-              R.charge_local c_tx_end;
+              Shm.charge_local c_tx_end;
               finish_commit d ~stamp:(P.serial_commit d);
               note_commit t d ~tries;
               d.irrevocable <- false;

@@ -1,5 +1,6 @@
 module Tap = Tstm_runtime.Tap
 module Plan = Tstm_chaos.Plan
+module Shm = Tstm_runtime.Shm
 
 module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   let max_class = 256
@@ -13,8 +14,8 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
      3+max_class ..         spin lock per size class
      3+2*max_class          spin lock for the large-block extent table      *)
   type t = {
-    words : R.sarray;
-    ctl : R.sarray;
+    words : Shm.t;
+    ctl : Shm.t;
     capacity : int;
     (* Extents of live non-recyclable (bump-allocated) blocks, so their
        frees are validated too.  Mutated only under [large_lock_slot]. *)
@@ -39,7 +40,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
         large = Hashtbl.create 16;
       }
     in
-    R.set t.ctl bump_slot 1;
+    Shm.set t.ctl bump_slot 1;
     t
 
   let capacity t = t.capacity
@@ -57,7 +58,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   let load t addr =
     check_addr t addr;
     Tap.suspend ();
-    let v = R.get t.words addr in
+    let v = Shm.get t.words addr in
     Tap.resume ();
     Tap.vmm_load ~addr;
     v
@@ -65,19 +66,19 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   let store t addr v =
     check_addr t addr;
     Tap.suspend ();
-    R.set t.words addr v;
+    Shm.set t.words addr v;
     Tap.resume ();
     Tap.vmm_store ~addr
 
   let lock t slot =
-    while not (R.cas t.ctl slot 0 1) do
-      R.yield ()
+    while not (Shm.cas t.ctl slot 0 1) do
+      Shm.yield ()
     done
 
-  let unlock t slot = R.set t.ctl slot 0
+  let unlock t slot = Shm.set t.ctl slot 0
 
   let bump t n =
-    let base = R.fetch_add t.ctl bump_slot n in
+    let base = Shm.fetch_add t.ctl bump_slot n in
     if base + n - 1 > t.capacity then raise Out_of_memory;
     base
 
@@ -91,7 +92,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
        touched, so a faulted alloc is indistinguishable from genuine
        exhaustion and leaves the accounting intact by construction. *)
     (if Plan.enabled () then
-       match Plan.at Alloc ~tid:(R.tid ()) with
+       match Plan.at Alloc ~tid:(Shm.tid ()) with
        | Oom -> raise Out_of_memory
        | _ -> ());
     let base =
@@ -106,21 +107,21 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
           end
           else begin
             lock t (lock_slot n);
-            let head = R.get t.ctl (head_slot n) in
+            let head = Shm.get t.ctl (head_slot n) in
             if head = null then begin
               unlock t (lock_slot n);
               bump t n
             end
             else begin
               (* Pop: the first word of a free block holds the next pointer. *)
-              R.set t.ctl (head_slot n) (R.get t.words head);
+              Shm.set t.ctl (head_slot n) (Shm.get t.words head);
               unlock t (lock_slot n);
               head
             end
           end)
     in
-    ignore (R.fetch_add t.ctl live_slot n);
-    ignore (R.fetch_add t.ctl total_slot n);
+    ignore (Shm.fetch_add t.ctl live_slot n);
+    ignore (Shm.fetch_add t.ctl total_slot n);
     Tap.vmm_alloc ~addr:base ~len:n;
     base
 
@@ -138,10 +139,10 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
              allocator would pay one guard word per block instead.  Freeing
              the same address under a *different* size class is not
              detectable here. *)
-          let b = ref (R.get t.ctl (head_slot n)) in
+          let b = ref (Shm.get t.ctl (head_slot n)) in
           let dup = ref false in
           while (not !dup) && !b <> null do
-            if !b = addr then dup := true else b := R.get t.words !b
+            if !b = addr then dup := true else b := Shm.get t.words !b
           done;
           if !dup then begin
             unlock t (lock_slot n);
@@ -149,8 +150,8 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
               (Printf.sprintf "Vmm.free: double free of block %d (size %d)"
                  addr n)
           end;
-          R.set t.words addr (R.get t.ctl (head_slot n));
-          R.set t.ctl (head_slot n) addr;
+          Shm.set t.words addr (Shm.get t.ctl (head_slot n));
+          Shm.set t.ctl (head_slot n) addr;
           unlock t (lock_slot n)
         end
         else begin
@@ -181,9 +182,9 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
         end);
     (* Counters move only once the free is known to be valid, so a rejected
        free leaves the accounting intact. *)
-    ignore (R.fetch_add t.ctl live_slot (-n));
+    ignore (Shm.fetch_add t.ctl live_slot (-n));
     Tap.vmm_free ~addr ~len:n
 
-  let live_words t = R.get t.ctl live_slot
-  let allocated_since_start t = R.get t.ctl total_slot
+  let live_words t = Shm.get t.ctl live_slot
+  let allocated_since_start t = Shm.get t.ctl total_slot
 end

@@ -81,6 +81,9 @@ let test_exact_lines () =
   expect
     ~path:(corpus ^ "/lib/tinystm/bad_vmm_charge.ml")
     ~line:3 ~rule:"vmm-charge";
+  expect
+    ~path:(corpus ^ "/lib/tinystm/bad_runtime_call.ml")
+    ~line:4 ~rule:"runtime-direct";
   expect ~path:(corpus ^ "/lib/vmm/bad_layering.ml") ~line:3 ~rule:"layering";
   expect
     ~path:(corpus ^ "/lib/tinystm/bad_san_layering.ml")

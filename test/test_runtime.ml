@@ -220,47 +220,48 @@ let test_cache_per_cpu_private () =
 (* Runtime implementations (shared semantics)                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Construction and [run] come from the runtime; every access is [Shm]'s. *)
 module Semantics (R : Runtime_intf.S) = struct
   let test_array_basic () =
     let a = R.sarray_make 10 7 in
-    check_int "length" 10 (R.sarray_length a);
+    check_int "length" 10 (Shm.length a);
     for i = 0 to 9 do
-      check_int "init" 7 (R.get a i)
+      check_int "init" 7 (Shm.get a i)
     done;
-    R.set a 3 42;
-    check_int "set/get" 42 (R.get a 3);
-    check_int "others untouched" 7 (R.get a 2)
+    Shm.set a 3 42;
+    check_int "set/get" 42 (Shm.get a 3);
+    check_int "others untouched" 7 (Shm.get a 2)
 
   let test_cas () =
     let a = R.sarray_make 1 5 in
-    check_bool "cas succeeds" true (R.cas a 0 5 6);
-    check_int "updated" 6 (R.get a 0);
-    check_bool "cas fails" false (R.cas a 0 5 7);
-    check_int "unchanged" 6 (R.get a 0)
+    check_bool "cas succeeds" true (Shm.cas a 0 5 6);
+    check_int "updated" 6 (Shm.get a 0);
+    check_bool "cas fails" false (Shm.cas a 0 5 7);
+    check_int "unchanged" 6 (Shm.get a 0)
 
   let test_fetch_add () =
     let a = R.sarray_make 1 10 in
-    check_int "returns old" 10 (R.fetch_add a 0 5);
-    check_int "adds" 15 (R.get a 0);
-    check_int "negative delta" 15 (R.fetch_add a 0 (-3));
-    check_int "subtracted" 12 (R.get a 0)
+    check_int "returns old" 10 (Shm.fetch_add a 0 5);
+    check_int "adds" 15 (Shm.get a 0);
+    check_int "negative delta" 15 (Shm.fetch_add a 0 (-3));
+    check_int "subtracted" 12 (Shm.get a 0)
 
   let test_counter_under_threads () =
     let a = R.sarray_make 1 0 in
     let n = 4 and per = 1000 in
     R.run ~nthreads:n (fun _ ->
         for _ = 1 to per do
-          ignore (R.fetch_add a 0 1)
+          ignore (Shm.fetch_add a 0 1)
         done);
-    check_int "no lost updates" (n * per) (R.get a 0)
+    check_int "no lost updates" (n * per) (Shm.get a 0)
 
   let test_tids_unique () =
     let a = R.sarray_make 8 0 in
     R.run ~nthreads:8 (fun i ->
-        ignore (R.fetch_add a (R.tid ()) 1);
-        check_int "tid = body arg" i (R.tid ()));
+        ignore (Shm.fetch_add a (Shm.tid ()) 1);
+        check_int "tid = body arg" i (Shm.tid ()));
     for i = 0 to 7 do
-      check_int "each tid once" 1 (R.get a i)
+      check_int "each tid once" 1 (Shm.get a i)
     done
 
   let test_cas_mutex () =
@@ -271,11 +272,11 @@ module Semantics (R : Runtime_intf.S) = struct
     let n = 4 and per = 500 in
     R.run ~nthreads:n (fun _ ->
         for _ = 1 to per do
-          while not (R.cas lock 0 0 1) do
-            R.yield ()
+          while not (Shm.cas lock 0 0 1) do
+            Shm.yield ()
           done;
           counter := !counter + 1;
-          R.set lock 0 0
+          Shm.set lock 0 0
         done);
     check_int "mutex protected" (n * per) !counter
 
@@ -426,6 +427,102 @@ let test_healed_propagates_non_crash_errors () =
   | exception Failure m -> Alcotest.(check string) "the job's error" "real bug" m
 
 (* ------------------------------------------------------------------ *)
+(* Shm: the direct access and cost layer                              *)
+(* ------------------------------------------------------------------ *)
+
+(* One scripted get/set/cas/fetch_add sequence over three words on two
+   cache lines; the result lists every value it observed. *)
+let shm_script ~base a =
+  Shm.set a base 5;
+  let r1 = Shm.get a base in
+  let r2 = Shm.cas a base 5 7 in
+  let r3 = Shm.cas a base 5 9 in
+  let r4 = Shm.fetch_add a (base + 8) 3 in
+  let r5 = Shm.fetch_add a (base + 8) (-1) in
+  Shm.set a (base + 9) 4;
+  [ r1; Bool.to_int r2; Bool.to_int r3; r4; r5; Shm.get a base;
+    Shm.get a (base + 8); Shm.get a (base + 9) ]
+
+let check_ints = Alcotest.(check (list int))
+
+let test_shm_real_matches_sim () =
+  let real = Runtime_real.sarray_make 24 0 in
+  let sim = Runtime_sim.sarray_make 24 0 in
+  (match (real, sim) with
+  | Shm.Real _, Shm.Sim _ -> ()
+  | _ -> Alcotest.fail "each runtime builds its own constructor");
+  let expect = [ 5; 1; 0; 0; 3; 7; 2; 4 ] in
+  check_ints "real" expect (shm_script ~base:0 real);
+  check_ints "sim" expect (shm_script ~base:0 sim);
+  check_int "same length" (Shm.length real) (Shm.length sim)
+
+(* Two fibers race the script over one line each; the values they see and
+   the virtual time they end at are the figures [Runtime_sim]'s own access
+   code produced before it moved into [Shm]. *)
+let test_shm_sim_virtual_time_pinned () =
+  Runtime_sim.configure Cache_model.default;
+  let a = Runtime_sim.sarray_make 24 0 in
+  let out = Array.make 2 ([], 0) in
+  Sim_sched.run ~nthreads:2 (fun i ->
+      check_bool "a fiber is simulated" true (Shm.is_simulated ());
+      check_int "fiber tid" i (Shm.tid ());
+      let r = shm_script ~base:i a in
+      out.(i) <- (r, Sim_sched.now_cycles ()));
+  check_ints "fiber 0 values" [ 5; 1; 0; 0; 3; 7; 2; 4 ] (fst out.(0));
+  check_ints "fiber 1 values" [ 5; 1; 0; 0; 3; 7; 4; 4 ] (fst out.(1));
+  check_int "fiber 0 virtual time" 810 (snd out.(0));
+  check_int "fiber 1 virtual time" 910 (snd out.(1))
+
+let test_shm_outside_any_run () =
+  check_bool "not simulated" false (Shm.is_simulated ());
+  check_int "tid" 0 (Shm.tid ());
+  Shm.charge 1_000;
+  Shm.charge_local 1_000;
+  Shm.yield ();
+  check_int "no virtual time" 0 (Sim_sched.now_cycles ());
+  check_int "no simulated clock" 0 (Runtime_sim.now_cycles ());
+  let a = Runtime_sim.sarray_make 24 0 in
+  ignore (shm_script ~base:0 a);
+  check_int "accesses are free" 0 (Sim_sched.now_cycles ())
+
+(* Each real job must see the id it was handed, through [Shm] rather than
+   [Runtime_real], including a job replayed on a respawned domain. *)
+let test_shm_real_tids () =
+  let n = 2 in
+  let seen = Array.init n (fun _ -> Atomic.make (-1)) in
+  let sim = Array.init n (fun _ -> Atomic.make true) in
+  Runtime_real.run ~nthreads:n (fun tid ->
+      Atomic.set seen.(tid) (Shm.tid ());
+      Atomic.set sim.(tid) (Shm.is_simulated ()));
+  Array.iteri
+    (fun tid a -> check_int (Printf.sprintf "run: tid %d" tid) tid (Atomic.get a))
+    seen;
+  Array.iter (fun a -> check_bool "run: not simulated" false (Atomic.get a)) sim;
+  let crashed = Array.init n (fun _ -> Atomic.make false) in
+  let replayed = Array.init n (fun _ -> Atomic.make (-1)) in
+  let r =
+    Runtime_real.run_healed ~nthreads:n (fun tid ->
+        Atomic.set sim.(tid) (Shm.is_simulated ());
+        if not (Atomic.exchange crashed.(tid) true) then begin
+          Atomic.set seen.(tid) (Shm.tid ());
+          raise (Tstm_chaos.Plan.Injected_crash { tid; point = "test" })
+        end;
+        Atomic.set replayed.(tid) (Shm.tid ()))
+  in
+  check_int "every worker respawned" n r.Runtime_real.crashes_healed;
+  Array.iteri
+    (fun tid a ->
+      check_int (Printf.sprintf "run_healed: tid %d" tid) tid (Atomic.get a))
+    seen;
+  Array.iteri
+    (fun tid a ->
+      check_int (Printf.sprintf "respawned: tid %d" tid) tid (Atomic.get a))
+    replayed;
+  Array.iter
+    (fun a -> check_bool "run_healed: not simulated" false (Atomic.get a))
+    sim
+
+(* ------------------------------------------------------------------ *)
 (* Watchdog calm-window recovery boundaries                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -553,6 +650,15 @@ let () =
             test_watchdog_calm_boundaries;
           Alcotest.test_case "livelock resets calm" `Quick
             test_watchdog_livelock_resets_calm;
+        ] );
+      ( "shm",
+        [
+          Alcotest.test_case "real and sim agree" `Quick
+            test_shm_real_matches_sim;
+          Alcotest.test_case "virtual time pinned" `Quick
+            test_shm_sim_virtual_time_pinned;
+          Alcotest.test_case "outside any run" `Quick test_shm_outside_any_run;
+          Alcotest.test_case "real tids" `Quick test_shm_real_tids;
         ] );
       ( "runtime_sim",
         [
