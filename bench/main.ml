@@ -89,7 +89,7 @@ let micro_tests () =
          (let b = Tstm_util.Bloom.create () in
           fun () ->
             Tstm_util.Bloom.clear b;
-            Tstm_util.Bloom.add b 42;
+            ignore (Tstm_util.Bloom.check_add b 42);
             Tstm_util.Bloom.may_contain b 42));
   ]
   @ List.concat_map stm_tests Br.stms

@@ -1,16 +1,17 @@
 (* NOrec: no ownership records, one global sequence lock, value-based
    validation (Dalessandro, Spear, Scott; PPoPP 2010).  Shares the repo's
-   STM skeleton with TL2 (redo-log writes, Bloom read-after-write reject,
-   quiescence-fence escalation) but replaces the whole lock array with a
-   single seqlock word: even = timestamp, odd = a writer mid-commit. *)
+   STM skeleton with TL2 (the redo log {!Tstm_tm.Redo_log} with its Bloom
+   read-after-write reject, quiescence-fence escalation) but replaces the
+   whole lock array with a single seqlock word: even = timestamp, odd = a
+   writer mid-commit. *)
 
 module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   module V = Tstm_vmm.Vmm.Make (R)
   module G = Tstm_util.Growbuf
   module Shm = Tstm_runtime.Shm
-  module Bloom = Tstm_util.Bloom
   module Stats = Tstm_tm.Tm_stats
   module Tx = Tstm_tm.Tx_core
+  module Log = Tstm_tm.Redo_log
   open Tx
 
   let name = "norec"
@@ -53,10 +54,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
        any transaction fast-forward instead of aborting. *)
     r_addr : G.t;
     r_val : G.t;
-    (* Redo-log write set with a Bloom read-after-write fast reject. *)
-    w_addr : G.t;
-    w_val : G.t;
-    bloom : Bloom.t;
+    w : Log.t;  (* the write set *)
   }
 
   type tx = (inst, desc) Tx.tx
@@ -71,17 +69,13 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       rv = 0;
       r_addr = G.create 64;
       r_val = G.create 64;
-      w_addr = G.create 32;
-      w_val = G.create 32;
-      bloom = Bloom.create ();
+      w = Log.create ();
     }
 
   let cleanup p =
     G.clear p.r_addr;
     G.clear p.r_val;
-    G.clear p.w_addr;
-    G.clear p.w_val;
-    Bloom.clear p.bloom
+    Log.clear p.w
 
   let abort reason = raise (Abort_exn reason)
 
@@ -161,24 +155,6 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   (* Read and write barriers                                             *)
   (* ------------------------------------------------------------------ *)
 
-  let c_bloom = 3
-  let c_scan = 1
-
-  (* Search the write set backwards so the most recent write wins. *)
-  let write_set_find p addr =
-    Shm.charge_local c_bloom;
-    if Bloom.may_contain p.bloom addr then begin
-      let rec go k =
-        if k < 0 then None
-        else begin
-          Shm.charge_local c_scan;
-          if G.get p.w_addr k = addr then Some k else go (k - 1)
-        end
-      in
-      go (G.length p.w_addr - 1)
-    end
-    else None
-
   let read_word t (d : tx) addr =
     Shm.charge_local c_op;
     if d.irrevocable then begin
@@ -187,46 +163,36 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     end
     else
       let p = d.p in
-      match if d.read_only then None else write_set_find p addr with
-      | Some k ->
-          d.stats.Stats.reads <- d.stats.Stats.reads + 1;
-          G.get p.w_val k
-      | None ->
-          let words = t.words in
-          let v = ref (Shm.get words addr) in
-          (* The NOrec post-validation loop: the value is accepted only
-             when the sequence word still equals the snapshot after the
-             load; any movement (a writer committing or committed)
-             triggers validation and fast-forward, then a re-read. *)
-          Shm.charge_local c_seq;
-          while Shm.get t.ctl seq_slot <> p.rv do
-            extend t d ~reason:Stats.Read_conflict;
-            v := Shm.get words addr;
-            Shm.charge_local c_seq
-          done;
-          G.push p.r_addr addr;
-          G.push p.r_val !v;
-          if Probe.on () then Probe.read_accepted ~cpu:d.tid ~addr;
-          d.stats.Stats.reads <- d.stats.Stats.reads + 1;
-          !v
+      let k = if d.read_only then -1 else Log.find p.w addr in
+      if k >= 0 then begin
+        d.stats.Stats.reads <- d.stats.Stats.reads + 1;
+        Log.value p.w k
+      end
+      else begin
+        let words = t.words in
+        let v = ref (Shm.get words addr) in
+        (* The NOrec post-validation loop: the value is accepted only
+           when the sequence word still equals the snapshot after the
+           load; any movement (a writer committing or committed)
+           triggers validation and fast-forward, then a re-read. *)
+        Shm.charge_local c_seq;
+        while Shm.get t.ctl seq_slot <> p.rv do
+          extend t d ~reason:Stats.Read_conflict;
+          v := Shm.get words addr;
+          Shm.charge_local c_seq
+        done;
+        G.push p.r_addr addr;
+        G.push p.r_val !v;
+        if Probe.on () then Probe.read_accepted ~cpu:d.tid ~addr;
+        d.stats.Stats.reads <- d.stats.Stats.reads + 1;
+        !v
+      end
 
   let write_word t (d : tx) addr v =
     Shm.charge_local c_op;
     if d.read_only then invalid_arg "Norec.write: transaction is read-only";
-    if d.irrevocable then begin
-      d.stats.Stats.writes <- d.stats.Stats.writes + 1;
-      Shm.set t.words addr v
-    end
-    else begin
-      let p = d.p in
-      (match write_set_find p addr with
-      | Some k -> G.set p.w_val k v
-      | None ->
-          G.push p.w_addr addr;
-          G.push p.w_val v;
-          Bloom.add p.bloom addr);
-      d.stats.Stats.writes <- d.stats.Stats.writes + 1
-    end
+    d.stats.Stats.writes <- d.stats.Stats.writes + 1;
+    if d.irrevocable then Shm.set t.words addr v else Log.put d.p.w addr v
 
   (* A free is an update: read-write the block so the commit is a writer
      (value validation then covers the block against concurrent access).
@@ -295,17 +261,14 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
 
   let commit (d : tx) =
     let t = d.owner and p = d.p in
-    if G.length p.w_addr = 0 && G.length d.f_addr = 0 then
+    if Log.length p.w = 0 && G.length d.f_addr = 0 then
       (* Lock-free commit: no CAS, no store, nothing to publish. *)
       p.rv
     else begin
       acquire_seq t d;
       if Probe.on () then Probe.perturb ~tid:d.tid d.stats Write_back;
       let wv = p.rv + 2 in
-      let words = t.words in
-      for k = 0 to G.length p.w_addr - 1 do
-        Shm.set words (G.get p.w_addr k) (G.get p.w_val k)
-      done;
+      Log.write_back p.w t.words;
       (* The snapshot-consistency check must see the write set still under
          the sequence lock, before the new even value is published. *)
       if Probe.on () then Probe.commit_publish ~cpu:d.tid ~wv;

@@ -2,9 +2,9 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   module V = Tstm_vmm.Vmm.Make (R)
   module G = Tstm_util.Growbuf
   module Shm = Tstm_runtime.Shm
-  module Bloom = Tstm_util.Bloom
   module Stats = Tstm_tm.Tm_stats
   module Tx = Tstm_tm.Tx_core
+  module Log = Tstm_tm.Redo_log
   open Tx
 
   let name = "tl2"
@@ -50,11 +50,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     mutable rv : int;
     (* Read set: (lock index, observed version) pairs, flattened. *)
     r_set : G.t;
-    (* Write set: parallel address/value arrays plus a Bloom filter for the
-       read-after-write fast reject. *)
-    w_addr : G.t;
-    w_val : G.t;
-    bloom : Bloom.t;
+    w : Log.t;  (* the write set *)
     (* Locks acquired during commit, with their previous words. *)
     l_idx : G.t;
     l_old : G.t;
@@ -71,18 +67,14 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     {
       rv = 0;
       r_set = G.create 64;
-      w_addr = G.create 32;
-      w_val = G.create 32;
-      bloom = Bloom.create ();
+      w = Log.create ();
       l_idx = G.create 32;
       l_old = G.create 32;
     }
 
   let cleanup p =
     G.clear p.r_set;
-    G.clear p.w_addr;
-    G.clear p.w_val;
-    Bloom.clear p.bloom;
+    Log.clear p.w;
     G.clear p.l_idx;
     G.clear p.l_old
 
@@ -122,28 +114,6 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   (* Read and write barriers                                             *)
   (* ------------------------------------------------------------------ *)
 
-  (* Cycle costs of TL2's bookkeeping that TinySTM does not pay: the Bloom
-     filter consulted on every access of an update transaction, and linear
-     write-set / acquired-lock scans (TinySTM's locks point straight into the
-     owner's write log, paper §3.1). *)
-  let c_bloom = 3
-  let c_scan = 1
-
-  (* Search the write set backwards so the most recent write wins. *)
-  let write_set_find p addr =
-    Shm.charge_local c_bloom;
-    if Bloom.may_contain p.bloom addr then begin
-      let rec go k =
-        if k < 0 then None
-        else begin
-          Shm.charge_local c_scan;
-          if G.get p.w_addr k = addr then Some k else go (k - 1)
-        end
-      in
-      go (G.length p.w_addr - 1)
-    end
-    else None
-
   let rec read_word t (d : tx) addr =
     Shm.charge_local c_op;
     if d.irrevocable then begin
@@ -153,54 +123,43 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     end
     else
     let p = d.p in
-    match if d.read_only then None else write_set_find p addr with
-    | Some k ->
+    let k = if d.read_only then -1 else Log.find p.w addr in
+    if k >= 0 then begin
+      d.stats.Stats.reads <- d.stats.Stats.reads + 1;
+      Log.value p.w k
+    end
+    else
+    let li = lock_index t addr in
+    let l1 = Shm.get t.locks li in
+    if is_locked l1 then begin
+      (* TL2 has no encounter-time ownership: a locked orec always
+         belongs to a committing transaction. *)
+      if conflict_wait_for t d li (owner l1) then read_word t d addr
+      else abort Stats.Read_conflict
+    end
+    else begin
+      let v = Shm.get t.words addr in
+      let l2 = Shm.get t.locks li in
+      if l1 <> l2 then read_word t d addr
+      else if version l1 > p.rv then
+        (* No snapshot extension in TL2: newer data forces an abort. *)
+        abort Stats.Validation_failed
+      else begin
+        if not d.read_only then begin
+          G.push p.r_set li;
+          G.push p.r_set (version l1)
+        end;
+        if Probe.on () then Probe.read_accepted ~cpu:d.tid ~addr;
         d.stats.Stats.reads <- d.stats.Stats.reads + 1;
-        G.get p.w_val k
-    | None ->
-        let li = lock_index t addr in
-        let l1 = Shm.get t.locks li in
-        if is_locked l1 then begin
-          (* TL2 has no encounter-time ownership: a locked orec always
-             belongs to a committing transaction. *)
-          if conflict_wait_for t d li (owner l1) then read_word t d addr
-          else abort Stats.Read_conflict
-        end
-        else begin
-          let v = Shm.get t.words addr in
-          let l2 = Shm.get t.locks li in
-          if l1 <> l2 then read_word t d addr
-          else if version l1 > p.rv then
-            (* No snapshot extension in TL2: newer data forces an abort. *)
-            abort Stats.Validation_failed
-          else begin
-            if not d.read_only then begin
-              G.push p.r_set li;
-              G.push p.r_set (version l1)
-            end;
-            if Probe.on () then Probe.read_accepted ~cpu:d.tid ~addr;
-            d.stats.Stats.reads <- d.stats.Stats.reads + 1;
-            v
-          end
-        end
+        v
+      end
+    end
 
   let write_word t (d : tx) addr v =
     Shm.charge_local c_op;
     if d.read_only then invalid_arg "Tl2.write: transaction is read-only";
-    if d.irrevocable then begin
-      d.stats.Stats.writes <- d.stats.Stats.writes + 1;
-      Shm.set t.words addr v
-    end
-    else begin
-    let p = d.p in
-    (match write_set_find p addr with
-    | Some k -> G.set p.w_val k v
-    | None ->
-        G.push p.w_addr addr;
-        G.push p.w_val v;
-        Bloom.add p.bloom addr);
-    d.stats.Stats.writes <- d.stats.Stats.writes + 1
-    end
+    d.stats.Stats.writes <- d.stats.Stats.writes + 1;
+    if d.irrevocable then Shm.set t.words addr v else Log.put d.p.w addr v
 
   (* A free is an update: rewrite the block so commit acquires its locks.
      Inside the fence there is no concurrency and the free is just deferred
@@ -231,7 +190,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     let rec go k =
       k >= 0
       && begin
-           Shm.charge_local c_scan;
+           Shm.charge_local Log.c_scan;
            G.get p.l_idx k = li || go (k - 1)
          end
     in
@@ -247,7 +206,6 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
 
   let acquire_write_locks t (d : tx) =
     let p = d.p in
-    let n = G.length p.w_addr in
     let rec take li =
       let l = Shm.get t.locks li in
       if is_locked l then begin
@@ -274,8 +232,8 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
         end
       end
     in
-    for k = 0 to n - 1 do
-      let li = lock_index t (G.get p.w_addr k) in
+    for k = 0 to Log.length p.w - 1 do
+      let li = lock_index t (Log.addr p.w k) in
       if not (owns_lock p li) then take li
     done
 
@@ -310,7 +268,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
 
   let commit (d : tx) =
     let t = d.owner and p = d.p in
-    if G.length p.w_addr = 0 && G.length d.f_addr = 0 then p.rv
+    if Log.length p.w = 0 && G.length d.f_addr = 0 then p.rv
     else begin
       acquire_write_locks t d;
       if Probe.on () then Probe.perturb ~tid:d.tid d.stats Clock_inc;
@@ -325,10 +283,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
         release_acquired t d;
         abort Stats.Validation_failed
       end;
-      let words = t.words in
-      for k = 0 to G.length p.w_addr - 1 do
-        Shm.set words (G.get p.w_addr k) (G.get p.w_val k)
-      done;
+      Log.write_back p.w t.words;
       (* The snapshot-consistency check must see the write set still under
          lock, before any orec is released. *)
       if Probe.on () then Probe.commit_publish ~cpu:d.tid ~wv;

@@ -12,10 +12,12 @@ let hash2 addr =
 
 let mask addr = (1 lsl hash1 addr) lor (1 lsl hash2 addr)
 
-let add t addr = t.bits <- t.bits lor mask addr
-
 let may_contain t addr =
   let m = mask addr in
   t.bits land m = m
 
-let saturated t = t.bits = (1 lsl word_bits) - 1
+let check_add t addr =
+  let m = mask addr in
+  let b = t.bits in
+  t.bits <- b lor m;
+  b land m = m

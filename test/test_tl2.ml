@@ -1,9 +1,13 @@
-(* Tests for the TL2 baseline: Bloom filter properties, commit-time locking
-   semantics, isolation, and TL2-specific behaviour (no extension, buffered
-   writes invisible before commit). *)
+(* Tests for the TL2 baseline: Bloom filter properties, the redo log TL2
+   and NOrec share, commit-time locking semantics, isolation, and
+   TL2-specific behaviour (no extension, buffered writes invisible before
+   commit). *)
 
 open Tstm_tl2
 module Bloom = Tstm_util.Bloom
+module Log = Tstm_tm.Redo_log
+
+let add b a = ignore (Bloom.check_add b a)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -18,12 +22,18 @@ let test_bloom_empty () =
 
 let test_bloom_add_query () =
   let b = Bloom.create () in
-  Bloom.add b 7;
+  add b 7;
   check_bool "added found" true (Bloom.may_contain b 7)
+
+let test_bloom_check_add () =
+  let b = Bloom.create () in
+  check_bool "absent before" false (Bloom.check_add b 7);
+  check_bool "added found" true (Bloom.may_contain b 7);
+  check_bool "present after" true (Bloom.check_add b 7)
 
 let test_bloom_clear () =
   let b = Bloom.create () in
-  Bloom.add b 7;
+  add b 7;
   Bloom.clear b;
   check_bool "cleared" false (Bloom.may_contain b 7)
 
@@ -32,13 +42,13 @@ let prop_bloom_no_false_negatives =
     QCheck.(list (int_range 0 1_000_000))
     (fun addrs ->
       let b = Bloom.create () in
-      List.iter (Bloom.add b) addrs;
+      List.iter (add b) addrs;
       List.for_all (Bloom.may_contain b) addrs)
 
 let test_bloom_selective () =
   (* With few elements, most absent addresses are rejected. *)
   let b = Bloom.create () in
-  List.iter (Bloom.add b) [ 1; 2; 3 ];
+  List.iter (add b) [ 1; 2; 3 ];
   let false_positives = ref 0 in
   for a = 1000 to 2000 do
     if Bloom.may_contain b a then incr false_positives
@@ -47,6 +57,98 @@ let test_bloom_selective () =
     (Printf.sprintf "few false positives (%d/1001)" !false_positives)
     true
     (!false_positives < 300)
+
+(* ------------------------------------------------------------------ *)
+(* Redo log                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let bloom_of written =
+  let b = Bloom.create () in
+  List.iter (add b) written;
+  b
+
+(* The first address in [from, from + 4096) that [written] has not
+   written but the filter of [written] cannot reject: a Bloom false
+   positive, which a lookup must scan for and then miss. *)
+let bloom_collision ~from written =
+  let b = bloom_of written in
+  let rec go a =
+    if a >= from + 4096 then Alcotest.fail "no Bloom collision in range"
+    else if (not (List.mem a written)) && Bloom.may_contain b a then a
+    else go (a + 1)
+  in
+  go from
+
+let test_log_empty_miss () =
+  let w = Log.create () in
+  check_int "miss" (-1) (Log.find w 42);
+  check_int "empty" 0 (Log.length w)
+
+let test_log_latest_put () =
+  let w = Log.create () in
+  Log.put w 7 1;
+  Log.put w 9 5;
+  Log.put w 7 2;
+  let k = Log.find w 7 in
+  check_bool "hit" true (k >= 0);
+  check_int "address" 7 (Log.addr w k);
+  check_int "latest value" 2 (Log.value w k);
+  check_int "other entry" 5 (Log.value w (Log.find w 9))
+
+let test_log_reput_one_entry () =
+  let w = Log.create () in
+  Log.put w 7 1;
+  Log.put w 7 2;
+  Log.put w 7 3;
+  check_int "one entry" 1 (Log.length w);
+  check_int "value" 3 (Log.value w 0)
+
+let test_log_false_positive () =
+  let w = Log.create () in
+  Log.put w 100 1;
+  Log.put w 200 2;
+  let fp = bloom_collision ~from:1000 [ 100; 200 ] in
+  check_int "false positive misses" (-1) (Log.find w fp);
+  (* A put at the colliding address must append, not overwrite. *)
+  Log.put w fp 3;
+  check_int "appended" 3 (Log.length w);
+  check_int "own value" 3 (Log.value w (Log.find w fp));
+  check_int "collided entry intact" 1 (Log.value w (Log.find w 100))
+
+let test_log_clear () =
+  let w = Log.create () in
+  Log.put w 7 1;
+  Log.put w 8 2;
+  Log.clear w;
+  check_int "empty" 0 (Log.length w);
+  check_int "forgotten" (-1) (Log.find w 7);
+  Log.put w 8 3;
+  check_int "fresh entry" 3 (Log.value w (Log.find w 8))
+
+(* Pinned to the cost model of the write-set lookup that TL2's and
+   NOrec's simulated figures were made with: 3 cycles for the filter on
+   every lookup (also when the log is empty and nothing is hashed), then
+   1 per entry scanned, newest first. *)
+let test_log_charges () =
+  let cycles f =
+    let c = ref (-1) in
+    Tstm_runtime.Sim_sched.run ~nthreads:1 (fun _ ->
+        let t0 = Tstm_runtime.Sim_sched.now_cycles () in
+        f ();
+        c := Tstm_runtime.Sim_sched.now_cycles () - t0);
+    !c
+  in
+  let w = Log.create () in
+  check_int "empty miss" 3 (cycles (fun () -> ignore (Log.find w 7)));
+  Log.put w 100 1;
+  Log.put w 200 2;
+  let b = bloom_of [ 100; 200 ] in
+  let rec rejected a = if Bloom.may_contain b a then rejected (a + 1) else a in
+  check_int "Bloom-rejected miss" 3
+    (cycles (fun () -> ignore (Log.find w (rejected 0))));
+  check_int "scanned hit" 5 (cycles (fun () -> ignore (Log.find w 100)));
+  let fp = bloom_collision ~from:1000 [ 100; 200 ] in
+  check_int "scanned miss" 5 (cycles (fun () -> ignore (Log.find w fp)))
 
 (* ------------------------------------------------------------------ *)
 (* TL2 semantics                                                      *)
@@ -229,6 +331,50 @@ module Semantics (R : Tstm_runtime.Runtime_intf.S) () = struct
     ]
 end
 
+(* ------------------------------------------------------------------ *)
+(* Read-after-write through the registry, both redo-log families       *)
+(* ------------------------------------------------------------------ *)
+
+module Registry = Tstm_tm.Registry
+
+let test_read_after_write (module S : Tstm_tm.Tm_intf.STM) () =
+  let t = S.create ~memory_words:8192 () in
+  let n = 4096 in
+  let base = S.atomically t (fun tx -> S.alloc tx n) in
+  S.atomically t (fun tx ->
+      for i = 0 to n - 1 do
+        S.write tx (base + i) (1000 + i)
+      done);
+  let written = [ base; base + 1; base + 2; base + 3 ] in
+  let fp = bloom_collision ~from:(base + 4) written in
+  check_bool "collision inside the block" true (fp < base + n);
+  S.atomically t (fun tx ->
+      S.write tx base 1;
+      check_int "read own write" 1 (S.read tx base);
+      S.write tx base 2;
+      check_int "read own rewrite" 2 (S.read tx base);
+      List.iter (fun a -> if a <> base then S.write tx a (-a)) written;
+      check_int "colliding address reads memory" (1000 + fp - base)
+        (S.read tx fp);
+      check_int "rewrite survives" 2 (S.read tx base));
+  check_int "committed" 2 (S.atomically t (fun tx -> S.read tx base));
+  check_int "collision untouched" (1000 + fp - base)
+    (S.atomically t (fun tx -> S.read tx fp))
+
+let read_after_write_tests =
+  List.concat_map
+    (fun name ->
+      match Registry.entry_of name with
+      | None -> Alcotest.fail ("not registered: " ^ name)
+      | Some e ->
+          [
+            Alcotest.test_case (name ^ " (sim)") `Quick
+              (test_read_after_write e.Registry.sim);
+            Alcotest.test_case (name ^ " (domains)") `Quick
+              (test_read_after_write e.Registry.real);
+          ])
+    [ "tl2"; "norec" ]
+
 module Sim_sem = Semantics (Tstm_runtime.Runtime_sim) ()
 module Real_sem = Semantics (Tstm_runtime.Runtime_real) ()
 
@@ -239,12 +385,24 @@ let () =
         [
           Alcotest.test_case "empty" `Quick test_bloom_empty;
           Alcotest.test_case "add/query" `Quick test_bloom_add_query;
+          Alcotest.test_case "check-and-add" `Quick test_bloom_check_add;
           Alcotest.test_case "clear" `Quick test_bloom_clear;
           Alcotest.test_case "selective" `Quick test_bloom_selective;
+        ] );
+      ( "redo-log",
+        [
+          Alcotest.test_case "empty miss" `Quick test_log_empty_miss;
+          Alcotest.test_case "latest put" `Quick test_log_latest_put;
+          Alcotest.test_case "re-put keeps one entry" `Quick
+            test_log_reput_one_entry;
+          Alcotest.test_case "false positive" `Quick test_log_false_positive;
+          Alcotest.test_case "clear" `Quick test_log_clear;
+          Alcotest.test_case "charges" `Quick test_log_charges;
         ] );
       ( "bloom-props",
         List.map QCheck_alcotest.to_alcotest [ prop_bloom_no_false_negatives ]
       );
+      ("read-after-write", read_after_write_tests);
       ("semantics (sim)", Sim_sem.tests);
       ("semantics (domains)", Real_sem.tests);
     ]
