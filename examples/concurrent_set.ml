@@ -59,8 +59,8 @@ module Bench (T : Tstm_tm.Tm_intf.TM) = struct
       (Tstm_tm.Tm_stats.aborts s)
 end
 
-module Ts = Tinystm.Make (R)
-module Tl = Tstm_tl2.Tl2.Make (R)
+module Ts = Tinystm
+module Tl = Tstm_tl2.Tl2
 module B_ts = Bench (Ts)
 module B_tl = Bench (Tl)
 
@@ -73,7 +73,7 @@ let () =
       List.iter
         (fun strategy ->
           let stm =
-            Ts.create
+            Ts.create ~kind:R.kind
               ~config:(Tinystm.Config.make ~n_locks:4096 ~strategy ())
               ~memory_words:(size * 32) ()
           in
@@ -81,7 +81,9 @@ let () =
             ("tinystm-" ^ Tinystm.Config.strategy_to_string strategy)
             structure)
         [ Tinystm.Config.Write_back; Tinystm.Config.Write_through ];
-      let stm = Tl.create ~n_locks:4096 ~memory_words:(size * 32) () in
+      let stm =
+        Tl.create ~kind:R.kind ~n_locks:4096 ~memory_words:(size * 32) ()
+      in
       B_tl.run stm "tl2" structure)
     [
       Tstm_harness.Workload.List;

@@ -3,12 +3,12 @@
 
      dune exec examples/quickstart.exe
 
-   The pattern: instantiate TinySTM over a runtime, allocate words in its
-   memory arena, and wrap reads/writes in [atomically].  Conflicting
+   The pattern: create a TinySTM instance for a runtime, allocate words in
+   its memory arena, and wrap reads/writes in [atomically].  Conflicting
    transfers abort and retry automatically; the total balance is invariant. *)
 
 module R = Tstm_runtime.Runtime_real
-module Stm = Tinystm.Make (R)
+module Stm = Tinystm
 
 let n_accounts = 32
 let initial_balance = 1_000
@@ -17,7 +17,7 @@ let transfers_per_domain = 25_000
 
 let () =
   let stm =
-    Stm.create
+    Stm.create ~kind:R.kind
       ~config:(Tinystm.Config.make ~n_locks:1024 ())
       ~memory_words:4096 ()
   in

@@ -5,7 +5,7 @@
 *)
 
 module R = Tstm_runtime.Runtime_real
-module Stm = Tinystm.Make (R)
+module Stm = Tinystm
 module Vac = Tstm_vacation.Vacation.Make (Stm)
 
 let n_domains = 4
@@ -20,7 +20,7 @@ let () =
     }
   in
   let stm =
-    Stm.create
+    Stm.create ~kind:R.kind
       ~config:(Tinystm.Config.make ~n_locks:(1 lsl 14) ~hierarchy:4 ())
       ~memory_words:(Tstm_vacation.Vacation.memory_words_for spec)
       ()

@@ -201,10 +201,6 @@ val observe_flag : bool Cmdliner.Term.t
 val threshold_arg : float Cmdliner.Term.t
 val report_only_flag : bool Cmdliner.Term.t
 
-val git_rev : unit -> string
-(** Short git revision of the working tree, or ["unknown"] outside a
-    checkout. *)
-
 val run_bench_real :
   ?out:string ->
   stms:string list ->

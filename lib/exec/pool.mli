@@ -33,9 +33,6 @@ type 'r verdict = { rows : 'r option array; failures : failure list }
 val ok : 'r verdict -> bool
 (** No failures — every row present. *)
 
-val default_timeout : float
-(** Per-attempt timeout in seconds (600). *)
-
 val map :
   ?jobs:int ->
   ?timeout:float ->
@@ -50,10 +47,9 @@ val map :
     (default 1) concurrent worker processes and merges the rows by rank.
 
     [f] must be deterministic and its result [Marshal]-safe (pure data).
-    A worker that crashes or exceeds [timeout] seconds (default
-    {!default_timeout}) is requeued up to [retries] (default 2) extra
-    attempts; a job whose [f] raises fails permanently without retry (the
-    failure is deterministic).  [on_progress] fires in the parent on every
+    A worker that crashes or exceeds [timeout] seconds (default 600) is
+    requeued up to [retries] (default 2) extra attempts; a job whose [f]
+    raises fails permanently without retry (the failure is deterministic).  [on_progress] fires in the parent on every
     job lifecycle event — completion order, so nondeterministic: route it
     to stderr, never stdout.  [sabotage ~rank ~attempt] (tests only) makes
     the worker SIGKILL itself before evaluating, exercising the

@@ -8,6 +8,7 @@
 
 module CM = Tstm_runtime.Cache_model
 module Rs = Tstm_runtime.Runtime_sim
+module Shm = Tstm_runtime.Shm
 
 type point =
   | Cost of { label : string; params : CM.params }
@@ -69,7 +70,7 @@ let headline_spec ~initial_size =
 
 let run_point = function
   | Cost { label; params } ->
-      Rs.configure params;
+      Shm.configure params;
       let spec = headline_spec ~initial_size:256 in
       (* One representative per algorithm family (the first registered
          entry), so a newly registered family joins the headline
@@ -94,10 +95,10 @@ let run_point = function
          immediate abort on a foreign lock.  [conflict_wait] is a
          TinySTM-specific constructor knob, not part of the packaged STM
          interface, so this point builds the instance directly. *)
-      Rs.configure CM.default;
+      Shm.configure CM.default;
       let spec = headline_spec ~initial_size:256 in
       let t =
-        Scenario.Ts.create
+        Scenario.Ts.create ~kind:Rs.kind
           ~config:(Tinystm.Config.make ())
           ~conflict_wait:attempts
           ~memory_words:(Workload.memory_words_for spec)
@@ -112,7 +113,7 @@ let run_point = function
   | Two_level { hierarchy; hierarchy2 } ->
       (* The paper's §3.2 generalization: a second, coarser counter level
          over the hierarchical array (validation-heavy list workload). *)
-      Rs.configure CM.default;
+      Shm.configure CM.default;
       let spec = headline_spec ~initial_size:1024 in
       let r =
         Scenario.run_intset ~stm:"tinystm-wb" ~n_locks:(1 lsl 16) ~shifts:2

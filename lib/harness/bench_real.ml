@@ -14,6 +14,7 @@
    zero drift against the post-populate baseline. *)
 
 module R = Tstm_runtime.Runtime_real
+module Shm = Tstm_runtime.Shm
 module Mono = Tstm_obs.Monotonic
 module Json = Tstm_obs.Json
 module Bench = Tstm_obs.Bench
@@ -24,7 +25,7 @@ module Intf = Tstm_tm.Tm_intf
 (* Histogram notes carry no cpu argument; the sharded sink asks this hook
    for the recording domain's shard.  Runtime_real's tids are dense and
    bounded by the thread count, so they index shards directly. *)
-let () = Sink.set_domain_id R.tid
+let () = Sink.set_domain_id Shm.tid
 
 module type STM = Intf.STM
 
@@ -49,9 +50,6 @@ type protocol = {
   reps : int;
   observe : bool;
 }
-
-let default_protocol =
-  { duration_s = 0.2; warmup_s = 0.05; reps = 3; observe = false }
 
 type integrity = {
   ops_total : int;

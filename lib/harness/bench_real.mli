@@ -42,9 +42,6 @@ type protocol = {
   observe : bool;  (** record latency histograms via a sharded sink *)
 }
 
-val default_protocol : protocol
-(** 0.2 s × 3 repetitions after 0.05 s warmup, no latency recording. *)
-
 (** One benchmark cell to run. *)
 type cell_request = {
   stm : string;  (** canonical name or alias; see {!stm_names} *)

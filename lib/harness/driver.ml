@@ -209,7 +209,7 @@ struct
     T.reset_stats t;
     (* Per-thread commit counters on private cache lines, plus a stop flag;
        thread 0 aggregates them at period boundaries. *)
-    let ctl = R.sarray_make (8 * (spec.Workload.nthreads + 2)) 0 in
+    let ctl = Shm.make R.kind (8 * (spec.Workload.nthreads + 2)) 0 in
     let stop_slot = 0 in
     let commit_slot tid = 8 * (tid + 1) in
     R.run ~nthreads:spec.Workload.nthreads (fun tid ->

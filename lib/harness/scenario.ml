@@ -1,7 +1,7 @@
 module R = Tstm_runtime.Runtime_sim
-module Ts = Tinystm.Make (R)
-module Tl = Tstm_tl2.Tl2.Make (R)
-module No = Tstm_norec.Norec.Make (R)
+module Ts = Tinystm
+module Tl = Tstm_tl2.Tl2
+module No = Tstm_norec.Norec
 module Vac = Tstm_vacation.Vacation.Make (Ts)
 module Config = Tinystm.Config
 module Intf = Tstm_tm.Tm_intf
@@ -66,7 +66,7 @@ let run_vacation ?(n_locks = default_locks) ?(shifts = 0) ?(hierarchy = 1)
     ?(spec = Vac.default_spec) ~nthreads ~duration ~seed () =
   let config = Config.make ~n_locks ~shifts ~hierarchy () in
   let t =
-    Ts.create ~config ~memory_words:(Vac.memory_words_for spec) ()
+    Ts.create ~kind:R.kind ~config ~memory_words:(Vac.memory_words_for spec) ()
   in
   let v = Vac.create t in
   let v = Vac.populate v spec ~seed in
@@ -104,7 +104,7 @@ module D_ts = Driver.Make (R) (Ts)
 let run_intset_autotuned ?(initial = tuning_start) ?(period = 0.002)
     ?(n_steps = 20) ?(tuner_seed = 0x51ce) (spec : Workload.spec) =
   let words = Workload.memory_words_for spec in
-  let t = Ts.create ~config:initial ~memory_words:words () in
+  let t = Ts.create ~kind:R.kind ~config:initial ~memory_words:words () in
   let ops = D_ts.make_structure t spec.Workload.structure in
   D_ts.populate t ops spec;
   let tuner = Tstm_tuning.Tuner.create ~seed:tuner_seed initial in

@@ -6,9 +6,9 @@
     (["tinystm-wb"]/["wb"], ["tinystm-wt"]/["wt"], ["tl2"], ["norec"]). *)
 
 module R = Tstm_runtime.Runtime_sim
-module Ts : module type of Tinystm.Make (R)
-module Tl : module type of Tstm_tl2.Tl2.Make (R)
-module No : module type of Tstm_norec.Norec.Make (R)
+module Ts = Tinystm
+module Tl = Tstm_tl2.Tl2
+module No = Tstm_norec.Norec
 module Vac : module type of Tstm_vacation.Vacation.Make (Ts)
 
 val all_stms : string list

@@ -12,6 +12,7 @@
    livelocked runs, so even a run that makes no progress terminates. *)
 
 module R = Tstm_runtime.Runtime_sim
+module Shm = Tstm_runtime.Shm
 module Registry = Tstm_tm.Registry
 module Cm = Tstm_cm.Cm
 module Watchdog = Tstm_runtime.Watchdog
@@ -107,7 +108,7 @@ let run_one spec =
         Tstm_util.Xrand.create
           (Tstm_util.Bitops.mix ((spec.seed * 65599) + tid))
       in
-      R.charge_local (Tstm_util.Xrand.int g 64);
+      Shm.charge_local (Tstm_util.Xrand.int g 64);
       let t0 = R.now () in
       (try
          while commits.(tid) < spec.quota do

@@ -143,80 +143,6 @@ let vmm_charge =
                  else None)
                g.roots))
 
-(* --- runtime-direct -------------------------------------------------- *)
-
-(* The operations every barrier makes: reached through a functor's runtime
-   argument they compile, without flambda, to [caml_applyN] plus an
-   indirect call per access; [Shm] has them as direct calls. *)
-let runtime_ops =
-  [ "get"; "set"; "cas"; "fetch_add"; "sarray_length"; "sarray_label";
-    "charge"; "charge_local"; "yield"; "tid"; "is_simulated" ]
-
-let is_runtime_sig (mty : Parsetree.module_type) =
-  match mty.pmty_desc with
-  | Pmty_ident { txt; _ } -> Astq.suffix_matches ~pat:[ "Runtime_intf"; "S" ] txt
-  | _ -> false
-
-(* Every [P.op] inside the body of a functor whose parameter [P] has the
-   runtime signature. *)
-let runtime_calls str =
-  let out = ref [] in
-  let params = ref [] in
-  let open Ast_iterator in
-  let it =
-    {
-      default_iterator with
-      module_expr =
-        (fun it m ->
-          match m.pmod_desc with
-          | Pmod_functor (Named ({ txt = Some p; _ }, mty), body)
-            when is_runtime_sig mty ->
-              it.module_type it mty;
-              params := p :: !params;
-              it.module_expr it body;
-              params := List.tl !params
-          | _ -> default_iterator.module_expr it m);
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_ident { txt; loc } -> (
-              match Astq.flatten txt with
-              | Some (p :: (_ :: _ as rest))
-                when List.mem p !params
-                     && List.mem (List.nth rest (List.length rest - 1))
-                          runtime_ops ->
-                  out := (String.concat "." (p :: rest), loc) :: !out
-              | _ -> ())
-          | _ -> ());
-          default_iterator.expr it e);
-    }
-  in
-  it.structure it str;
-  List.rev !out
-
-let runtime_direct =
-  let id = "runtime-direct" in
-  mk ~id ~severity:Finding.Error
-    ~scope_doc:"lib/vmm, lib/tm, lib/tinystm, lib/tl2, lib/norec"
-    ~scope:(fun p -> in_stm p || under2 ~a:"lib" ~b:"vmm" p)
-    ~doc:
-      "shared-memory accesses, charges, yields and thread ids are direct \
-       Shm calls, never paths through the functor's runtime argument"
-    (File_pass
-       (fun file ->
-         match file.str with
-         | None -> []
-         | Some str ->
-             List.map
-               (fun (path, loc) ->
-                 Finding.of_location ~rule:id ~severity:Finding.Error loc
-                   (Printf.sprintf
-                      "`%s` goes through the runtime functor argument \
-                       (caml_applyN and an indirect call per access); call \
-                       Shm directly"
-                      path))
-               (runtime_calls str)))
-
 (* --- tap-pairing ----------------------------------------------------- *)
 
 let tap_pairs =
@@ -300,6 +226,18 @@ let layers =
     { dir = "lint"; root_module = "Tstm_lint"; lib_name = "tstm_lint"; allowed = [] };
   ]
 
+(* The STM stack is written once for both runtimes: an instance picks its
+   runtime at [create] from the kind of its arrays, so no module under
+   these dirs may name a runtime module of lib/runtime, although the
+   library itself is allowed. *)
+let runtime_free = [ "vmm"; "tm"; "tinystm"; "tl2"; "norec" ]
+let runtime_modules = [ "Runtime_intf"; "Runtime_sim"; "Runtime_real" ]
+
+let names_runtime (r : Astq.ref_) =
+  match Astq.flatten r.r_lid with
+  | Some path -> List.exists (fun m -> List.mem m runtime_modules) path
+  | None -> false
+
 let layer_of_dir d = List.find_opt (fun l -> l.dir = d) layers
 let layer_of_root m = List.find_opt (fun l -> l.root_module = m) layers
 let layer_of_lib n = List.find_opt (fun l -> l.lib_name = n) layers
@@ -373,7 +311,7 @@ let layering =
     ~doc:
       "the library DAG is declared once (util at the bottom, \
        harness/service/exec at the top); both module references and dune \
-       stanzas must respect it"
+       stanzas must respect it, and the STM stack names no runtime module"
     (Repo_pass
        (fun files ->
          let out = ref [] in
@@ -398,6 +336,19 @@ let layering =
              | None -> ()
              | Some owner -> (
                  let check_ref (r : Astq.ref_) =
+                   if List.mem owner.dir runtime_free && names_runtime r
+                   then begin
+                     let p = r.r_loc.loc_start in
+                     out :=
+                       Finding.v ~rule:id ~severity:Finding.Error ~path:f.path
+                         ~line:p.pos_lnum ~col:(p.pos_cnum - p.pos_bol)
+                         (Printf.sprintf
+                            "layering violation: lib/%s must not name a \
+                             runtime module (%s); an STM instance picks its \
+                             runtime from its arrays' Shm.kind"
+                            owner.dir (String.concat ", " runtime_modules))
+                       :: !out
+                   end;
                    match Astq.head r.r_lid with
                    | Some h -> (
                        match layer_of_root h with
@@ -433,4 +384,4 @@ let layering =
          List.rev !out))
 
 let rules =
-  [ stm_lock_pairing; vmm_charge; runtime_direct; tap_pairing; layering ]
+  [ stm_lock_pairing; vmm_charge; tap_pairing; layering ]

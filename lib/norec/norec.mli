@@ -28,37 +28,34 @@
     Exposes the same {!Tstm_tm.Tm_intf.TM} operations as the other STMs so
     the transactional data structures and the harness run unmodified. *)
 
-module Make (R : Tstm_runtime.Runtime_intf.S) : sig
-  module V : module type of Tstm_vmm.Vmm.Make (R)
+type t
+type tx
 
-  type t
-  type tx
+val create :
+  kind:Tstm_runtime.Shm.kind ->
+  ?max_threads:int ->
+  ?max_retries:int ->
+  ?cm:Tstm_cm.Cm.policy ->
+  ?watchdog:Tstm_runtime.Watchdog.t ->
+  memory_words:int ->
+  unit ->
+  t
+(** An instance of [kind].  [max_retries] (default 0 = never) is the retry
+    budget after which a transaction escalates to serial-irrevocable execution
+    inside the quiescence fence, exactly as in {!Tinystm.create}.  [cm] and
+    [watchdog] mirror the other STMs'. *)
 
-  val create :
-    ?max_threads:int ->
-    ?max_retries:int ->
-    ?cm:Tstm_cm.Cm.policy ->
-    ?watchdog:Tstm_runtime.Watchdog.t ->
-    memory_words:int ->
-    unit ->
-    t
-  (** [max_retries] (default 0 = never) is the retry budget after which a
-      transaction escalates to serial-irrevocable execution inside the
-      quiescence fence, exactly as in {!Tinystm.Make.create}.  [cm] and
-      [watchdog] mirror the other STMs'. *)
+val memory : t -> Tstm_vmm.Vmm.t
 
-  val memory : t -> V.t
+val clock_value : t -> int
+(** Current sequence value (even while no writer is committing). *)
 
-  val clock_value : t -> int
-  (** Current sequence value (even while no writer is committing). *)
+val name : string
 
-  val name : string
-
-  val read : tx -> int -> int
-  val write : tx -> int -> int -> unit
-  val alloc : tx -> int -> int
-  val free : tx -> int -> int -> unit
-  val atomically : ?read_only:bool -> t -> (tx -> 'a) -> 'a
-  val stats : t -> Tstm_tm.Tm_stats.t
-  val reset_stats : t -> unit
-end
+val read : tx -> int -> int
+val write : tx -> int -> int -> unit
+val alloc : tx -> int -> int
+val free : tx -> int -> int -> unit
+val atomically : ?read_only:bool -> t -> (tx -> 'a) -> 'a
+val stats : t -> Tstm_tm.Tm_stats.t
+val reset_stats : t -> unit

@@ -14,16 +14,6 @@ type verdict =
   | Faulted
   | Tripped
 
-let verdict_to_string = function
-  | Committed -> "committed"
-  | Late -> "late"
-  | Gave_up -> "gave-up"
-  | Dropped -> "dropped"
-  | Budget_exhausted -> "budget-exhausted"
-  | Shed -> "shed"
-  | Faulted -> "faulted"
-  | Tripped -> "tripped"
-
 type t = {
   lat_ok : Histo.t;  (* in-deadline commits *)
   lat_done : Histo.t;  (* every executed request (incl. late, give-ups) *)
@@ -119,28 +109,6 @@ let summary (t : t) =
     mean = Histo.mean t.lat_ok;
     p99_done = Histo.percentile t.lat_done 99.0;
   }
-
-let summary_to_json s =
-  Json.Obj
-    [
-      ("requests", Json.Int s.requests);
-      ("admitted", Json.Int s.admitted);
-      ("shed", Json.Int s.shed);
-      ("committed", Json.Int s.committed);
-      ("late", Json.Int s.late);
-      ("gave_up", Json.Int s.gave_up);
-      ("dropped", Json.Int s.dropped);
-      ("budget_exhausted", Json.Int s.budget_exhausted);
-      ("faulted", Json.Int s.faulted);
-      ("tripped", Json.Int s.tripped);
-      ("deadline_missed", Json.Int s.deadline_missed);
-      ("p50_cycles", Json.Int s.p50);
-      ("p99_cycles", Json.Int s.p99);
-      ("p999_cycles", Json.Int s.p999);
-      ("max_cycles", Json.Int s.max_latency);
-      ("mean_cycles", Json.Float s.mean);
-      ("p99_done_cycles", Json.Int s.p99_done);
-    ]
 
 let columns =
   [

@@ -1,8 +1,8 @@
-(** The execution substrate every other library is parameterised over.
+(** What differs between the two execution substrates once the STM has
+    picked its arrays: how threads are run and which clock the harness
+    reads.
 
-    A [RUNTIME] provides (i) construction of the shared flat [int] arrays —
-    the only memory the STM metadata and the virtual word memory live in —
-    and (ii) a notion of threads and time.  Two implementations exist:
+    Two implementations exist:
 
     - {!Runtime_real}: OCaml 5 domains and [Atomic]; wall-clock time; cycle
       charges are no-ops.  Use it to run the STM on real hardware.
@@ -11,27 +11,20 @@
       a cache-line contention cost model).  Use it to reproduce the paper's
       thread-scaling figures on a single-core machine.
 
-    The STM algorithms are written once against this signature, so the code
-    that produces the figures is the same code that runs on real domains.
-
-    Accessing an array, charging cycles, yielding and asking for the
-    thread id are not here: they are the concrete {!Shm} operations, which
-    the barriers call directly so that no access goes through the functor
-    argument (DESIGN.md §4k).  What remains ties a packaging to its
-    runtime: which kind of array [sarray_make] builds, how [run] schedules
-    threads, and which clock [now]/[now_cycles] read. *)
+    The STM stack (lib/vmm, lib/tm and the three families) is not
+    parameterised over this signature: an instance picks its runtime at
+    [create] from its {!kind}, and every access, charge and trace stamp is
+    a direct {!Shm} call (DESIGN.md §4k).  The code that produces the
+    figures is the same code that runs on real domains.  The harness's
+    drivers are functors over it, because [run] and [now] really do differ
+    between the runtimes. *)
 
 module type S = sig
   val name : string
   (** Human-readable runtime name, e.g. ["sim"] or ["domains"]. *)
 
-  type sarray = Shm.t
-  (** A fixed-length array of [int] words shared between threads; see
-      {!Shm} for its operations. *)
-
-  val sarray_make : int -> int -> sarray
-  (** [sarray_make len init]: a [Shm.Sim] array in the simulator, a
-      [Shm.Real] one on real hardware. *)
+  val kind : Shm.kind
+  (** The kind of array, and so of STM instance, this runtime runs. *)
 
   val run : nthreads:int -> (int -> unit) -> unit
   (** [run ~nthreads body] executes [body tid] for [tid] in [0..nthreads-1],

@@ -1,22 +1,13 @@
 let name = "domains"
-let is_simulated = false
+let kind = Shm.Domains
 
-type sarray = Shm.t
-
-let sarray_make len init = Shm.Real (Array.init len (fun _ -> Atomic.make init))
-
-(* The per-access code lives in [Shm]; these are its names under this
-   runtime. *)
-let sarray_length = Shm.length
+(* Kept for perfbench, which builds and accesses its micro-benchmark array
+   through this module; everything else calls [Shm]. *)
+let sarray_make = Shm.make Domains
 let get = Shm.get
-let set = Shm.set
 let cas = Shm.cas
 let fetch_add = Shm.fetch_add
-let sarray_label = Shm.label
 let tid = Shm.tid
-let charge = Shm.charge
-let charge_local = Shm.charge_local
-let yield = Shm.yield
 
 (* Worker-domain pool.
 

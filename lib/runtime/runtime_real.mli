@@ -7,9 +7,9 @@
 
     {2 Semantics and guarantees}
 
-    - {b Shared arrays.}  [sarray_make] builds a [Shm.Real], an
-      [int Atomic.t array]; the STM barriers access it through {!Shm}
-      directly, never through this module.  [get]/[set] are
+    - {b Shared arrays.}  Instances of kind [Shm.Domains] build [Shm.Real]
+      arrays, [int Atomic.t array]s; the STM barriers access them through
+      {!Shm} directly, never through this module.  [get]/[set] are
       sequentially-consistent atomic loads/stores, [cas] is
       [Atomic.compare_and_set], and [fetch_add] is the hardware
       [Atomic.fetch_and_add] — a single atomic read-modify-write, safe as a
@@ -44,23 +44,18 @@
 
 include Runtime_intf.S
 
-(** {2 Aliases}
+(** {2 For perfbench}
 
-    The names this runtime has always exported, bound to {!Shm}'s code. *)
+    perfbench's micro-benchmarks build and access an array through these
+    names; the code behind them is {!Shm}'s. *)
 
-val is_simulated : bool
-(** [false]. *)
+val sarray_make : int -> int -> Shm.t
+(** [Shm.make Domains]. *)
 
-val sarray_length : sarray -> int
-val get : sarray -> int -> int
-val set : sarray -> int -> int -> unit
-val cas : sarray -> int -> int -> int -> bool
-val fetch_add : sarray -> int -> int -> int
-val sarray_label : sarray -> string -> unit
+val get : Shm.t -> int -> int
+val cas : Shm.t -> int -> int -> int -> bool
+val fetch_add : Shm.t -> int -> int -> int
 val tid : unit -> int
-val charge : int -> unit
-val charge_local : int -> unit
-val yield : unit -> unit
 
 (** {2 Self-healing runs}
 

@@ -10,6 +10,28 @@ type sim = {
 }
 
 type t = Real of int Atomic.t array | Sim of sim
+type kind = Simulated | Domains
+
+(* The simulator's cost model is process-global; each simulated array
+   reads it when it is made. *)
+let current_params = ref Cache_model.default
+let glob = ref (Cache_model.create_global Cache_model.default)
+
+let configure p =
+  Cache_model.validate p;
+  current_params := p;
+  glob := Cache_model.create_global p
+
+let params () = !current_params
+let cold_caches () = Cache_model.reset_tags !glob
+
+let make kind len init =
+  match kind with
+  | Domains -> Real (Array.init len (fun _ -> Atomic.make init))
+  | Simulated ->
+      Sim
+        { data = Array.make len init; cache = Cache_model.create !glob len;
+          p = !current_params; label = "" }
 
 (* Each simulated access first charges its base cost (a preemption point, so
    another fiber may interleave here), then executes atomically, adding the
@@ -87,6 +109,13 @@ let label t l =
   | Sim a ->
       a.label <- l;
       Cache_model.set_label a.cache l
+
+(* A simulated instance stamps virtual time even when called outside a run
+   (where it reads 0): asking [Sim_sched.inside] instead would stamp
+   wall-clock time into simulated traces set up before the run. *)
+let now_cycles = function
+  | Sim _ -> Sim_sched.now_cycles ()
+  | Real _ -> Tstm_obs.Monotonic.now_ns ()
 
 (* Threads and costs: a simulator fiber is recognised by [Sim_sched.inside];
    anything else is a real domain (or the orchestrating thread outside any

@@ -3,15 +3,14 @@
     One concrete type covers both runtimes: a {!Runtime_real} array is an
     [int Atomic.t array] (one boxed [Atomic] per word), a {!Runtime_sim}
     array is a plain [int array] with its cache model.  The memory
-    operations dispatch on the constructor; the thread and cost operations
-    dispatch on {!Sim_sched.inside}, so the same call is a charge on a
-    simulated CPU and a no-op on a real domain.
+    operations and the cycle clock dispatch on the constructor; the thread
+    and cost operations dispatch on {!Sim_sched.inside}, so the same call
+    is a charge on a simulated CPU and a no-op on a real domain.
 
-    Why this is not reached through the runtime functor argument: without
-    flambda, [R.get] in a functor body compiles to [caml_apply2] plus an
-    indirect call, and a TinySTM read makes several such accesses.  Only
-    construction ([sarray_make]), [run] and the clocks stay on
-    {!Runtime_intf.S} (DESIGN.md §4k). *)
+    An STM instance picks its runtime once, when it builds its arrays with
+    {!make}; from then on every barrier, charge and trace stamp is a direct
+    call here, and nothing in the STM stack is a functor over the runtime
+    (DESIGN.md §4k). *)
 
 type sim = {
   data : int array;
@@ -19,11 +18,36 @@ type sim = {
   p : Cache_model.params;  (** cost parameters read at creation *)
   mutable label : string;  (** contention-attribution name, [""] if none *)
 }
-(** A simulated array.  Built by {!Runtime_sim.sarray_make}. *)
+(** A simulated array.  Built by {!make} [Simulated]. *)
 
 type t = Real of int Atomic.t array | Sim of sim
 (** A fixed-length array of [int] words shared between threads.  All
     accesses behave as sequentially consistent atomic operations. *)
+
+type kind = Simulated | Domains
+(** The runtime an array is built for: {!Runtime_sim}'s simulated CPUs or
+    {!Runtime_real}'s OCaml domains.  Every array of one STM instance has
+    the instance's kind. *)
+
+val make : kind -> int -> int -> t
+(** [make kind len init]: a [Sim] array with its own cache-model state,
+    priced by the parameters {!configure} has set at this call, or a
+    [Real] array of [len] [Atomic] cells.  The simulator numbers cache
+    lines in creation order, so the order of [make] calls is part of
+    every simulated result. *)
+
+(** {1 The simulator's cost model} *)
+
+val configure : Cache_model.params -> unit
+(** Set the cost model for [Simulated] arrays made from now on.  Raises
+    [Invalid_argument] on bad parameters. *)
+
+val params : unit -> Cache_model.params
+(** The parameters {!make} reads. *)
+
+val cold_caches : unit -> unit
+(** Empty every simulated CPU's private cache; {!Runtime_sim.run} calls it
+    first so a result depends only on the experiment. *)
 
 (** {1 Memory} *)
 
@@ -47,6 +71,14 @@ val label : t -> string -> unit
     cost (a preemption point) plus the contention penalty its cache model
     finds at the instant it executes; outside a run it is free.  A [Real]
     access is the corresponding [Atomic] operation. *)
+
+(** {1 Clock} *)
+
+val now_cycles : t -> int
+(** The trace clock of [a]'s runtime, chosen by its constructor, never by
+    the caller: a [Sim] array reads the calling fiber's virtual cycles,
+    [0] outside a simulated run; a [Real] one reads monotonic nanoseconds.
+    Any array of an instance stamps that instance's events. *)
 
 (** {1 Threads and costs} *)
 

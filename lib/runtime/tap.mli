@@ -9,9 +9,9 @@
     record (the STMs' own sync edges go from [Tstm_tm.Probe] to the
     sanitizer directly); producers are:
 
-    - {!Runtime_sim}: every [sarray] access ({!access}) with the array's
-      label, and the {!run_boundary} full-synchronization points at the
-      start and end of each simulated run;
+    - {!Shm}: every access to a [Sim] array ({!access}) with the array's
+      label; {!Runtime_sim}: the {!run_boundary} full-synchronization
+      points at the start and end of each simulated run;
     - {!Tstm_vmm.Vmm}: the allocator events ({!vmm_alloc}, {!vmm_free}) and
       the explicitly non-transactional word accesses ({!vmm_load},
       {!vmm_store}).
@@ -26,7 +26,7 @@ type access = Get | Set | Cas of bool  (** [Cas success] *) | Faa
 type hooks = {
   on_access : cpu:int -> label:string -> index:int -> access -> unit;
       (** A shared-array access by [cpu] on the array labelled [label]
-          (see {!Runtime_intf.S.sarray_label}; [""] when unlabelled). *)
+          (see {!Shm.label}; [""] when unlabelled). *)
   on_vmm_load : cpu:int -> addr:int -> unit;
       (** Non-transactional [Vmm.load]. *)
   on_vmm_store : cpu:int -> addr:int -> unit;

@@ -17,6 +17,7 @@
    undo even when irrevocable). *)
 
 module R = Tstm_runtime.Runtime_sim
+module Shm = Tstm_runtime.Shm
 module Watchdog = Tstm_runtime.Watchdog
 module Registry = Tstm_tm.Registry
 module Cm = Tstm_cm.Cm
@@ -151,7 +152,7 @@ let failed r =
   || not (accounted r.slo)
 
 let cycles_per_second () =
-  (R.params ()).Tstm_runtime.Cache_model.clock_ghz *. 1e9
+  (Shm.params ()).Tstm_runtime.Cache_model.clock_ghz *. 1e9
 
 (* ------------------------------------------------------------------ *)
 (* Precomputed requests                                                *)
@@ -490,7 +491,7 @@ let calibrate spec policy =
       let i = ref 0 in
       let shard = ref (w mod spec.shards) in
       while R.now () < calib_horizon do
-        R.charge dispatch_cost;
+        Shm.charge dispatch_cost;
         (* The same attempt bound as the open-loop run's retry budget, so a
            pathological contention-manager choice cannot hang calibration. *)
         let attempts = ref 0 in
@@ -625,7 +626,7 @@ let run_one spec =
       if hopeless_drop && R.now () > r.deadline then
         finish Slo.Dropped (lat_of r)
       else begin
-        R.charge dispatch_cost;
+        Shm.charge dispatch_cost;
         let attempts = ref 0 in
         let guard () =
           incr attempts;
@@ -652,7 +653,7 @@ let run_one spec =
           match take w with
           | Some batch ->
               List.iter (process w) batch;
-              R.yield ();
+              Shm.yield ();
               loop ()
           | None ->
               if !cursor >= n && Array.for_all (fun d -> d = 0) depth then ()
@@ -667,7 +668,7 @@ let run_one spec =
                   if dt > 0.0 then 1 + int_of_float (dt *. hz)
                   else idle_quantum
                 in
-                R.charge cycles;
+                Shm.charge cycles;
                 loop ()
               end
         in

@@ -3,6 +3,7 @@
    a circuit breaker fed by typed faults.  See service_real.mli. *)
 
 module R = Tstm_runtime.Runtime_real
+module Shm = Tstm_runtime.Shm
 module Mono = Tstm_obs.Monotonic
 module Slo = Tstm_obs.Slo
 module Sink = Tstm_obs.Sink
@@ -119,7 +120,7 @@ let run_packed (module M : BR.STM) spec =
      orchestrator with injection masked: a caller may arm the fault plan
      around the whole run, but the service's fault surface is the request
      path, not setup or the integrity audit. *)
-  let masked f = Plan.masked ~tid:(R.tid ()) f in
+  let masked f = Plan.masked ~tid:(Shm.tid ()) f in
   let opss =
     masked (fun () ->
         Array.init spec.shards (fun _ -> D.make_structure t spec.structure))
@@ -141,7 +142,7 @@ let run_packed (module M : BR.STM) spec =
   let faults_retried = ref 0 in
   let on_transition st =
     if Sink.enabled () then
-      Sink.emit ~ts:(Mono.now_ns ()) ~cpu:(R.tid ())
+      Sink.emit ~ts:(Mono.now_ns ()) ~cpu:(Shm.tid ())
         (Event.Breaker_trip { state = Breaker.state_to_string st })
   in
   let breaker = Breaker.create ~on_transition Breaker.default in

@@ -1,6 +1,5 @@
-(** TL2 packaged as a registry {!Tstm_tm.Tm_intf.STM} over a runtime:
-    family ["tl2"], a lock array but no dynamic re-tuning and no snapshot
-    extension.  The harness instantiates it once per runtime and
-    registers the result. *)
+(** TL2's registry packaging: family ["tl2"], a lock array but no dynamic
+    re-tuning and no snapshot extension.  {!Tstm_tm.Registry} registers
+    it once and binds it to both runtimes. *)
 
-module Make (R : Tstm_runtime.Runtime_intf.S) : Tstm_tm.Tm_intf.STM
+include Tstm_tm.Tm_intf.PACKED

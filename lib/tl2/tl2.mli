@@ -15,42 +15,39 @@
     transactional data structures and the benchmark harness run unmodified on
     either implementation. *)
 
-module Make (R : Tstm_runtime.Runtime_intf.S) : sig
-  module V : module type of Tstm_vmm.Vmm.Make (R)
+type t
+type tx
 
-  type t
-  type tx
+val create :
+  kind:Tstm_runtime.Shm.kind ->
+  ?n_locks:int ->
+  ?shifts:int ->
+  ?max_threads:int ->
+  ?max_retries:int ->
+  ?cm:Tstm_cm.Cm.policy ->
+  ?watchdog:Tstm_runtime.Watchdog.t ->
+  memory_words:int ->
+  unit ->
+  t
+(** An instance of [kind].  [n_locks] must be a power of two (default 2{^16},
+    matching the TinySTM default for fair comparisons); [shifts] is the
+    address pre-shift of the per-stripe lock mapping (default 0).
+    [max_retries] (default 0 = never) is the retry budget after which a
+    transaction escalates to a serial-irrevocable execution inside a
+    quiescence fence, exactly as in {!Tinystm.create}.  [cm] and [watchdog]
+    mirror TinySTM's, with one adaptation to commit-time locking: a locked
+    orec always belongs to a finite, unkillable committing transaction, so
+    kill-capable policies degenerate to bounded winner-waits / loser-aborts. *)
 
-  val create :
-    ?n_locks:int ->
-    ?shifts:int ->
-    ?max_threads:int ->
-    ?max_retries:int ->
-    ?cm:Tstm_cm.Cm.policy ->
-    ?watchdog:Tstm_runtime.Watchdog.t ->
-    memory_words:int ->
-    unit ->
-    t
-  (** [n_locks] must be a power of two (default 2{^16}, matching the TinySTM
-      default for fair comparisons); [shifts] is the address pre-shift of the
-      per-stripe lock mapping (default 0).  [max_retries] (default 0 = never)
-      is the retry budget after which a transaction escalates to a
-      serial-irrevocable execution inside a quiescence fence, exactly as in
-      {!Tinystm.Make.create}.  [cm] and [watchdog] mirror TinySTM's, with one
-      adaptation to commit-time locking: a locked orec always belongs to a
-      finite, unkillable committing transaction, so kill-capable policies
-      degenerate to bounded winner-waits / loser-aborts. *)
+val memory : t -> Tstm_vmm.Vmm.t
+val clock_value : t -> int
 
-  val memory : t -> V.t
-  val clock_value : t -> int
+val name : string
 
-  val name : string
-
-  val read : tx -> int -> int
-  val write : tx -> int -> int -> unit
-  val alloc : tx -> int -> int
-  val free : tx -> int -> int -> unit
-  val atomically : ?read_only:bool -> t -> (tx -> 'a) -> 'a
-  val stats : t -> Tstm_tm.Tm_stats.t
-  val reset_stats : t -> unit
-end
+val read : tx -> int -> int
+val write : tx -> int -> int -> unit
+val alloc : tx -> int -> int
+val free : tx -> int -> int -> unit
+val atomically : ?read_only:bool -> t -> (tx -> 'a) -> 'a
+val stats : t -> Tstm_tm.Tm_stats.t
+val reset_stats : t -> unit

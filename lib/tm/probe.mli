@@ -10,7 +10,7 @@
 
 val on : unit -> bool
 (** One boolean load ({!Tstm_util.Gate.on}): is any hook system armed?
-    Top level, outside any functor, so every call site inlines it. *)
+    Every call site inlines it. *)
 
 (** Where the plan is consulted ({!Tstm_chaos.Plan.point}); a crash or
     hang report names it. *)
@@ -37,48 +37,69 @@ type span
 
 val span : unit -> span
 
-(** The events, over the runtime that stamps and charges them, grouped as
-    in DESIGN.md §4k; [cpu] and [tid] are the calling thread's id. *)
-module Make (R : Tstm_runtime.Runtime_intf.S) : sig
-  val perturb : tid:int -> Tm_stats.t -> point -> unit
-  (** The plan's decision at a point: a delay is charged; a crash counts,
-      is traced and raises [Plan.Injected_crash]; a hang counts, is traced
-      and stalls. *)
+(** The events, grouped as in DESIGN.md §4k; [cpu] and [tid] are the
+    calling thread's id.  An event that stamps a trace event takes [clk],
+    any array of the instance: {!Tstm_runtime.Shm.now_cycles} on it is the
+    instance's clock. *)
 
-  val tx_begin : cpu:int -> Tm_stats.t -> unit
-  val tx_started : span -> Tm_stats.t -> unit
-  val serial_begin : cpu:int -> span -> Tm_stats.t -> unit
+val perturb :
+  clk:Tstm_runtime.Shm.t -> tid:int -> Tm_stats.t -> point -> unit
+(** The plan's decision at a point: a delay is charged; a crash counts,
+    is traced and raises [Plan.Injected_crash]; a hang counts, is traced
+    and stalls. *)
 
-  val tx_committed :
-    span -> Tm_stats.t -> read_only:bool -> retries:int -> unit
+val tx_begin : clk:Tstm_runtime.Shm.t -> cpu:int -> Tm_stats.t -> unit
+val tx_started : clk:Tstm_runtime.Shm.t -> span -> Tm_stats.t -> unit
 
-  val tx_aborted : span -> reason:Tm_stats.abort_reason -> retries:int -> unit
-  val tx_abort : cpu:int -> unit
-  val tx_exit : cpu:int -> committed:bool -> unit
-  val escalated : retries:int -> unit
+val serial_begin :
+  clk:Tstm_runtime.Shm.t -> cpu:int -> span -> Tm_stats.t -> unit
 
-  val oom : unit -> unit
-  val watchdog : Tstm_runtime.Watchdog.event -> unit
+val tx_committed :
+  clk:Tstm_runtime.Shm.t ->
+  span ->
+  Tm_stats.t ->
+  read_only:bool ->
+  retries:int ->
+  unit
 
-  val fence_pass : cpu:int -> unit
-  val thread_park : cpu:int -> unit
-  val fence_owner_entry : cpu:int -> unit
-  val fence_owner_exit : cpu:int -> unit
+val tx_aborted :
+  clk:Tstm_runtime.Shm.t ->
+  span ->
+  reason:Tm_stats.abort_reason ->
+  retries:int ->
+  unit
 
-  val clock_read : cpu:int -> value:int -> unit
-  val extended : cpu:int -> value:int -> unit
-  val clock_advance : cpu:int -> drawn:int -> unit
-  val clock_rollover : unit -> unit
-  val reconfigured : unit -> unit
-  val read_accepted : cpu:int -> addr:int -> unit
-  val lock_acquired : cpu:int -> Tm_stats.t -> lock:int -> unit
-  val lock_released : cpu:int -> lock:int -> unit
-  val commit_publish : cpu:int -> wv:int -> unit
-  val serial_publish : cpu:int -> wv:int -> unit
+val tx_abort : cpu:int -> unit
+val tx_exit : cpu:int -> committed:bool -> unit
+val escalated : clk:Tstm_runtime.Shm.t -> retries:int -> unit
 
-  val seqlock_validate : cpu:int -> value:int -> unit
-  val seqlock_acquired : cpu:int -> Tm_stats.t -> drawn:int -> unit
-  val seqlock_released : cpu:int -> unit
-  val serial_seqlock_acquired : cpu:int -> wv:int -> unit
-  val serial_seqlock_released : cpu:int -> unit
-end
+val oom : clk:Tstm_runtime.Shm.t -> unit
+val watchdog : clk:Tstm_runtime.Shm.t -> Tstm_runtime.Watchdog.event -> unit
+
+val fence_pass : cpu:int -> unit
+val thread_park : cpu:int -> unit
+val fence_owner_entry : cpu:int -> unit
+val fence_owner_exit : cpu:int -> unit
+
+val clock_read : cpu:int -> value:int -> unit
+val extended : clk:Tstm_runtime.Shm.t -> cpu:int -> value:int -> unit
+val clock_advance : cpu:int -> drawn:int -> unit
+val clock_rollover : clk:Tstm_runtime.Shm.t -> unit
+val reconfigured : unit -> unit
+val read_accepted : cpu:int -> addr:int -> unit
+
+val lock_acquired :
+  clk:Tstm_runtime.Shm.t -> cpu:int -> Tm_stats.t -> lock:int -> unit
+
+val lock_released : clk:Tstm_runtime.Shm.t -> cpu:int -> lock:int -> unit
+val commit_publish : cpu:int -> wv:int -> unit
+val serial_publish : cpu:int -> wv:int -> unit
+
+val seqlock_validate : cpu:int -> value:int -> unit
+
+val seqlock_acquired :
+  clk:Tstm_runtime.Shm.t -> cpu:int -> Tm_stats.t -> drawn:int -> unit
+
+val seqlock_released : clk:Tstm_runtime.Shm.t -> cpu:int -> unit
+val serial_seqlock_acquired : cpu:int -> wv:int -> unit
+val serial_seqlock_released : cpu:int -> unit

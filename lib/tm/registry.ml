@@ -3,10 +3,11 @@
    The registry is the single point of STM dispatch in the repository:
    harness, CLIs and tests resolve an implementation by its canonical name
    (or a short alias) and get back a first-class [(module Tm_intf.STM)],
-   packaged over the simulated runtime ([sim]) or over real domains
-   ([real]).  The [tstm_stms] library registers tinystm-wb, tinystm-wt, tl2
-   and norec at module-initialisation time and is linked whole, so any
-   binary that links the harness sees the entries before [main] runs.
+   bound to the simulated runtime ([sim]) or to real domains ([real]).
+   Both are the family's one packaging with [create]'s kind fixed.  The
+   [tstm_stms] library registers tinystm-wb, tinystm-wt, tl2 and norec at
+   module-initialisation time and is linked whole, so any binary that
+   links the harness sees the entries before [main] runs.
 
    Family and capability metadata are pulled from the module itself at
    registration, so the registry is also the single source of truth for
@@ -37,9 +38,15 @@ let entry_of name =
 
 let mem name = entry_of name <> None
 
-let register ?(aliases = []) ?label ~(sim : (module Tm_intf.STM))
-    ~(real : (module Tm_intf.STM)) () =
-  let module M = (val sim) in
+(* A packaging bound to one runtime: [create] builds instances of [kind]. *)
+let bind kind (module P : Tm_intf.PACKED) : (module Tm_intf.STM) =
+  (module struct
+    include P
+
+    let create = P.create ~kind
+  end)
+
+let register ?(aliases = []) ?label (module M : Tm_intf.PACKED) =
   let name = M.name in
   let label = Option.value label ~default:name in
   List.iter
@@ -54,8 +61,8 @@ let register ?(aliases = []) ?label ~(sim : (module Tm_intf.STM))
       aliases;
       family = M.family;
       capabilities = M.capabilities;
-      sim;
-      real;
+      sim = bind Tstm_runtime.Shm.Simulated (module M);
+      real = bind Tstm_runtime.Shm.Domains (module M);
     }
     :: !entries
 

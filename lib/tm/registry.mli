@@ -1,13 +1,13 @@
 (** Name-keyed registry of packaged {!Tm_intf.STM} implementations — the
     single STM list in the repository, for both runtimes.
 
-    Each entry carries the same STM packaged twice: over the simulated
-    runtime ({!Tstm_runtime.Runtime_sim}) and over real domains
-    ({!Tstm_runtime.Runtime_real}).  The [tstm_stms] library registers
-    every entry in one block at link time; harness and CLI code resolves a
-    canonical name or one of its short aliases.  Lookups raise
-    [Invalid_argument] listing the known names, so a typo in a CLI flag
-    produces an actionable message.
+    Each STM is registered once, as its family's one {!Tm_intf.PACKED}
+    packaging; the entry binds it to both runtimes, the simulator
+    ([Shm.Simulated]) and real domains ([Shm.Domains]).  The [tstm_stms]
+    library registers every entry in one block at link time; harness and
+    CLI code resolves a canonical name or one of its short aliases.
+    Lookups raise [Invalid_argument] listing the known names, so a typo in
+    a CLI flag produces an actionable message.
 
     Each entry carries the module's self-declared algorithm [family] and
     {!Tm_intf.capabilities}, so drivers filter plans by capability
@@ -19,19 +19,14 @@ type entry = {
   aliases : string list;
   family : string;  (** e.g. ["tinystm"], ["tl2"], ["norec"] *)
   capabilities : Tm_intf.capabilities;
-  sim : (module Tm_intf.STM);  (** over the simulated runtime *)
-  real : (module Tm_intf.STM);  (** over real domains *)
+  sim : (module Tm_intf.STM);  (** bound to the simulated runtime *)
+  real : (module Tm_intf.STM);  (** bound to real domains *)
 }
 
 val register :
-  ?aliases:string list ->
-  ?label:string ->
-  sim:(module Tm_intf.STM) ->
-  real:(module Tm_intf.STM) ->
-  unit ->
-  unit
-(** Register under the modules' [name]; [family] and [capabilities] are
-    read off [sim].  [aliases] are alternate lookup keys (e.g. ["wb"]
+  ?aliases:string list -> ?label:string -> (module Tm_intf.PACKED) -> unit
+(** Register under the module's [name]; [family] and [capabilities] are
+    read off it.  [aliases] are alternate lookup keys (e.g. ["wb"]
     for ["tinystm-wb"]); [label] is the display label used in figure
     headings (defaults to the name).  Raises [Invalid_argument] when the
     name or an alias is already bound. *)

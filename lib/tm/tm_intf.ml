@@ -111,11 +111,8 @@ module type TM = sig
   val reset_stats : t -> unit
 end
 
-(** A packaged STM: the {!TM} operations plus instance construction and
-    quiescent re-tuning, uniform across implementations so harness and CLI
-    code can dispatch through {!Registry} instead of matching on names.
-    Registered as first-class modules ([(module Some_stm : STM)]). *)
-module type STM = sig
+(** What every packaged STM has besides [create]. *)
+module type PACKAGE = sig
   include TM
 
   val family : string
@@ -126,26 +123,6 @@ module type STM = sig
   val capabilities : capabilities
   (** What this implementation can do; see {!capabilities}. *)
 
-  val create :
-    ?tuning:tuning ->
-    ?max_retries:int ->
-    ?cm:Tstm_cm.Cm.policy ->
-    ?watchdog:Tstm_runtime.Watchdog.t ->
-    memory_words:int ->
-    unit ->
-    t
-  (** Build an instance over a fresh memory arena.  [tuning] defaults to
-      {!default_tuning} (2{^16} locks, no shifts, hierarchy disabled) —
-      the paper's production default; knobs the implementation lacks are
-      ignored.  [max_retries] (default 0 = never) is the retry budget
-      before a transaction escalates to serial-irrevocable execution.
-      [cm] (default {!Tstm_cm.Cm.default} = [Backoff]) selects the
-      contention-management policy; the default is byte-identical to the
-      historical behaviour.  [watchdog], when given, receives
-      commit/abort heartbeats and its degradation level overrides [cm]
-      ([Boosted] forces [Karma], [Serialized] forces immediate
-      escalation). *)
-
   val configure : t -> tuning -> unit
   (** Re-tune a quiescent instance in place (the clock roll-over fence of
       paper §4.2).  Raises {!Capability_error} for STMs whose
@@ -155,4 +132,51 @@ module type STM = sig
   (** Words currently allocated in the instance's arena — the allocator
       diagnostic behind the zero-drift integrity checks (the underlying
       memory handle itself stays hidden).  Call while quiescent. *)
+end
+
+(** An STM family's one packaging: the instance picks its runtime at
+    [create].  {!Registry} registers it once and binds it to each runtime
+    as an {!STM}. *)
+module type PACKED = sig
+  include PACKAGE
+
+  val create :
+    kind:Tstm_runtime.Shm.kind ->
+    ?tuning:tuning ->
+    ?max_retries:int ->
+    ?cm:Tstm_cm.Cm.policy ->
+    ?watchdog:Tstm_runtime.Watchdog.t ->
+    memory_words:int ->
+    unit ->
+    t
+  (** Build an instance of [kind] over a fresh memory arena.  [tuning]
+      defaults to {!default_tuning} (2{^16} locks, no shifts, hierarchy
+      disabled) — the paper's production default; knobs the
+      implementation lacks are ignored.  [max_retries] (default 0 =
+      never) is the retry budget before a transaction escalates to
+      serial-irrevocable execution.  [cm] (default {!Tstm_cm.Cm.default}
+      = [Backoff]) selects the contention-management policy; the default
+      is byte-identical to the historical behaviour.  [watchdog], when
+      given, receives commit/abort heartbeats and its degradation level
+      overrides [cm] ([Boosted] forces [Karma], [Serialized] forces
+      immediate escalation). *)
+end
+
+(** A packaged STM bound to one runtime: the {!TM} operations plus
+    instance construction and quiescent re-tuning, uniform across
+    implementations so harness and CLI code can dispatch through
+    {!Registry} instead of matching on names.  Registered as first-class
+    modules ([(module Some_stm : STM)]). *)
+module type STM = sig
+  include PACKAGE
+
+  val create :
+    ?tuning:tuning ->
+    ?max_retries:int ->
+    ?cm:Tstm_cm.Cm.policy ->
+    ?watchdog:Tstm_runtime.Watchdog.t ->
+    memory_words:int ->
+    unit ->
+    t
+  (** {!PACKED.create} at the runtime this packaging is bound to. *)
 end

@@ -14,16 +14,6 @@ let abort_reason_to_string = function
   | Killed -> "killed"
   | Alloc_failed -> "alloc-failed"
 
-let all_abort_reasons =
-  [
-    Read_conflict;
-    Write_conflict;
-    Validation_failed;
-    Rollover;
-    Killed;
-    Alloc_failed;
-  ]
-
 let retry_hist_buckets = 16
 
 (* Bucket 0 = committed first try; bucket k>=1 covers retry counts in

@@ -73,17 +73,9 @@ module type PROTOCOL = sig
   val roll_over : t -> unit
 end
 
-module Make
-    (R : Tstm_runtime.Runtime_intf.S)
-    (P : PROTOCOL with type mem = Tstm_vmm.Vmm.Make(R).t) =
-struct
-  module V = Tstm_vmm.Vmm.Make (R)
+module Make (P : PROTOCOL with type mem = Tstm_vmm.Vmm.t) = struct
+  module V = Tstm_vmm.Vmm
   module Watchdog = Tstm_runtime.Watchdog
-
-  module Probe = struct
-    include Probe
-    include Probe.Make (R)
-  end
 
   let module_name = String.capitalize_ascii P.name
 
@@ -243,28 +235,30 @@ struct
   (* Watchdog plumbing: feed commit/abort heartbeats, surface its detection
      events through observability and count forced policy switches.  Never
      reached with [watchdog = None]. *)
-  let feed_watchdog d evs =
+  let feed_watchdog t d evs =
     List.iter
       (fun ev ->
         (match ev with
         | Watchdog.Switch _ ->
             d.stats.Stats.cm_switches <- d.stats.Stats.cm_switches + 1
         | Watchdog.Livelock _ | Watchdog.Starved _ -> ());
-        if Probe.on () then Probe.watchdog ev)
+        if Probe.on () then Probe.watchdog ~clk:t.ctl ev)
       evs
 
   let note_commit_wd t d =
     match t.watchdog with
     | None -> ()
     | Some w ->
-        feed_watchdog d (Watchdog.note_commit w ~now:(R.now_cycles ()) ~tid:d.tid)
+        feed_watchdog t d
+          (Watchdog.note_commit w ~now:(Shm.now_cycles t.ctl) ~tid:d.tid)
 
   let note_abort_wd t d ~retries =
     match t.watchdog with
     | None -> ()
     | Some w ->
-        feed_watchdog d
-          (Watchdog.note_abort w ~now:(R.now_cycles ()) ~tid:d.tid ~retries)
+        feed_watchdog t d
+          (Watchdog.note_abort w ~now:(Shm.now_cycles t.ctl) ~tid:d.tid
+             ~retries)
 
   (* Per-attempt contention-management prologue: compute the effective
      policy (the watchdog's [Boosted] level forces a kill-capable policy),
@@ -311,7 +305,8 @@ struct
   (* ------------------------------------------------------------------ *)
 
   let alloc d n =
-    match V.alloc (P.memory d.owner) n with
+    let mem = P.memory d.owner in
+    match V.alloc mem n with
     | addr ->
         G.push d.a_addr addr;
         G.push d.a_size n;
@@ -322,7 +317,7 @@ struct
            earlier speculative allocations and [live_words] cannot drift.
            Irrevocable transactions cannot be rolled back, so the failure
            escalates straight to the typed [Capacity] verdict. *)
-        if Probe.on () then Probe.oom ();
+        if Probe.on () then Probe.oom ~clk:(V.words mem);
         if d.irrevocable then
           raise (Tm_intf.Capacity { stm = P.name; retries = d.alloc_fails })
         else raise (P.Abort_exn Stats.Alloc_failed)
@@ -359,7 +354,8 @@ struct
 
   let note_commit t d ~tries =
     if Probe.on () then
-      Probe.tx_committed d.span d.stats ~read_only:d.read_only ~retries:tries;
+      Probe.tx_committed ~clk:t.ctl d.span d.stats ~read_only:d.read_only
+        ~retries:tries;
     Stats.record_retries d.stats tries;
     cm_end_commit t d;
     note_commit_wd t d
@@ -386,7 +382,7 @@ struct
         d.in_tx <- true;
         d.read_only <- read_only;
         cm_begin_attempt t d;
-        if Probe.on () then Probe.tx_begin ~cpu:d.tid d.stats;
+        if Probe.on () then Probe.tx_begin ~clk:t.ctl ~cpu:d.tid d.stats;
         if not (P.begin_ d) then begin
           (* The clock is exhausted: step out of the fence, roll it over
              inside it, and start this attempt again. *)
@@ -397,15 +393,17 @@ struct
           attempt tries
         end
         else begin
-          if Probe.on () then Probe.tx_started d.span d.stats;
+          if Probe.on () then Probe.tx_started ~clk:t.ctl d.span d.stats;
           match
             (* The clock-read and commit points live inside this match so
                an injected crash unwinds through the user-exception branch
                below: rollback, fence release, [in_tx] cleared — the
                respawned worker can transact again. *)
-            if Probe.on () then Probe.perturb ~tid:d.tid d.stats Clock_read;
+            if Probe.on () then
+              Probe.perturb ~clk:t.ctl ~tid:d.tid d.stats Clock_read;
             let v = f d in
-            if Probe.on () then Probe.perturb ~tid:d.tid d.stats Commit;
+            if Probe.on () then
+              Probe.perturb ~clk:t.ctl ~tid:d.tid d.stats Commit;
             Shm.charge_local c_tx_end;
             finish_commit d ~stamp:(P.commit d);
             exit_tx d ~committed:true;
@@ -417,11 +415,12 @@ struct
               v
           | exception P.Abort_exn reason ->
               if Probe.on () then
-                Probe.tx_aborted d.span ~reason ~retries:tries;
+                Probe.tx_aborted ~clk:t.ctl d.span ~reason ~retries:tries;
               rollback d;
               Stats.record_abort d.stats reason;
               leave_fence t d;
-              if Probe.on () then Probe.perturb ~tid:d.tid d.stats Abort;
+              if Probe.on () then
+                Probe.perturb ~clk:t.ctl ~tid:d.tid d.stats Abort;
               (* Allocation-failed aborts are capped: after
                  [max_alloc_retries] consecutive failures the arena is
                  genuinely full and retrying cannot help, so escalate to the
@@ -452,7 +451,7 @@ struct
        workloads degrade to serial execution instead of livelocking. *)
     and escalate tries =
       d.stats.Stats.escalations <- d.stats.Stats.escalations + 1;
-      if Probe.on () then Probe.escalated ~retries:tries;
+      if Probe.on () then Probe.escalated ~clk:t.ctl ~retries:tries;
       (* The irrevocable path cannot roll back: faults stay masked. *)
       Tstm_chaos.Plan.masked ~tid:d.tid @@ fun () ->
       fence_and t (fun () ->
@@ -460,7 +459,8 @@ struct
           d.in_tx <- true;
           d.read_only <- read_only;
           d.irrevocable <- true;
-          if Probe.on () then Probe.serial_begin ~cpu:d.tid d.span d.stats;
+          if Probe.on () then
+            Probe.serial_begin ~clk:t.ctl ~cpu:d.tid d.span d.stats;
           match f d with
           | v ->
               Shm.charge_local c_tx_end;

@@ -108,32 +108,30 @@ module type PROTOCOL = sig
   val roll_over : t -> unit
 end
 
-module Make
-    (R : Tstm_runtime.Runtime_intf.S)
-    (P : PROTOCOL with type mem = Tstm_vmm.Vmm.Make(R).t) : sig
+module Make (P : PROTOCOL with type mem = Tstm_vmm.Vmm.t) : sig
   type nonrec tx = (P.t, P.desc) tx
   type t
 
   val make :
     P.t ->
-    ctl:R.sarray ->
+    ctl:Tstm_runtime.Shm.t ->
     mode_slot:int ->
-    flags:R.sarray ->
-    prios:R.sarray ->
-    ?kill_flags:R.sarray ->
+    flags:Tstm_runtime.Shm.t ->
+    prios:Tstm_runtime.Shm.t ->
+    ?kill_flags:Tstm_runtime.Shm.t ->
     max_threads:int ->
     max_retries:int ->
     cm:Tstm_cm.Cm.policy ->
     ?watchdog:Tstm_runtime.Watchdog.t ->
     unit ->
     t
-  (** Bundle a family instance with the shared arrays the family created
-      (the family owns the creation order: the simulator assigns global
-      cache-line ids in [sarray_make] order).  With [kill_flags], every
-      attempt clears the thread's flag before publishing its priority.
-      [ctl] holds the fence mode word at [mode_slot]; [prios] holds one
-      published priority per thread, its slot 0 doubling as the greedy
-      ticket counter. *)
+  (** Bundle a family instance with the shared arrays the family created (the
+      family owns the creation order: the simulator assigns global cache-line
+      ids in [Shm.make] order).  [ctl]'s kind is the instance's: it stamps the
+      instance's trace events and watchdog notes.  With [kill_flags], every
+      attempt clears the thread's flag before publishing its priority.  [ctl]
+      holds the fence mode word at [mode_slot]; [prios] holds one published
+      priority per thread, its slot 0 doubling as the greedy ticket counter. *)
 
   val fam : t -> P.t
 

@@ -21,47 +21,59 @@
     give transactional allocation semantics (paper §3.1, Memory
     Management). *)
 
-module Make (R : Tstm_runtime.Runtime_intf.S) : sig
-  type t
+type t
+
+val create : kind:Tstm_runtime.Shm.kind -> words:int -> t
+(** [create ~kind ~words] makes an arena of [kind] with [words] usable
+    words.  Raises [Invalid_argument] if [words < 1]. *)
+
+val null : int
+(** The reserved null address (0). *)
+
+val capacity : t -> int
+
+val words : t -> Tstm_runtime.Shm.t
+(** The backing shared array; the STM reads and writes data through it. *)
+
+val load : t -> int -> int
+(** Raw (non-transactional) load; bounds-checked. *)
+
+val store : t -> int -> int -> unit
+(** Raw (non-transactional) store; bounds-checked. *)
+
+val alloc : t -> int -> int
+(** [alloc t n] returns the base address of [n >= 1] fresh contiguous
+    words (contents unspecified).  Raises [Out_of_memory] when the arena is
+    exhausted.  Small blocks ([n <= 256]) are recycled through free lists;
+    larger blocks are bump-allocated and not recycled. *)
+
+val free : t -> int -> int -> unit
+(** [free t addr n] returns the block [addr, n] to the allocator.  The
+    caller must pass the same [n] it allocated with.  Raises
+    [Invalid_argument] when the block lies (even partly) outside the
+    arena, when a recyclable block ([n <= 256]) is already on its size
+    class's free list (double free), or when a non-recyclable block
+    ([n > 256]) was never allocated, is already freed, or is freed with a
+    size different from its allocation (extents of live large blocks are
+    tracked).  A double free of a recyclable block under a different size
+    class remains undetected. *)
+
+val live_words : t -> int
+(** Words currently allocated and not freed (diagnostic). *)
+
+val allocated_since_start : t -> int
+(** Total words ever handed out, including recycled ones (diagnostic). *)
+
+(** The arena bound to a runtime module's kind, for perfbench's
+    micro-benchmarks (its only caller). *)
+module Make (R : sig
+  val kind : Tstm_runtime.Shm.kind
+end) : sig
+  type nonrec t = t
 
   val create : words:int -> t
-  (** [create ~words] makes an arena with [words] usable words.  Raises
-      [Invalid_argument] if [words < 1]. *)
-
-  val null : int
-  (** The reserved null address (0). *)
-
-  val capacity : t -> int
-
-  val words : t -> R.sarray
-  (** The backing shared array; the STM reads and writes data through it. *)
-
   val load : t -> int -> int
-  (** Raw (non-transactional) load; bounds-checked. *)
-
   val store : t -> int -> int -> unit
-  (** Raw (non-transactional) store; bounds-checked. *)
-
   val alloc : t -> int -> int
-  (** [alloc t n] returns the base address of [n >= 1] fresh contiguous
-      words (contents unspecified).  Raises [Out_of_memory] when the arena is
-      exhausted.  Small blocks ([n <= 256]) are recycled through free lists;
-      larger blocks are bump-allocated and not recycled. *)
-
   val free : t -> int -> int -> unit
-  (** [free t addr n] returns the block [addr, n] to the allocator.  The
-      caller must pass the same [n] it allocated with.  Raises
-      [Invalid_argument] when the block lies (even partly) outside the
-      arena, when a recyclable block ([n <= 256]) is already on its size
-      class's free list (double free), or when a non-recyclable block
-      ([n > 256]) was never allocated, is already freed, or is freed with a
-      size different from its allocation (extents of live large blocks are
-      tracked).  A double free of a recyclable block under a different size
-      class remains undetected. *)
-
-  val live_words : t -> int
-  (** Words currently allocated and not freed (diagnostic). *)
-
-  val allocated_since_start : t -> int
-  (** Total words ever handed out, including recycled ones (diagnostic). *)
 end

@@ -193,7 +193,7 @@ let check_escalation name (v, stats) ~expect =
 
 let test_escalation_tinystm strategy () =
   let t =
-    Ts.create
+    Ts.create ~kind:R.kind
       ~config:(Config.make ~n_locks:64 ~strategy ())
       ~max_retries:4 ~memory_words:256 ()
   in
@@ -203,18 +203,21 @@ let test_escalation_tinystm strategy () =
     ~expect:400
 
 let test_escalation_tl2 () =
-  let t = Tl.create ~n_locks:64 ~max_retries:4 ~memory_words:256 () in
+  let t =
+    Tl.create ~kind:R.kind ~n_locks:64 ~max_retries:4 ~memory_words:256 ()
+  in
   check_escalation "tl2" (Hot_tl.run t ~nthreads:8 ~iters:50) ~expect:400
 
 let test_escalation_norec () =
-  let t = No.create ~max_retries:4 ~memory_words:256 () in
+  let t = No.create ~kind:R.kind ~max_retries:4 ~memory_words:256 () in
   check_escalation "norec" (Hot_no.run t ~nthreads:8 ~iters:50) ~expect:400
 
 let test_no_escalation_without_budget () =
   (* max_retries = 0 disables the watchdog: same workload, zero
      escalations, still the exact count. *)
   let t =
-    Ts.create ~config:(Config.make ~n_locks:64 ()) ~memory_words:256 ()
+    Ts.create ~kind:R.kind ~config:(Config.make ~n_locks:64 ())
+      ~memory_words:256 ()
   in
   let v, stats = Hot_ts.run t ~nthreads:8 ~iters:50 in
   check_int "exact counter value" 400 v;
@@ -222,15 +225,15 @@ let test_no_escalation_without_budget () =
 
 let test_max_retries_validated () =
   (try
-     ignore (Ts.create ~max_retries:(-1) ~memory_words:64 ());
+     ignore (Ts.create ~kind:R.kind ~max_retries:(-1) ~memory_words:64 ());
      Alcotest.fail "negative max_retries accepted (tinystm)"
    with Invalid_argument _ -> ());
   (try
-     ignore (Tl.create ~max_retries:(-1) ~memory_words:64 ());
+     ignore (Tl.create ~kind:R.kind ~max_retries:(-1) ~memory_words:64 ());
      Alcotest.fail "negative max_retries accepted (tl2)"
    with Invalid_argument _ -> ());
   try
-    ignore (No.create ~max_retries:(-1) ~memory_words:64 ());
+    ignore (No.create ~kind:R.kind ~max_retries:(-1) ~memory_words:64 ());
     Alcotest.fail "negative max_retries accepted (norec)"
   with Invalid_argument _ -> ()
 

@@ -50,7 +50,7 @@ let test_structure_strings () =
 (* ------------------------------------------------------------------ *)
 
 let make_instance spec =
-  S.Ts.create
+  S.Ts.create ~kind:R.kind
     ~config:(Tinystm.Config.make ~n_locks:1024 ())
     ~memory_words:(W.memory_words_for spec) ()
 

@@ -82,8 +82,8 @@ let test_exact_lines () =
     ~path:(corpus ^ "/lib/tinystm/bad_vmm_charge.ml")
     ~line:3 ~rule:"vmm-charge";
   expect
-    ~path:(corpus ^ "/lib/tinystm/bad_runtime_call.ml")
-    ~line:4 ~rule:"runtime-direct";
+    ~path:(corpus ^ "/lib/tinystm/bad_runtime_layering.ml")
+    ~line:3 ~rule:"layering";
   expect ~path:(corpus ^ "/lib/vmm/bad_layering.ml") ~line:3 ~rule:"layering";
   expect
     ~path:(corpus ^ "/lib/tinystm/bad_san_layering.ml")

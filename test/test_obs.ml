@@ -256,6 +256,40 @@ let test_tl2_observed () =
     (Obs.Histo.count c.Obs.Sink.commit_latency > 0);
   Alcotest.(check int) "TL2 metrics rows" 2 (Obs.Metrics.n_rows m)
 
+(* An instance's trace stamps come from the kind it was created with,
+   never from where the caller happens to run: outside any run, a
+   simulated instance stamps 0 (no virtual time has passed) and a
+   real-domain one stamps positive, non-decreasing wall-clock ns. *)
+let trace_outside_any_run (module M : Tstm_tm.Tm_intf.STM) =
+  let c = Obs.Sink.collector () in
+  Obs.Sink.with_sink (Obs.Sink.Collect c) (fun () ->
+      let tuning = { Tstm_tm.Tm_intf.default_tuning with n_locks = 64 } in
+      let t = M.create ~tuning ~memory_words:64 () in
+      let a = M.atomically t (fun tx -> M.alloc tx 2) in
+      for i = 1 to 3 do
+        M.atomically t (fun tx -> M.write tx a (M.read tx (a + 1) + i))
+      done);
+  List.map (fun s -> s.Obs.Ring.ts) (Obs.Ring.to_list c.Obs.Sink.rings.(0))
+
+let test_clock_by_kind () =
+  Tstm_tm.Registry.fold
+    (fun () (e : Tstm_tm.Registry.entry) ->
+      let sim = trace_outside_any_run e.sim in
+      Alcotest.(check bool) (e.name ^ ": sim events") true (sim <> []);
+      List.iter (Alcotest.(check int) (e.name ^ ": sim stamps 0") 0) sim;
+      let real = trace_outside_any_run e.real in
+      Alcotest.(check bool) (e.name ^ ": real events") true (real <> []);
+      ignore
+        (List.fold_left
+           (fun prev ts ->
+             Alcotest.(check bool)
+               (Printf.sprintf "%s: real stamp %d > 0, >= %d" e.name ts prev)
+               true
+               (ts > 0 && ts >= prev);
+             ts)
+           0 real))
+    ()
+
 let () =
   Alcotest.run "tstm_obs"
     [
@@ -285,5 +319,6 @@ let () =
             test_null_sink_neutral;
           Alcotest.test_case "probe gate" `Quick test_probe_gate;
           Alcotest.test_case "TL2 observed run" `Quick test_tl2_observed;
+          Alcotest.test_case "clock by kind" `Quick test_clock_by_kind;
         ] );
     ]

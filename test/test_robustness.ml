@@ -4,8 +4,9 @@
    corner rules, overwrite workloads. *)
 
 module R = Tstm_runtime.Runtime_sim
-module Ts = Tinystm.Make (R)
-module Tl = Tstm_tl2.Tl2.Make (R)
+module Shm = Tstm_runtime.Shm
+module Ts = Tinystm
+module Tl = Tstm_tl2.Tl2
 module Config = Tinystm.Config
 module Lockenc = Tinystm.Lockenc
 
@@ -15,7 +16,7 @@ let check_bool = Alcotest.(check bool)
 exception Boom
 
 let make ?(strategy = Config.Write_back) ?(n_locks = 256) ?max_clock () =
-  Ts.create ~config:(Config.make ~n_locks ~strategy ()) ?max_clock
+  Ts.create ~kind:R.kind ~config:(Config.make ~n_locks ~strategy ()) ?max_clock
     ~memory_words:4096 ()
 
 (* ------------------------------------------------------------------ *)
@@ -130,30 +131,30 @@ module Inject_wb = Failure_injection (struct
   module T = Ts
 
   let make () = make ~strategy:Config.Write_back ()
-  let live_words t = Ts.V.live_words (Ts.memory t)
+  let live_words t = Tstm_vmm.Vmm.live_words (Ts.memory t)
 end)
 
 module Inject_wt = Failure_injection (struct
   module T = Ts
 
   let make () = make ~strategy:Config.Write_through ()
-  let live_words t = Ts.V.live_words (Ts.memory t)
+  let live_words t = Tstm_vmm.Vmm.live_words (Ts.memory t)
 end)
 
 module Inject_tl2 = Failure_injection (struct
   module T = Tl
 
-  let make () = Tl.create ~n_locks:256 ~memory_words:4096 ()
-  let live_words t = Tl.V.live_words (Tl.memory t)
+  let make () = Tl.create ~kind:R.kind ~n_locks:256 ~memory_words:4096 ()
+  let live_words t = Tstm_vmm.Vmm.live_words (Tl.memory t)
 end)
 
-module No = Tstm_norec.Norec.Make (R)
+module No = Tstm_norec.Norec
 
 module Inject_norec = Failure_injection (struct
   module T = No
 
-  let make () = No.create ~memory_words:4096 ()
-  let live_words t = No.V.live_words (No.memory t)
+  let make () = No.create ~kind:R.kind ~memory_words:4096 ()
+  let live_words t = Tstm_vmm.Vmm.live_words (No.memory t)
 end)
 
 (* ------------------------------------------------------------------ *)
@@ -198,7 +199,7 @@ let test_read_only_aborts_on_stale () =
   R.run ~nthreads:2 (fun tid ->
       if tid = 0 then begin
         (* Writer: commit a coherent bump while the reader sleeps. *)
-        R.charge 3_000;
+        Shm.charge 3_000;
         Ts.atomically t (fun tx ->
             Ts.write tx a 2;
             Ts.write tx (a + 1) 2)
@@ -207,7 +208,7 @@ let test_read_only_aborts_on_stale () =
         seen :=
           Ts.atomically ~read_only:true t (fun tx ->
               let x = Ts.read tx a in
-              R.charge 20_000 (* give the writer time to land in between *);
+              Shm.charge 20_000 (* give the writer time to land in between *);
               let y = Ts.read tx (a + 1) in
               (x, y)))
   ;
@@ -225,13 +226,14 @@ let test_read_only_aborts_on_stale () =
 let test_create_validations () =
   let bad f = try ignore (f ()); false with Invalid_argument _ -> true in
   check_bool "max_threads 0" true
-    (bad (fun () -> Ts.create ~max_threads:0 ~memory_words:64 ()));
+    (bad (fun () -> Ts.create ~kind:R.kind ~max_threads:0 ~memory_words:64 ()));
   check_bool "max_threads beyond tid space" true
-    (bad (fun () -> Ts.create ~max_threads:500 ~memory_words:64 ()));
+    (bad (fun () ->
+         Ts.create ~kind:R.kind ~max_threads:500 ~memory_words:64 ()));
   check_bool "absurd max_clock" true
-    (bad (fun () -> Ts.create ~max_clock:2 ~memory_words:64 ()));
+    (bad (fun () -> Ts.create ~kind:R.kind ~max_clock:2 ~memory_words:64 ()));
   check_bool "tl2 bad locks" true
-    (bad (fun () -> Tl.create ~n_locks:1000 ~memory_words:64 ()))
+    (bad (fun () -> Tl.create ~kind:R.kind ~n_locks:1000 ~memory_words:64 ()))
 
 let test_set_config_validates () =
   let t = make () in
@@ -274,7 +276,7 @@ let test_strategy_switch_via_set_config () =
 
 let hot_counter_run ~conflict_wait =
   let t =
-    Ts.create
+    Ts.create ~kind:R.kind
       ~config:(Config.make ~n_locks:64 ())
       ~conflict_wait ~memory_words:256 ()
   in
@@ -300,7 +302,7 @@ let test_conflict_wait_correct_and_calmer () =
 
 let test_conflict_wait_validated () =
   try
-    ignore (Ts.create ~conflict_wait:(-1) ~memory_words:64 ());
+    ignore (Ts.create ~kind:R.kind ~conflict_wait:(-1) ~memory_words:64 ());
     Alcotest.fail "negative conflict_wait accepted"
   with Invalid_argument _ -> ()
 
@@ -373,7 +375,7 @@ let test_overwrite_workload_writes_heavily () =
     W.make ~structure:W.List ~initial_size:128 ~update_pct:0.0
       ~overwrite_pct:100.0 ~nthreads:2 ~duration:0.001 ()
   in
-  let t = Ts.create ~config:(Config.make ~n_locks:1024 ())
+  let t = Ts.create ~kind:R.kind ~config:(Config.make ~n_locks:1024 ())
       ~memory_words:(W.memory_words_for spec) () in
   let ops = D.make_structure t spec.W.structure in
   D.populate t ops spec;
@@ -391,7 +393,7 @@ let test_overwrite_preserves_contents () =
     W.make ~structure:W.Rbtree ~initial_size:64 ~update_pct:0.0
       ~overwrite_pct:50.0 ~nthreads:4 ~duration:0.001 ()
   in
-  let t = Ts.create ~config:(Config.make ~n_locks:1024 ())
+  let t = Ts.create ~kind:R.kind ~config:(Config.make ~n_locks:1024 ())
       ~memory_words:(W.memory_words_for spec) () in
   let ops = D.make_structure t spec.W.structure in
   D.populate t ops spec;

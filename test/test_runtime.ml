@@ -223,7 +223,7 @@ let test_cache_per_cpu_private () =
 (* Construction and [run] come from the runtime; every access is [Shm]'s. *)
 module Semantics (R : Runtime_intf.S) = struct
   let test_array_basic () =
-    let a = R.sarray_make 10 7 in
+    let a = Shm.make R.kind 10 7 in
     check_int "length" 10 (Shm.length a);
     for i = 0 to 9 do
       check_int "init" 7 (Shm.get a i)
@@ -233,21 +233,21 @@ module Semantics (R : Runtime_intf.S) = struct
     check_int "others untouched" 7 (Shm.get a 2)
 
   let test_cas () =
-    let a = R.sarray_make 1 5 in
+    let a = Shm.make R.kind 1 5 in
     check_bool "cas succeeds" true (Shm.cas a 0 5 6);
     check_int "updated" 6 (Shm.get a 0);
     check_bool "cas fails" false (Shm.cas a 0 5 7);
     check_int "unchanged" 6 (Shm.get a 0)
 
   let test_fetch_add () =
-    let a = R.sarray_make 1 10 in
+    let a = Shm.make R.kind 1 10 in
     check_int "returns old" 10 (Shm.fetch_add a 0 5);
     check_int "adds" 15 (Shm.get a 0);
     check_int "negative delta" 15 (Shm.fetch_add a 0 (-3));
     check_int "subtracted" 12 (Shm.get a 0)
 
   let test_counter_under_threads () =
-    let a = R.sarray_make 1 0 in
+    let a = Shm.make R.kind 1 0 in
     let n = 4 and per = 1000 in
     R.run ~nthreads:n (fun _ ->
         for _ = 1 to per do
@@ -256,7 +256,7 @@ module Semantics (R : Runtime_intf.S) = struct
     check_int "no lost updates" (n * per) (Shm.get a 0)
 
   let test_tids_unique () =
-    let a = R.sarray_make 8 0 in
+    let a = Shm.make R.kind 8 0 in
     R.run ~nthreads:8 (fun i ->
         ignore (Shm.fetch_add a (Shm.tid ()) 1);
         check_int "tid = body arg" i (Shm.tid ()));
@@ -267,7 +267,7 @@ module Semantics (R : Runtime_intf.S) = struct
   let test_cas_mutex () =
     (* A CAS spin lock protecting a non-atomic counter: the total must be
        exact under every interleaving. *)
-    let lock = R.sarray_make 1 0 in
+    let lock = Shm.make R.kind 1 0 in
     let counter = ref 0 in
     let n = 4 and per = 500 in
     R.run ~nthreads:n (fun _ ->
@@ -299,31 +299,31 @@ module Real_semantics = Semantics (Runtime_real)
 (* ------------------------------------------------------------------ *)
 
 let test_sim_now_uses_clock () =
-  Runtime_sim.configure Cache_model.default;
+  Shm.configure Cache_model.default;
   let t = ref 0.0 in
   Runtime_sim.run ~nthreads:1 (fun _ ->
-      Runtime_sim.charge 2_000_000_000;
+      Shm.charge 2_000_000_000;
       t := Runtime_sim.now ());
   (* 2e9 cycles at 2 GHz = 1 second. *)
   Alcotest.(check (float 1e-6)) "1 second" 1.0 !t
 
 let test_sim_zero_cost_outside_run () =
-  let a = Runtime_sim.sarray_make 4 0 in
-  Runtime_sim.set a 0 9;
-  check_int "works outside run" 9 (Runtime_sim.get a 0)
+  let a = Shm.make Simulated 4 0 in
+  Shm.set a 0 9;
+  check_int "works outside run" 9 (Shm.get a 0)
 
 let test_sim_contention_costs_time () =
-  Runtime_sim.configure Cache_model.default;
+  Shm.configure Cache_model.default;
   (* Same total op count; contended case has both CPUs hammering one word,
      uncontended case uses words on distinct lines. The contended run must
      take strictly more virtual time. *)
   let elapsed contended =
-    let a = Runtime_sim.sarray_make 64 0 in
+    let a = Shm.make Simulated 64 0 in
     let finish = Array.make 2 0.0 in
     Runtime_sim.run ~nthreads:2 (fun i ->
         let idx = if contended then 0 else i * 32 in
         for _ = 1 to 200 do
-          Runtime_sim.set a idx 1
+          Shm.set a idx 1
         done;
         finish.(i) <- Runtime_sim.now ());
     Float.max finish.(0) finish.(1)
@@ -333,14 +333,14 @@ let test_sim_contention_costs_time () =
 
 let test_sim_deterministic_parallel_counter () =
   let trace () =
-    Runtime_sim.configure Cache_model.default;
-    let a = Runtime_sim.sarray_make 1 0 in
+    Shm.configure Cache_model.default;
+    let a = Shm.make Simulated 1 0 in
     let log = ref [] in
     Runtime_sim.run ~nthreads:3 (fun i ->
         let g = Tstm_util.Xrand.create i in
         for _ = 1 to 100 do
-          Runtime_sim.charge (Tstm_util.Xrand.int g 10 + 1);
-          log := (i, Runtime_sim.fetch_add a 0 1) :: !log
+          Shm.charge (Tstm_util.Xrand.int g 10 + 1);
+          log := (i, Shm.fetch_add a 0 1) :: !log
         done);
     !log
   in
@@ -446,8 +446,8 @@ let shm_script ~base a =
 let check_ints = Alcotest.(check (list int))
 
 let test_shm_real_matches_sim () =
-  let real = Runtime_real.sarray_make 24 0 in
-  let sim = Runtime_sim.sarray_make 24 0 in
+  let real = Shm.make Domains 24 0 in
+  let sim = Shm.make Simulated 24 0 in
   (match (real, sim) with
   | Shm.Real _, Shm.Sim _ -> ()
   | _ -> Alcotest.fail "each runtime builds its own constructor");
@@ -460,8 +460,8 @@ let test_shm_real_matches_sim () =
    the virtual time they end at are the figures [Runtime_sim]'s own access
    code produced before it moved into [Shm]. *)
 let test_shm_sim_virtual_time_pinned () =
-  Runtime_sim.configure Cache_model.default;
-  let a = Runtime_sim.sarray_make 24 0 in
+  Shm.configure Cache_model.default;
+  let a = Shm.make Simulated 24 0 in
   let out = Array.make 2 ([], 0) in
   Sim_sched.run ~nthreads:2 (fun i ->
       check_bool "a fiber is simulated" true (Shm.is_simulated ());
@@ -481,9 +481,25 @@ let test_shm_outside_any_run () =
   Shm.yield ();
   check_int "no virtual time" 0 (Sim_sched.now_cycles ());
   check_int "no simulated clock" 0 (Runtime_sim.now_cycles ());
-  let a = Runtime_sim.sarray_make 24 0 in
+  let a = Shm.make Simulated 24 0 in
   ignore (shm_script ~base:0 a);
   check_int "accesses are free" 0 (Sim_sched.now_cycles ())
+
+(* The clock follows the array's constructor, not the caller: a simulated
+   array reads virtual time (0 outside a run) even from a thread that is
+   not a fiber, and a real one reads wall-clock ns even from a fiber. *)
+let test_shm_clock_by_kind () =
+  let sim = Shm.make Simulated 8 0 and real = Shm.make Domains 8 0 in
+  check_int "sim outside a run" 0 (Shm.now_cycles sim);
+  let t0 = Shm.now_cycles real in
+  check_bool "real outside a run" true (t0 > 0);
+  check_bool "real is monotonic" true (Shm.now_cycles real >= t0);
+  let seen = ref (0, 0) in
+  Runtime_sim.run ~nthreads:1 (fun _ ->
+      Shm.charge 1_000;
+      seen := (Shm.now_cycles sim, Shm.now_cycles real));
+  check_int "sim inside a run" 1_000 (fst !seen);
+  check_bool "real inside a run" true (snd !seen >= t0)
 
 (* Each real job must see the id it was handed, through [Shm] rather than
    [Runtime_real], including a job replayed on a respawned domain. *)
@@ -658,6 +674,7 @@ let () =
           Alcotest.test_case "virtual time pinned" `Quick
             test_shm_sim_virtual_time_pinned;
           Alcotest.test_case "outside any run" `Quick test_shm_outside_any_run;
+          Alcotest.test_case "clock by kind" `Quick test_shm_clock_by_kind;
           Alcotest.test_case "real tids" `Quick test_shm_real_tids;
         ] );
       ( "runtime_sim",

@@ -5,7 +5,8 @@
 
 module San = Tstm_san.San
 module R = Tstm_runtime.Runtime_sim
-module V = Tstm_vmm.Vmm.Make (Tstm_runtime.Runtime_sim)
+module V = Tstm_vmm.Vmm
+module Shm = Tstm_runtime.Shm
 module Plan = Tstm_chaos.Plan
 module St = Tstm_harness.Stress
 module S = Tstm_harness.Scenario
@@ -122,16 +123,16 @@ let test_seqlock_clean () =
 let test_raw_vs_tx_race () =
   let (), fs =
     San.with_armed ~ncpus:2 (fun () ->
-        let a = R.sarray_make 16 0 in
-        R.sarray_label a "mem";
+        let a = Shm.make R.kind 16 0 in
+        Shm.label a "mem";
         R.run ~nthreads:2 (fun i ->
-            if i = 0 then R.set a 5 7
+            if i = 0 then Shm.set a 5 7
             else begin
               (* Order after cpu 0's raw store; there is no synchronization
                  edge between the two, only virtual time. *)
-              R.charge 500;
+              Shm.charge 500;
               San.tx_begin ~cpu:1;
-              R.set a 5 9;
+              Shm.set a 5 9;
               San.tx_abort ~cpu:1;
               San.tx_exit ~cpu:1 ~committed:false
             end))
@@ -153,10 +154,10 @@ let test_ordered_raw_clean () =
      real fork/join synchronization, so no race. *)
   let (), fs =
     San.with_armed ~ncpus:2 (fun () ->
-        let a = R.sarray_make 16 0 in
-        R.sarray_label a "mem";
-        R.run ~nthreads:1 (fun _ -> R.set a 5 7);
-        R.run ~nthreads:1 (fun _ -> R.set a 5 9))
+        let a = Shm.make R.kind 16 0 in
+        Shm.label a "mem";
+        R.run ~nthreads:1 (fun _ -> Shm.set a 5 7);
+        R.run ~nthreads:1 (fun _ -> Shm.set a 5 9))
   in
   check_bool "boundary-ordered raw stores are clean" true (fs = [])
 
@@ -164,7 +165,7 @@ let test_use_after_free () =
   let (), fs =
     San.with_armed ~ncpus:1 (fun () ->
         R.run ~nthreads:1 (fun _ ->
-            let m = V.create ~words:256 in
+            let m = V.create ~kind:R.kind ~words:256 in
             let a = V.alloc m 4 in
             V.store m a 1;
             V.free m a 4;
@@ -178,7 +179,7 @@ let test_alloc_resets_shadow () =
   let (), fs =
     San.with_armed ~ncpus:1 (fun () ->
         R.run ~nthreads:1 (fun _ ->
-            let m = V.create ~words:256 in
+            let m = V.create ~kind:R.kind ~words:256 in
             let a = V.alloc m 4 in
             V.store m a 1;
             V.free m a 4;

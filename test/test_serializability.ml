@@ -28,7 +28,7 @@ type event = {
 let check_bool = Alcotest.(check bool)
 
 module Run (R : Tstm_runtime.Runtime_intf.S) () = struct
-  module Ts = Tinystm.Make (R)
+  module Ts = Tinystm
   module Rb = Tstm_structures.Rbtree.Make (Ts)
   module Ll = Tstm_structures.Intset_list.Make (Ts)
 
@@ -72,7 +72,7 @@ module Run (R : Tstm_runtime.Runtime_intf.S) () = struct
   let run_history ?(hierarchy2 = 1) ~strategy ~hierarchy ~structure ~nthreads
       ~per () =
     let stm =
-      Ts.create
+      Ts.create ~kind:R.kind
         ~config:
           (Tinystm.Config.make ~n_locks:256 ~hierarchy ~hierarchy2 ~strategy
              ())

@@ -112,8 +112,8 @@ struct
   let all = [ list; rbtree; skiplist; hashset ]
 end
 
-module Ts = Tinystm.Make (R)
-module Tl = Tstm_tl2.Tl2.Make (R)
+module Ts = Tinystm
+module Tl = Tstm_tl2.Tl2
 
 module Ts_wb = Build (struct
   include Ts
@@ -121,13 +121,13 @@ module Ts_wb = Build (struct
   let name = "tinystm-wb"
 
   let make_instance () =
-    create
+    create ~kind:R.kind
       ~config:
         (Tinystm.Config.make ~n_locks:256 ~hierarchy:4
            ~strategy:Tinystm.Config.Write_back ())
       ~memory_words:200_000 ()
 
-  let live t = V.live_words (memory t)
+  let live t = Tstm_vmm.Vmm.live_words (memory t)
 end)
 
 module Ts_wt = Build (struct
@@ -136,20 +136,21 @@ module Ts_wt = Build (struct
   let name = "tinystm-wt"
 
   let make_instance () =
-    create
+    create ~kind:R.kind
       ~config:
         (Tinystm.Config.make ~n_locks:256
            ~strategy:Tinystm.Config.Write_through ())
       ~memory_words:200_000 ()
 
-  let live t = V.live_words (memory t)
+  let live t = Tstm_vmm.Vmm.live_words (memory t)
 end)
 
 module Tl2_b = Build (struct
   include Tl
 
-  let make_instance () = create ~n_locks:256 ~memory_words:200_000 ()
-  let live t = V.live_words (memory t)
+  let make_instance () =
+    create ~kind:R.kind ~n_locks:256 ~memory_words:200_000 ()
+  let live t = Tstm_vmm.Vmm.live_words (memory t)
 end)
 
 let harness_makers =

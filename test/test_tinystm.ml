@@ -4,6 +4,7 @@
    strategies. *)
 
 open Tinystm
+module Vmm = Tstm_vmm.Vmm
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -179,11 +180,11 @@ let prop_hmask_model =
 exception User_error
 
 module Semantics (R : Tstm_runtime.Runtime_intf.S) () = struct
-  module T = Tinystm.Make (R)
+  module T = Tinystm
 
   let make ?(strategy = Config.Write_back) ?(n_locks = 1 lsl 10) ?(shifts = 0)
       ?(hierarchy = 1) ?max_clock ?(words = 4096) () =
-    T.create
+    T.create ~kind:R.kind
       ~config:(Config.make ~n_locks ~shifts ~hierarchy ~strategy ())
       ?max_clock ~memory_words:words ()
 
@@ -241,32 +242,32 @@ module Semantics (R : Tstm_runtime.Runtime_intf.S) () = struct
 
     and test_alloc_abort_reclaims () =
       let t = make ~strategy () in
-      let before = T.V.live_words (T.memory t) in
+      let before = Vmm.live_words (T.memory t) in
       (try
          T.atomically t (fun tx ->
              ignore (T.alloc tx 8);
              raise User_error)
        with User_error -> ());
-      check_int "allocation reclaimed" before (T.V.live_words (T.memory t))
+      check_int "allocation reclaimed" before (Vmm.live_words (T.memory t))
 
     and test_free_commit_releases () =
       let t = make ~strategy () in
       let a = T.atomically t (fun tx -> T.alloc tx 8) in
-      let live = T.V.live_words (T.memory t) in
+      let live = Vmm.live_words (T.memory t) in
       T.atomically t (fun tx -> T.free tx a 8);
-      check_int "freed at commit" (live - 8) (T.V.live_words (T.memory t))
+      check_int "freed at commit" (live - 8) (Vmm.live_words (T.memory t))
 
     and test_free_abort_keeps () =
       let t = make ~strategy () in
       let a = T.atomically t (fun tx -> T.alloc tx 8) in
       T.atomically t (fun tx -> T.write tx a 123);
-      let live = T.V.live_words (T.memory t) in
+      let live = Vmm.live_words (T.memory t) in
       (try
          T.atomically t (fun tx ->
              T.free tx a 8;
              raise User_error)
        with User_error -> ());
-      check_int "free dropped on abort" live (T.V.live_words (T.memory t));
+      check_int "free dropped on abort" live (Vmm.live_words (T.memory t));
       check_int "contents intact" 123 (T.atomically t (fun tx -> T.read tx a))
 
     and test_stats_counts () =
@@ -416,11 +417,11 @@ module Real_sem = Semantics (Tstm_runtime.Runtime_real) ()
 (* Features best tested on the simulator (deterministic)              *)
 (* ------------------------------------------------------------------ *)
 
-module TS = Tinystm.Make (Tstm_runtime.Runtime_sim)
+module TS = Tinystm
 
 let make_sim ?(strategy = Config.Write_back) ?(n_locks = 1 lsl 10)
     ?(hierarchy = 1) ?(hierarchy2 = 1) ?max_clock ?(words = 4096) () =
-  TS.create
+  TS.create ~kind:Tstm_runtime.Shm.Simulated
     ~config:(Config.make ~n_locks ~hierarchy ~hierarchy2 ~strategy ())
     ?max_clock ~memory_words:words ()
 

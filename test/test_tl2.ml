@@ -6,6 +6,7 @@
 open Tstm_tl2
 module Bloom = Tstm_util.Bloom
 module Log = Tstm_tm.Redo_log
+module Vmm = Tstm_vmm.Vmm
 
 let add b a = ignore (Bloom.check_add b a)
 
@@ -157,10 +158,10 @@ let test_log_charges () =
 exception User_error
 
 module Semantics (R : Tstm_runtime.Runtime_intf.S) () = struct
-  module T = Tl2.Make (R)
+  module T = Tl2
 
   let make ?(n_locks = 1 lsl 10) ?(words = 4096) () =
-    T.create ~n_locks ~memory_words:words ()
+    T.create ~kind:R.kind ~n_locks ~memory_words:words ()
 
   let test_read_write_commit () =
     let t = make () in
@@ -189,8 +190,8 @@ module Semantics (R : Tstm_runtime.Runtime_intf.S) () = struct
     T.atomically t (fun tx ->
         T.write tx a 99;
         (* Commit-time locking: memory must still hold the old value. *)
-        check_int "memory untouched inside tx" 5 (T.V.load (T.memory t) a));
-    check_int "visible after commit" 99 (T.V.load (T.memory t) a)
+        check_int "memory untouched inside tx" 5 (Vmm.load (T.memory t) a));
+    check_int "visible after commit" 99 (Vmm.load (T.memory t) a)
 
   let test_user_exception_aborts () =
     let t = make () in
@@ -214,20 +215,20 @@ module Semantics (R : Tstm_runtime.Runtime_intf.S) () = struct
 
   let test_alloc_abort_reclaims () =
     let t = make () in
-    let before = T.V.live_words (T.memory t) in
+    let before = Vmm.live_words (T.memory t) in
     (try
        T.atomically t (fun tx ->
            ignore (T.alloc tx 8);
            raise User_error)
      with User_error -> ());
-    check_int "reclaimed" before (T.V.live_words (T.memory t))
+    check_int "reclaimed" before (Vmm.live_words (T.memory t))
 
   let test_free_commit_releases () =
     let t = make () in
     let a = T.atomically t (fun tx -> T.alloc tx 8) in
-    let live = T.V.live_words (T.memory t) in
+    let live = Vmm.live_words (T.memory t) in
     T.atomically t (fun tx -> T.free tx a 8);
-    check_int "freed" (live - 8) (T.V.live_words (T.memory t))
+    check_int "freed" (live - 8) (Vmm.live_words (T.memory t))
 
   let test_counter_no_lost_updates () =
     let t = make ~words:64 () in

@@ -3,8 +3,8 @@
    under sequential and concurrent clients, on TinySTM and TL2. *)
 
 module R = Tstm_runtime.Runtime_sim
-module Ts = Tinystm.Make (R)
-module Tl = Tstm_tl2.Tl2.Make (R)
+module Ts = Tinystm
+module Tl = Tstm_tl2.Tl2
 module Vac_ts = Tstm_vacation.Vacation.Make (Ts)
 module Vac_tl = Tstm_vacation.Vacation.Make (Tl)
 
@@ -20,7 +20,7 @@ let small_spec =
 
 let make_ts () =
   let stm =
-    Ts.create
+    Ts.create ~kind:R.kind
       ~config:(Tinystm.Config.make ~n_locks:1024 ~hierarchy:4 ())
       ~memory_words:(Vac_ts.memory_words_for small_spec)
       ()
@@ -108,7 +108,10 @@ let test_concurrent_clients () =
   Vac_ts.check_consistency v
 
 let test_concurrent_clients_tl2 () =
-  let stm = Tl.create ~n_locks:1024 ~memory_words:(Vac_tl.memory_words_for small_spec) () in
+  let stm =
+    Tl.create ~kind:R.kind ~n_locks:1024
+      ~memory_words:(Vac_tl.memory_words_for small_spec) ()
+  in
   let v = Vac_tl.create stm in
   let v = Vac_tl.populate v small_spec ~seed:11 in
   R.run ~nthreads:6 (fun tid ->
@@ -135,7 +138,7 @@ let test_memory_reclaimed_by_churn () =
   (* Customer delete must free reservation items and the customer record;
      run a churn and verify live words do not grow without bound. *)
   let stm, v = make_ts () in
-  let measure () = Ts.V.live_words (Ts.memory stm) in
+  let measure () = Tstm_vmm.Vmm.live_words (Ts.memory stm) in
   let g = Tstm_util.Xrand.create 999 in
   for _ = 1 to 200 do
     Vac_ts.client_step v small_spec g

@@ -1,22 +1,21 @@
 (* Tests for the virtual word memory: bounds, allocator recycling, spatial
    locality of the bump allocator, thread safety under both runtimes. *)
 
-module Vmm_sim = Tstm_vmm.Vmm.Make (Tstm_runtime.Runtime_sim)
-module Vmm_real = Tstm_vmm.Vmm.Make (Tstm_runtime.Runtime_real)
+module Vmm = Tstm_vmm.Vmm
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-module Common (R : Tstm_runtime.Runtime_intf.S) (V : module type of Tstm_vmm.Vmm.Make (R)) =
-struct
+module Common (R : Tstm_runtime.Runtime_intf.S) = struct
+  module V = Vmm
   let test_load_store () =
-    let m = V.create ~words:100 in
+    let m = V.create ~kind:R.kind ~words:100 in
     V.store m 5 99;
     check_int "load" 99 (V.load m 5);
     check_int "others 0" 0 (V.load m 6)
 
   let test_null_reserved () =
-    let m = V.create ~words:10 in
+    let m = V.create ~kind:R.kind ~words:10 in
     check_int "null" 0 V.null;
     Alcotest.check_raises "store null"
       (Invalid_argument "Vmm: address 0 out of bounds") (fun () ->
@@ -25,7 +24,7 @@ struct
     check_bool "alloc never returns null" true (a <> V.null)
 
   let test_bounds () =
-    let m = V.create ~words:10 in
+    let m = V.create ~kind:R.kind ~words:10 in
     Alcotest.check_raises "past end"
       (Invalid_argument "Vmm: address 11 out of bounds") (fun () ->
         ignore (V.load m 11));
@@ -35,7 +34,7 @@ struct
   let test_alloc_adjacent () =
     (* Consecutive allocations must be adjacent: the #shifts tuning parameter
        depends on this spatial locality. *)
-    let m = V.create ~words:1000 in
+    let m = V.create ~kind:R.kind ~words:1000 in
     let a = V.alloc m 4 in
     let b = V.alloc m 4 in
     let c = V.alloc m 4 in
@@ -43,7 +42,7 @@ struct
     check_int "c after b" (b + 4) c
 
   let test_alloc_distinct () =
-    let m = V.create ~words:1000 in
+    let m = V.create ~kind:R.kind ~words:1000 in
     let seen = Hashtbl.create 64 in
     for _ = 1 to 50 do
       let a = V.alloc m 3 in
@@ -54,14 +53,14 @@ struct
     done
 
   let test_free_recycles () =
-    let m = V.create ~words:100 in
+    let m = V.create ~kind:R.kind ~words:100 in
     let a = V.alloc m 8 in
     V.free m a 8;
     let b = V.alloc m 8 in
     check_int "same block recycled" a b
 
   let test_free_lists_per_class () =
-    let m = V.create ~words:1000 in
+    let m = V.create ~kind:R.kind ~words:1000 in
     let a2 = V.alloc m 2 in
     let a3 = V.alloc m 3 in
     V.free m a2 2;
@@ -70,7 +69,7 @@ struct
     check_int "class 2 pops its own" a2 (V.alloc m 2)
 
   let test_live_words () =
-    let m = V.create ~words:100 in
+    let m = V.create ~kind:R.kind ~words:100 in
     check_int "empty" 0 (V.live_words m);
     let a = V.alloc m 10 in
     check_int "after alloc" 10 (V.live_words m);
@@ -85,7 +84,7 @@ struct
   let test_large_blocks_bump_only () =
     (* Blocks beyond the free-list class limit (256 words) are bump-only:
        freeing them updates accounting but never recycles the space. *)
-    let m = V.create ~words:2048 in
+    let m = V.create ~kind:R.kind ~words:2048 in
     let a = V.alloc m 300 in
     V.free m a 300;
     check_int "accounting updated" 0 (V.live_words m);
@@ -93,13 +92,13 @@ struct
     check_bool "not recycled" true (b <> a)
 
   let test_out_of_memory () =
-    let m = V.create ~words:10 in
+    let m = V.create ~kind:R.kind ~words:10 in
     ignore (V.alloc m 8);
     Alcotest.check_raises "exhausted" Out_of_memory (fun () ->
         ignore (V.alloc m 8))
 
   let test_free_out_of_range () =
-    let m = V.create ~words:100 in
+    let m = V.create ~kind:R.kind ~words:100 in
     let rejects msg f =
       match f () with
       | () -> Alcotest.failf "%s: accepted" msg
@@ -118,7 +117,7 @@ struct
     V.free m a 8
 
   let test_double_free_detected () =
-    let m = V.create ~words:1000 in
+    let m = V.create ~kind:R.kind ~words:1000 in
     let a = V.alloc m 4 in
     V.free m a 4;
     (match V.free m a 4 with
@@ -133,7 +132,7 @@ struct
   let test_double_free_deep_in_list () =
     (* The duplicate need not be the list head: free three blocks, then
        re-free the first one pushed (now deepest in the free list). *)
-    let m = V.create ~words:1000 in
+    let m = V.create ~kind:R.kind ~words:1000 in
     let a = V.alloc m 4 in
     let b = V.alloc m 4 in
     let c = V.alloc m 4 in
@@ -153,7 +152,7 @@ struct
   let test_large_free_validated () =
     (* Large (non-recyclable) blocks are tracked by extent, so their frees
        are validated even without a free list to scan. *)
-    let m = V.create ~words:4096 in
+    let m = V.create ~kind:R.kind ~words:4096 in
     let a = V.alloc m 300 in
     rejects_invalid "never-allocated large free" (fun () ->
         V.free m (a + 1) 300);
@@ -163,7 +162,7 @@ struct
     check_int "valid free accounted" 0 (V.live_words m)
 
   let test_large_double_free () =
-    let m = V.create ~words:4096 in
+    let m = V.create ~kind:R.kind ~words:4096 in
     let a = V.alloc m 300 in
     V.free m a 300;
     rejects_invalid "large double free" (fun () -> V.free m a 300);
@@ -172,7 +171,7 @@ struct
   let test_large_extent_per_block () =
     (* Distinct large blocks are tracked independently; freeing one must
        not disturb the other's extent. *)
-    let m = V.create ~words:4096 in
+    let m = V.create ~kind:R.kind ~words:4096 in
     let a = V.alloc m 300 in
     let b = V.alloc m 400 in
     V.free m a 300;
@@ -181,7 +180,7 @@ struct
     check_int "both accounted" 0 (V.live_words m)
 
   let test_parallel_alloc_no_overlap () =
-    let m = V.create ~words:100_000 in
+    let m = V.create ~kind:R.kind ~words:100_000 in
     let n = 4 and per = 200 in
     let results = Array.make (n * per) 0 in
     R.run ~nthreads:n (fun tid ->
@@ -198,7 +197,7 @@ struct
       results
 
   let test_parallel_alloc_free_churn () =
-    let m = V.create ~words:50_000 in
+    let m = V.create ~kind:R.kind ~words:50_000 in
     let n = 4 in
     R.run ~nthreads:n (fun tid ->
         let g = Tstm_util.Xrand.create (100 + tid) in
@@ -245,8 +244,8 @@ struct
     ]
 end
 
-module Sim_tests = Common (Tstm_runtime.Runtime_sim) (Vmm_sim)
-module Real_tests = Common (Tstm_runtime.Runtime_real) (Vmm_real)
+module Sim_tests = Common (Tstm_runtime.Runtime_sim)
+module Real_tests = Common (Tstm_runtime.Runtime_real)
 
 (* qcheck: a random alloc/free trace never double-allocates a live word and
    live accounting stays consistent. *)
@@ -254,14 +253,14 @@ let prop_alloc_free_trace =
   QCheck.Test.make ~name:"random alloc/free trace keeps invariants" ~count:60
     QCheck.(list (pair bool (int_range 1 20)))
     (fun ops ->
-      let m = Vmm_sim.create ~words:100_000 in
+      let m = Vmm.create ~kind:Tstm_runtime.Shm.Simulated ~words:100_000 in
       let live = Hashtbl.create 64 in
       let blocks = ref [] in
       let expected_live = ref 0 in
       List.iter
         (fun (is_alloc, size) ->
           if is_alloc || !blocks = [] then begin
-            let a = Vmm_sim.alloc m size in
+            let a = Vmm.alloc m size in
             for w = a to a + size - 1 do
               if Hashtbl.mem live w then failwith "double allocation";
               Hashtbl.replace live w ()
@@ -275,12 +274,12 @@ let prop_alloc_free_trace =
                 for w = a to a + s - 1 do
                   Hashtbl.remove live w
                 done;
-                Vmm_sim.free m a s;
+                Vmm.free m a s;
                 blocks := rest;
                 expected_live := !expected_live - s
             | [] -> ())
         ops;
-      Vmm_sim.live_words m = !expected_live)
+      Vmm.live_words m = !expected_live)
 
 let () =
   Alcotest.run "tstm_vmm"
