@@ -216,6 +216,72 @@ let test_cache_per_cpu_private () =
   check_int "cpu0 unaffected" params.Cache_model.read_hit
     (Cache_model.read_cost c ~cpu:0 ~index:0)
 
+(* A scripted access mix on small caches, every cost pinned: L1 has 2 sets
+   and L2 8 sets, each of 8 ways.  Array [a] spans 2^16 lines, so the ids
+   of [b]'s lines need 17 bits and share L2 sets with [a]'s lines (b line
+   0 is id 65538, a line 1 is id 2: same low 16 bits, same set 2).  The
+   script walks L1 misses, L2 set conflicts across both arrays, cursor
+   wrap-around, remote transfers, invalidations and silent upgrades on
+   three CPUs.  A step is (op, array, cpu, line, word, cost). *)
+let test_cache_pinned_costs () =
+  let small =
+    { params with Cache_model.l1_lines = 16; private_cache_lines = 64 }
+  in
+  let g = Cache_model.create_global small in
+  let a = Cache_model.create g (65536 * 8) in
+  let b = Cache_model.create g 64 in
+  let script =
+    [
+      (* cold miss, hit, a word on the same line *)
+      (`R, a, 0, 1, 0, 103); (`R, a, 0, 1, 0, 3); (`R, a, 0, 1, 5, 3);
+      (* b line 0 joins a line 1 in L2 set 2 *)
+      (`R, b, 0, 0, 0, 103); (`R, a, 0, 1, 0, 3); (`R, b, 0, 0, 0, 3);
+      (* six more a lines fill set 2; a seventh wraps the cursor *)
+      (`R, a, 0, 9, 0, 103); (`R, a, 0, 17, 0, 103); (`R, a, 0, 25, 0, 103);
+      (`R, a, 0, 33, 0, 103); (`R, a, 0, 41, 0, 103); (`R, a, 0, 49, 0, 103);
+      (`R, a, 0, 57, 0, 103); (`R, a, 0, 1, 0, 103); (`R, b, 0, 0, 0, 103);
+      (`R, a, 0, 9, 0, 103); (`R, a, 0, 57, 0, 3);
+      (* set-4 lines push set-2 lines out of L1 (both even ids: L1 set 0) *)
+      (`R, a, 0, 3, 0, 103); (`R, a, 0, 11, 0, 103); (`R, a, 0, 19, 0, 103);
+      (`R, a, 0, 27, 0, 103); (`R, a, 0, 35, 0, 103); (`R, a, 0, 43, 0, 103);
+      (`R, a, 0, 57, 0, 14); (`R, b, 0, 0, 0, 14); (`R, a, 0, 3, 0, 3);
+      (* a second reader, then an invalidating writer and transfers back *)
+      (`R, a, 1, 1, 0, 103); (`R, a, 0, 1, 0, 14); (`W, a, 1, 1, 2, 103);
+      (`R, a, 0, 1, 2, 103); (`R, a, 1, 1, 3, 3); (`W, a, 0, 1, 4, 103);
+      (`W, a, 0, 1, 4, 3); (`R, a, 2, 1, 4, 103); (`W, a, 2, 1, 6, 103);
+      (* owned writes, silent upgrades, ping-pong on b *)
+      (`W, b, 2, 1, 0, 103); (`W, b, 2, 1, 1, 3); (`R, b, 2, 2, 0, 103);
+      (`W, b, 2, 2, 0, 3); (`R, b, 1, 2, 0, 103); (`W, b, 2, 2, 3, 103);
+      (`W, b, 1, 2, 4, 103); (`W, b, 2, 2, 4, 103); (`R, b, 0, 2, 7, 103);
+      (* CPU 2 owns b line 0, then eight a lines of L2 set 2 evict it *)
+      (`W, b, 2, 0, 0, 103); (`R, a, 2, 9, 0, 103); (`R, a, 2, 17, 0, 103);
+      (`R, a, 2, 25, 0, 103); (`R, a, 2, 33, 0, 103); (`R, a, 2, 41, 0, 103);
+      (`R, a, 2, 49, 0, 103); (`R, a, 2, 57, 0, 103); (`R, a, 2, 65, 0, 103);
+      (`W, b, 2, 0, 1, 103); (`R, a, 2, 1, 0, 103); (`W, a, 2, 9, 0, 103);
+      (* eight a lines of L2 set 4 push the owned b line 0 out of L1 only:
+         the next owned write pays the L1 miss *)
+      (`W, b, 2, 0, 2, 3); (`R, a, 2, 3, 0, 103); (`R, a, 2, 11, 0, 103);
+      (`R, a, 2, 19, 0, 103); (`R, a, 2, 27, 0, 103); (`R, a, 2, 35, 0, 103);
+      (`R, a, 2, 43, 0, 103); (`R, a, 2, 51, 0, 103); (`R, a, 2, 59, 0, 103);
+      (`W, b, 2, 0, 2, 14); (`W, b, 2, 0, 2, 3); (`R, b, 2, 8, 0, 103);
+      (`W, b, 2, 8, 1, 3); (`R, b, 0, 8, 1, 103); (`R, b, 1, 8, 1, 103);
+      (`W, b, 0, 8, 2, 103); (`R, b, 1, 8, 2, 103); (`R, b, 2, 8, 2, 103);
+    ]
+  in
+  let got =
+    List.map
+      (fun (op, arr, cpu, line, word, _) ->
+        let index = (line * 8) + word in
+        match op with
+        | `R -> Cache_model.read_cost arr ~cpu ~index
+        | `W -> Cache_model.write_cost arr ~cpu ~index)
+      script
+  in
+  Alcotest.(check (list int))
+    "cost sequence"
+    (List.map (fun (_, _, _, _, _, c) -> c) script)
+    got
+
 (* ------------------------------------------------------------------ *)
 (* Runtime implementations (shared semantics)                         *)
 (* ------------------------------------------------------------------ *)
@@ -640,6 +706,8 @@ let () =
           Alcotest.test_case "reset cools" `Quick test_cache_reset_tags_cools;
           Alcotest.test_case "per-cpu privacy" `Quick
             test_cache_per_cpu_private;
+          Alcotest.test_case "pinned cost sequence" `Quick
+            test_cache_pinned_costs;
         ] );
       ("sim semantics", Sim_semantics.tests);
       ("domains semantics", Real_semantics.tests);
