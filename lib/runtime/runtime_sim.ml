@@ -7,6 +7,12 @@ let kind = Shm.Simulated
    here), which the tap reports so a happens-before consumer can join its
    clocks. *)
 let run ~nthreads body =
+  if nthreads > Cache_model.max_cpus then
+    invalid_arg
+      (Printf.sprintf
+         "Runtime_sim.run: %d threads, but the cache model tracks at most %d \
+          CPUs"
+         nthreads Cache_model.max_cpus);
   Shm.cold_caches ();
   if Tap.enabled () then Tap.run_boundary ();
   Fun.protect

@@ -9,7 +9,9 @@
 
     The cost parameters are process-global and read when an array is
     created; call {!Shm.configure} before building the experiment state.
-    Each [run] starts with cold private caches. *)
+    Each [run] starts with cold private caches, and refuses more than
+    {!Cache_model.max_cpus} threads with [Invalid_argument] before any
+    fiber starts. *)
 
 include Runtime_intf.S
 

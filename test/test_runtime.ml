@@ -163,7 +163,11 @@ let test_cache_false_sharing_pingpong () =
 let test_cache_validate () =
   Alcotest.check_raises "bad words_per_line"
     (Invalid_argument "Cache_model: words_per_line must be a power of two")
-    (fun () -> Cache_model.validate { params with Cache_model.words_per_line = 3 })
+    (fun () -> Cache_model.validate { params with Cache_model.words_per_line = 3 });
+  (* Fewer lines than ways would leave a cache with no set. *)
+  Alcotest.check_raises "l1 below one set"
+    (Invalid_argument "Cache_model: l1_lines must be at least 8 (one set of 8 ways)")
+    (fun () -> Cache_model.validate { params with Cache_model.l1_lines = 4 })
 
 let test_cache_capacity_conflict_evicts () =
   (* The private cache is 8-way set-associative: 8 lines mapping to the same
@@ -214,6 +218,37 @@ let test_cache_per_cpu_private () =
   ignore (Cache_model.read_cost c ~cpu:1 ~index:0);
   ignore (Cache_model.read_cost c ~cpu:1 ~index:stride);
   check_int "cpu0 unaffected" params.Cache_model.read_hit
+    (Cache_model.read_cost c ~cpu:0 ~index:0)
+
+let test_cache_highest_cpu_shares () =
+  (* The sharer mask has a bit for every CPU up to [max_cpus - 1]: the
+     highest CPU's re-read hits like anyone else's. *)
+  check_int "max_cpus" 63 Cache_model.max_cpus;
+  let c = Cache_model.create (Cache_model.create_global params) 64 in
+  let cpu = Cache_model.max_cpus - 1 in
+  check_int "cold miss"
+    (params.Cache_model.read_hit + params.Cache_model.line_transfer)
+    (Cache_model.read_cost c ~cpu ~index:0);
+  check_int "then hit" params.Cache_model.read_hit
+    (Cache_model.read_cost c ~cpu ~index:0);
+  check_int "silent upgrade" params.Cache_model.write_hit
+    (Cache_model.write_cost c ~cpu ~index:0)
+
+let test_cache_id_guard () =
+  (* Word indices and line ids live in 32-bit slots: an array they would
+     not fit is refused before anything is allocated. *)
+  let g = Cache_model.create_global params in
+  let refused len =
+    match Cache_model.create g len with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "2^40 words" true (refused (1 lsl 40));
+  check_bool "2^31 words" true (refused (1 lsl 31));
+  check_bool "negative length" true (refused (-1));
+  let c = Cache_model.create g 64 in
+  check_int "allocator intact: cold miss"
+    (params.Cache_model.read_hit + params.Cache_model.line_transfer)
     (Cache_model.read_cost c ~cpu:0 ~index:0)
 
 (* A scripted access mix on small caches, every cost pinned: L1 has 2 sets
@@ -377,6 +412,30 @@ let test_sim_zero_cost_outside_run () =
   let a = Shm.make Simulated 4 0 in
   Shm.set a 0 9;
   check_int "works outside run" 9 (Shm.get a 0)
+
+let test_sim_cpu_limit () =
+  Shm.configure Cache_model.default;
+  let ran = ref false in
+  Alcotest.check_raises "64 threads refused"
+    (Invalid_argument
+       "Runtime_sim.run: 64 threads, but the cache model tracks at most 63 \
+        CPUs")
+    (fun () -> Runtime_sim.run ~nthreads:64 (fun _ -> ran := true));
+  check_bool "no fiber started" false !ran;
+  (* At the limit every CPU, the highest included, re-reads a shared line
+     at the hit cost. *)
+  let a = Shm.make Simulated 8 0 in
+  let reread = Array.make Cache_model.max_cpus 0 in
+  Runtime_sim.run ~nthreads:Cache_model.max_cpus (fun cpu ->
+      ignore (Shm.get a 0);
+      let t0 = Sim_sched.now_cycles () in
+      ignore (Shm.get a 0);
+      reread.(cpu) <- Sim_sched.now_cycles () - t0);
+  Array.iteri
+    (fun cpu c ->
+      check_int (Printf.sprintf "cpu %d re-read" cpu)
+        Cache_model.default.Cache_model.read_hit c)
+    reread
 
 let test_sim_contention_costs_time () =
   Shm.configure Cache_model.default;
@@ -708,6 +767,9 @@ let () =
             test_cache_per_cpu_private;
           Alcotest.test_case "pinned cost sequence" `Quick
             test_cache_pinned_costs;
+          Alcotest.test_case "highest cpu shares" `Quick
+            test_cache_highest_cpu_shares;
+          Alcotest.test_case "32-bit id guard" `Quick test_cache_id_guard;
         ] );
       ("sim semantics", Sim_semantics.tests);
       ("domains semantics", Real_semantics.tests);
@@ -754,5 +816,6 @@ let () =
             test_sim_contention_costs_time;
           Alcotest.test_case "deterministic parallel" `Quick
             test_sim_deterministic_parallel_counter;
+          Alcotest.test_case "cpu limit" `Quick test_sim_cpu_limit;
         ] );
     ]
