@@ -44,7 +44,9 @@ type inst = {
 
 type desc = {
   mutable rv : int;
-  (* Read set: (lock index, observed version) pairs, flattened. *)
+  (* Read set: the lock index of every accepted read.  Validation re-checks
+     each lock's current version against [rv], so the version seen at read
+     time is not kept. *)
   r_set : G.t;
   w : Log.t;  (* the write set *)
   (* Locks acquired during commit, with their previous words. *)
@@ -141,10 +143,7 @@ let rec read_word t (d : tx) addr =
       (* No snapshot extension in TL2: newer data forces an abort. *)
       abort Stats.Validation_failed
     else begin
-      if not d.read_only then begin
-        G.push p.r_set li;
-        G.push p.r_set (version l1)
-      end;
+      if not d.read_only then G.push p.r_set li;
       if Probe.on () then Probe.read_accepted ~cpu:d.tid ~addr;
       d.stats.Stats.reads <- d.stats.Stats.reads + 1;
       v
@@ -255,7 +254,7 @@ let validate t (d : tx) =
          | None -> ok := false
        end
      else if version l > p.rv then ok := false);
-    k := !k + 2
+    incr k
   done;
   !ok
 
