@@ -247,7 +247,7 @@ let test_cache_id_guard () =
   check_bool "2^31 words" true (refused (1 lsl 31));
   check_bool "negative length" true (refused (-1));
   let c = Cache_model.create g 64 in
-  check_int "allocator intact: cold miss"
+  check_int "usable after refusals"
     (params.Cache_model.read_hit + params.Cache_model.line_transfer)
     (Cache_model.read_cost c ~cpu:0 ~index:0)
 
