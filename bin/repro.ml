@@ -1,10 +1,12 @@
-(* Command-line entry point: regenerate paper figures or run individual
-   experiment points on the simulated multicore runtime.
+(* Command-line entry point: regenerate paper figures, run individual
+   experiment points on the simulated multicore runtime, and time the real
+   hardware (Bechamel microbenchmarks, wall-clock BENCH_*.json snapshots
+   and their noise-aware comparison).
 
-   Every simulated sweep (figures, parameter sweeps, stress seeds) is
-   decomposed into Tstm_exec jobs and evaluated on a multi-process pool:
-   `--jobs N` forks N workers, and because results merge in plan order,
-   stdout is byte-identical for any N. *)
+   Every simulated sweep (figures, the ablation, parameter sweeps, stress
+   seeds) is decomposed into Tstm_exec jobs and evaluated on a
+   multi-process pool: `--jobs N` forks N workers, and because results
+   merge in plan order, stdout is byte-identical for any N. *)
 
 open Cmdliner
 module F = Tstm_harness.Figures
@@ -93,6 +95,9 @@ let run_cmd =
         Printf.eprintf "run failed: %s\n" reason;
         exit 1
     | Ok o ->
+        Option.iter
+          (fun c -> print_string (Tstm_obs.Export.histo_summary c))
+          o.Job.collector;
         (match trace with
         | Some path ->
             Tstm_obs.Export.write_chrome_trace ~path
@@ -141,6 +146,16 @@ let run_cmd =
         $ Cli.hierarchy_arg $ Cli.seed_arg $ Cli.cm_arg $ Cli.workload_arg
         $ Cli.trace_arg $ Cli.metrics_csv_arg $ Cli.top_contended_arg
         $ Cli.periods_arg $ Cli.san_arg $ stats_json_arg $ Cli.jobs_arg))
+
+let ablation_cmd =
+  let run jobs = if not (Cli.run_ablation ~jobs ()) then exit 1 in
+  Cmd.v
+    (Cmd.info "ablation"
+       ~doc:
+         "Cost-model ablation: the Fig. 3b comparison under altered \
+          simulator cost constants, bounded-wait contention management and \
+          the two-level hierarchical array")
+    Term.(const run $ Cli.jobs_arg)
 
 let sweep_cmd =
   let axis_conv =
@@ -693,6 +708,148 @@ let serve_cmd =
           deadlines/retry budgets and a load-shedding policy ladder")
     Term.(ret (const run $ Cli.Serve.term))
 
+(* Bechamel microbenchmarks of the real-hardware hot paths: transactional
+   read/write/commit for every STM of [Bench_real.stms], plus the lock-word
+   and Bloom-filter primitives. *)
+module Micro = struct
+  open Bechamel
+  open Toolkit
+  module Br = Tstm_harness.Bench_real
+  module Intf = Tstm_tm.Tm_intf
+
+  (* Per STM: a 4096-lock instance holding 1024 written words, timed on a
+     100-read transaction (plain and read-only) and a 10-word
+     read-modify-write transaction. *)
+  let stm_tests (name, _, m) =
+    let module S = (val m : Br.STM) in
+    let t =
+      S.create
+        ~tuning:{ Intf.default_tuning with Intf.n_locks = 4096 }
+        ~memory_words:65536 ()
+    in
+    let base = S.atomically t (fun tx -> S.alloc tx 1024) in
+    S.atomically t (fun tx ->
+        for i = 0 to 1023 do
+          S.write tx (base + i) i
+        done);
+    let reads ?read_only () =
+      Staged.stage (fun () ->
+          S.atomically ?read_only t (fun tx ->
+              let s = ref 0 in
+              for i = 0 to 99 do
+                s := !s + S.read tx (base + i)
+              done;
+              !s))
+    in
+    [
+      Test.make ~name:(name ^ ": 100-read tx") (reads ());
+      Test.make ~name:(name ^ ": 100-read ro-tx") (reads ~read_only:true ());
+      Test.make ~name:(name ^ ": 10-rmw tx")
+        (Staged.stage (fun () ->
+             S.atomically t (fun tx ->
+                 for i = 0 to 9 do
+                   S.write tx (base + i) (S.read tx (base + i) + 1)
+                 done)));
+    ]
+
+  let tests () =
+    [
+      Test.make ~name:"lockenc encode+decode"
+        (Staged.stage (fun () ->
+             let w = Tinystm.Lockenc.unlocked ~version:123456 ~incarnation:3 in
+             Tinystm.Lockenc.version w + Tinystm.Lockenc.incarnation w));
+      Test.make ~name:"bloom add+query"
+        (Staged.stage
+           (let b = Tstm_util.Bloom.create () in
+            fun () ->
+              Tstm_util.Bloom.clear b;
+              ignore (Tstm_util.Bloom.check_add b 42);
+              Tstm_util.Bloom.may_contain b 42));
+    ]
+    @ List.concat_map stm_tests Br.stms
+
+  let run () =
+    print_endline "=== Microbenchmarks (real runtime, single domain) ===";
+    let ols =
+      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+    in
+    let instance = Instance.monotonic_clock in
+    let cfg =
+      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
+    in
+    List.iter
+      (fun test ->
+        let results = Benchmark.all cfg [ instance ] test in
+        let analyzed = Analyze.all ols instance results in
+        Hashtbl.iter
+          (fun name ols_result ->
+            match Analyze.OLS.estimates ols_result with
+            | Some [ est ] -> Printf.printf "%-28s %10.1f ns/run\n%!" name est
+            | _ -> Printf.printf "%-28s (no estimate)\n%!" name)
+          analyzed)
+      (tests ());
+    print_newline ()
+end
+
+let micro_cmd =
+  Cmd.v
+    (Cmd.info "micro"
+       ~doc:"Bechamel microbenchmarks of the STM hot paths on real hardware")
+    Term.(const Micro.run $ const ())
+
+let real_cmd =
+  let run stm all_stms structure domains size updates seed pattern duration
+      warmup reps observe out =
+    let stms =
+      if all_stms then Tstm_harness.Bench_real.stm_names else [ stm ]
+    in
+    if
+      not
+        (Cli.run_bench_real ?out ~stms ~structure ~domains ~pattern ~size
+           ~update_pct:updates ~seed ~duration ~warmup ~reps ~observe ())
+    then exit 1
+  in
+  Cmd.v
+    (Cmd.info "real"
+       ~doc:
+         "Wall-clock benchmark on real domains: Synchrobench-style timed \
+          repetitions per (STM, structure, domain-count) cell, human table \
+          on stdout and a machine-readable BENCH_*.json snapshot with \
+          --out.")
+    Term.(
+      const run $ Cli.stm_arg $ Cli.all_stms_flag $ Cli.real_structure_arg
+      $ Cli.domains_arg $ Cli.size_arg $ Cli.updates_arg $ Cli.seed_arg
+      $ Cli.workload_arg $ Cli.real_duration_arg $ Cli.warmup_arg
+      $ Cli.reps_arg $ Cli.observe_flag $ Cli.out_arg)
+
+let compare_cmd =
+  let old_arg =
+    Arg.(
+      required
+      & pos 0 (some file) None
+      & info [] ~docv:"OLD.json" ~doc:"Baseline snapshot.")
+  in
+  let new_arg =
+    Arg.(
+      required
+      & pos 1 (some file) None
+      & info [] ~docv:"NEW.json" ~doc:"Candidate snapshot.")
+  in
+  let run threshold report_only old_path new_path =
+    if
+      not
+        (Cli.run_bench_compare ~threshold ~report_only ~old_path ~new_path ())
+    then exit 1
+  in
+  Cmd.v
+    (Cmd.info "compare"
+       ~doc:
+         "Compare two BENCH_*.json snapshots cell by cell and exit non-zero \
+          on a regression beyond noise (see --threshold; --report-only \
+          always exits 0).")
+    Term.(
+      const run $ Cli.threshold_arg $ Cli.report_only_flag $ old_arg $ new_arg)
+
 let () =
   let doc = "TinySTM (PPoPP'08) reproduction: figures and experiments" in
   let info = Cmd.info "repro" ~doc in
@@ -710,4 +867,8 @@ let () =
             storm_cmd;
             serve_cmd;
             fault_cmd;
+            ablation_cmd;
+            micro_cmd;
+            real_cmd;
+            compare_cmd;
           ]))

@@ -33,7 +33,6 @@ val events : t -> event list
     expects). *)
 
 val op_to_string : op -> string
-val event_to_string : event -> string
 
 val check :
   ?window:int -> ?max_nodes:int -> final:int list -> event list -> (unit, string) result

@@ -1,7 +1,6 @@
-(* Shared CLI surface for bench/main.exe and bin/repro.exe: every flag
-   declared once (so the two binaries, and a printed replay line and its
-   parse, cannot drift) and the drivers that route figures, ablation
-   sweeps and single points through the job planner and the pool.
+(* The `repro` CLI surface: every flag declared once (so a printed replay
+   line and its parse cannot drift) and the drivers that route figures,
+   ablation sweeps and single points through the job planner and the pool.
 
    Output discipline: everything deterministic goes to stdout (figure
    headers, tables, CSV notes), everything scheduling-dependent — progress
@@ -113,12 +112,6 @@ let profile_arg =
     & opt profile_enum F.quick
     & info [ "p"; "profile" ] ~docv:"PROFILE"
         ~doc:"Experiment scale: $(b,quick) (smoke) or $(b,full) (paper-size).")
-
-let full_flag =
-  Arg.(
-    value & flag
-    & info [ "full" ]
-        ~doc:"Shorthand for $(b,--profile full): paper-size experiments.")
 
 let jobs_key =
   key [ "j"; "jobs" ] ~docv:"N" Arg.int
@@ -1057,7 +1050,7 @@ let run_bench_real ?out ~stms ~structure ~domains ~pattern ~size ~update_pct
         List.filter_map
           (fun d ->
             prerr_string
-              (Printf.sprintf "bench real: %s %s domains=%d (%d x %.3fs)...\n"
+              (Printf.sprintf "repro real: %s %s domains=%d (%d x %.3fs)...\n"
                  stm structure d reps duration);
             flush stderr;
             let req =
@@ -1073,7 +1066,7 @@ let run_bench_real ?out ~stms ~structure ~domains ~pattern ~size ~update_pct
             in
             match BR.run_cell req protocol with
             | Error e ->
-                prerr_string (Printf.sprintf "bench real: %s\n" e);
+                prerr_string (Printf.sprintf "repro real: %s\n" e);
                 flush stderr;
                 ok := false;
                 None
@@ -1082,7 +1075,7 @@ let run_bench_real ?out ~stms ~structure ~domains ~pattern ~size ~update_pct
                   (fun v ->
                     prerr_string
                       (Printf.sprintf
-                         "bench real: INVARIANT VIOLATED (%s/%s d=%d): %s\n"
+                         "repro real: INVARIANT VIOLATED (%s/%s d=%d): %s\n"
                          stm structure d v);
                     flush stderr;
                     ok := false)
@@ -1091,7 +1084,7 @@ let run_bench_real ?out ~stms ~structure ~domains ~pattern ~size ~update_pct
                   (fun (rep, exn_s) ->
                     prerr_string
                       (Printf.sprintf
-                         "bench real: FAILED REP %d (%s/%s d=%d): %s\n" rep
+                         "repro real: FAILED REP %d (%s/%s d=%d): %s\n" rep
                          stm structure d exn_s);
                     flush stderr;
                     ok := false)
@@ -1114,7 +1107,7 @@ let run_bench_real ?out ~stms ~structure ~domains ~pattern ~size ~update_pct
         prerr_string (Printf.sprintf "(snapshot written to %s)\n" path)
     | None -> ());
     prerr_string
-      (Printf.sprintf "bench real: %d cell%s in %.1fs\n" (List.length cells)
+      (Printf.sprintf "repro real: %d cell%s in %.1fs\n" (List.length cells)
          (if List.length cells = 1 then "" else "s")
          (Unix.gettimeofday () -. t0));
     flush stderr;
@@ -1132,7 +1125,7 @@ let run_bench_compare ~threshold ~report_only ~old_path ~new_path () =
     | Error e ->
         prerr_string
           (Printf.sprintf
-             "bench compare: cannot load %s: %s (comparison skipped)\n" path e);
+             "repro compare: cannot load %s: %s (comparison skipped)\n" path e);
         None
   in
   match (load old_path, load new_path) with

@@ -1,7 +1,6 @@
-(** Shared CLI surface for [bench/main.exe] and [bin/repro.exe]: the
-    cmdliner flag terms both binaries parse (so they cannot drift) and the
-    drivers that route figures, the ablation sweep and single experiment
-    points through the job planner and the multi-process pool.
+(** The [repro] CLI surface: the cmdliner flag terms its commands parse
+    and the drivers that route figures, the ablation sweep and single
+    experiment points through the job planner and the multi-process pool.
 
     Output discipline: deterministic content (figure headers, tables, CSV
     notes) goes to stdout; scheduling-dependent content (progress lines,
@@ -12,9 +11,6 @@
 
 val profile_arg : Tstm_harness.Figures.profile Cmdliner.Term.t
 (** [--profile quick|full]. *)
-
-val full_flag : bool Cmdliner.Term.t
-(** [--full], shorthand for [--profile full] (bench compatibility). *)
 
 val jobs_arg : int Cmdliner.Term.t
 (** [--jobs N] (default 1). *)
@@ -170,8 +166,8 @@ val run_ablation : ?jobs:int -> unit -> bool
 
 val eval_point :
   ?jobs:int -> Job.point -> (Job.point_outcome, string) result
-(** Evaluate one experiment point through the planner (rendering is left
-    to the caller — bench and repro print different summaries). *)
+(** Evaluate one experiment point through the planner; rendering is left
+    to the caller. *)
 
 val eval_points : ?jobs:int -> Job.point list -> Job.point_outcome option array
 (** Evaluate a list of points (the `repro sweep` shape), outcomes in plan
@@ -179,7 +175,7 @@ val eval_points : ?jobs:int -> Job.point list -> Job.point_outcome option array
 
 (** {1 Wall-clock bench (real runtime)}
 
-    Flag terms and drivers for [bench real] and [bench compare]: the
+    Flag terms and drivers for [repro real] and [repro compare]: the
     real-hardware benchmark path producing machine-readable
     [BENCH_*.json] snapshots ({!Tstm_obs.Bench}) and the noise-aware
     regression comparator. *)

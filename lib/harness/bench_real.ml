@@ -338,6 +338,12 @@ let run_cell (req : cell_request) (p : protocol) =
   if req.domains < 1 then Error "domains must be >= 1"
   else if p.reps < 1 then Error "reps must be >= 1"
   else if p.duration_s <= 0.0 then Error "duration must be > 0"
+  else if p.observe && req.domains > Sink.max_cpus then
+    (* The sharded sink has one shard per domain id below [Sink.max_cpus];
+       a wider cell would publish percentiles missing the other domains. *)
+    Error
+      (Printf.sprintf "an observed cell runs at most %d domains"
+         Sink.max_cpus)
   else
     match find_stm req.stm with
     | Error _ as e -> e

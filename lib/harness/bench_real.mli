@@ -75,7 +75,8 @@ val run_cell :
   cell_request -> protocol -> (Tstm_obs.Bench.cell * integrity, string) result
 (** Populate, warm up, run the timed repetitions, check integrity.
     [Error] reports an invalid request (unknown STM or structure,
-    non-positive protocol parameters) without running anything. *)
+    non-positive protocol parameters, an observed cell wider than
+    {!Tstm_obs.Sink.max_cpus} domains) without running anything. *)
 
 val snapshot :
   rev:string ->

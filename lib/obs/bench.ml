@@ -49,6 +49,7 @@ type t = {
   cells : cell list;
 }
 
+(* Stable identity used to match cells across snapshots. *)
 let cell_key c =
   Printf.sprintf "%s/%s/d%d/%s/n%d/u%g" c.stm c.structure c.domains c.workload
     c.size c.update_pct
@@ -160,7 +161,7 @@ let to_json t =
 let to_string t = Json.to_string (to_json t)
 
 (* Field-by-field readers: every miss is a named error, so a truncated or
-   hand-edited snapshot fails loud in `bench compare` and in CI. *)
+   hand-edited snapshot fails loud in `repro compare` and in CI. *)
 
 let get what conv j =
   match conv j with

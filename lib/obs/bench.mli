@@ -54,10 +54,6 @@ type t = {
   cells : cell list;
 }
 
-val cell_key : cell -> string
-(** Stable identity used to match cells across snapshots:
-    ["stm/structure/dN/workload/nSIZE/uPCT"]. *)
-
 val cell_mean : cell -> float
 (** Mean throughput over the samples ([0.] when empty). *)
 
@@ -97,13 +93,14 @@ type verdict = {
 
 val compare :
   ?threshold_pct:float -> old_snap:t -> new_snap:t -> unit -> verdict
-(** Match cells by {!cell_key} and flag regressions: a cell regresses when
-    the new mean falls below the old one by more than the combined 95%
-    confidence intervals {e and} more than [threshold_pct] percent
-    (default 10) — so neither measured noise nor small drifts trip CI. *)
+(** Match cells by their key ["stm/structure/dN/workload/nSIZE/uPCT"] and
+    flag regressions: a cell regresses when the new mean falls below the
+    old one by more than the combined 95% confidence intervals {e and} more
+    than [threshold_pct] percent (default 10) — so neither measured noise
+    nor small drifts trip CI. *)
 
 val render_verdict : verdict -> string
 (** Human table: one line per delta, missing/added notes, summary line. *)
 
 val render : t -> string
-(** Human table for a single snapshot (the [bench real] stdout report). *)
+(** Human table for a single snapshot (the [repro real] stdout report). *)

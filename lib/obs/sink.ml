@@ -10,7 +10,10 @@ type collector = {
 
 type t = Null | Collect of collector | Sharded of collector array
 
-(* Mirrors the simulated runtime's CPU bound. *)
+(* Per-CPU trace rings per collector, and shards per sharded sink: events
+   and notes from a cpu or domain id at or past this bound are dropped.  It
+   covers the simulator's 63 CPUs ([Cache_model.max_cpus]); the
+   real-hardware bench refuses an observed cell with more domains. *)
 let max_cpus = 64
 
 let collector ?ring_capacity () =

@@ -8,8 +8,6 @@
 module Make (T : Tstm_tm.Tm_intf.TM) : sig
   type t
 
-  val max_level : int
-
   val create : T.t -> t
 
   val contains : t -> T.tx -> int -> bool

@@ -29,7 +29,3 @@ let summarize a =
     max = maximum a;
     stddev = sqrt var;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.1f min=%.1f max=%.1f sd=%.1f" s.n s.mean
-    s.min s.max s.stddev

@@ -14,5 +14,3 @@ val summarize : float array -> summary
 
 val mean : float array -> float
 val maximum : float array -> float
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -351,7 +351,7 @@ let test_compare_disjoint () =
   Alcotest.(check bool) "counts the new-only cells" true (contains "1 only in new")
 
 (* ------------------------------------------------------------------ *)
-(* bench compare CLI driver: unreadable / newer-schema inputs           *)
+(* repro compare CLI driver: unreadable / newer-schema inputs           *)
 (* ------------------------------------------------------------------ *)
 
 let with_temp_file content f =

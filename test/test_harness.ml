@@ -275,6 +275,39 @@ let test_configure_capability_error () =
   M.configure t Intf.default_tuning
 
 (* ------------------------------------------------------------------ *)
+(* Real-hardware bench requests                                       *)
+(* ------------------------------------------------------------------ *)
+
+module BR = Tstm_harness.Bench_real
+
+(* An observed cell wider than the sharded sink would drop the notes of
+   domains past [Sink.max_cpus].  [run_cell] must refuse it before it
+   resolves the STM: the unknown STM name below proves the width check
+   came first, and neither request starts a domain. *)
+let test_observed_width_bound () =
+  let req =
+    {
+      BR.default_request with
+      BR.stm = "no-such-stm";
+      domains = Tstm_obs.Sink.max_cpus + 1;
+    }
+  in
+  let p = { BR.duration_s = 0.01; warmup_s = 0.0; reps = 1; observe = true } in
+  let error_of p =
+    match BR.run_cell req p with
+    | Error e -> e
+    | Ok _ -> Alcotest.fail "invalid request ran"
+  in
+  Alcotest.(check string)
+    "observed width refused first"
+    (Printf.sprintf "an observed cell runs at most %d domains"
+       Tstm_obs.Sink.max_cpus)
+    (error_of p);
+  let unobserved = error_of { p with BR.observe = false } in
+  check_bool "unobserved request reaches the stm lookup" true
+    (String.starts_with ~prefix:"unknown STM" unobserved)
+
+(* ------------------------------------------------------------------ *)
 (* Figures smoke                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -360,6 +393,11 @@ let () =
           Alcotest.test_case "require" `Quick test_registry_require;
           Alcotest.test_case "configure capability error" `Quick
             test_configure_capability_error;
+        ] );
+      ( "bench real",
+        [
+          Alcotest.test_case "observed width bound" `Quick
+            test_observed_width_bound;
         ] );
       ( "figures",
         [ Alcotest.test_case "all figures smoke" `Slow test_every_figure_smokes ] );
