@@ -28,6 +28,11 @@ type inst = {
   mem : V.t;
   words : Shm.t;  (* [V.words mem], read by every barrier *)
   mutable cfg : Config.t;
+  (* [cfg]'s address mapping, copied out so a barrier reads one field per
+     use; [set_config] rewrites them inside its fence. *)
+  mutable shifts : int;
+  mutable lock_mask : int;  (* n_locks - 1 *)
+  mutable hier_on : bool;  (* hierarchy > 1 *)
   mutable locks : Shm.t;
   mutable hier : Shm.t;
   mutable hier2 : Shm.t;  (* coarser second counter level; len 1 = off *)
@@ -41,10 +46,21 @@ type inst = {
   kind : Shm.kind;  (* re-tuning makes its fresh arrays of this kind *)
 }
 
+(* The read set holds only the lock index of each accepted read (LSA as in
+   Manticore's TinySTM).  Validation accepts an entry whose lock is ours,
+   or unlocked with a version <= [rv]; that is sound because a writer that
+   locks an orec after our read draws its commit version after that read,
+   so above the [rv] of the read, and every successful extension validates
+   every entry before it raises [rv].  A foreign commit therefore always
+   shows up as "locked by another" or as "version > rv".  The one orec
+   re-versioned without a commit, a write-through abort that overflows the
+   incarnation counter, takes the current clock and may pass at or below
+   [rv]: memory then holds the restored value the reader saw, so accepting
+   the entry is sound.  The version seen at read time is not kept. *)
 type desc = {
   mutable rv : int;  (* upper bound of the snapshot's validity range *)
-  (* Read set, partitioned by hierarchy slot; each buffer stores
-     (lock index, version) pairs flattened. *)
+  (* Read set, partitioned by hierarchy slot; at h = 1 only [r_set.(0)]
+     is used and no mask is kept. *)
   mutable r_set : G.t array;
   mutable hmask_read : Hmask.t;
   mutable hmask_write : Hmask.t;
@@ -126,10 +142,13 @@ let new_desc t =
   p
 
 let cleanup p =
-  Hmask.iter p.hmask_write (fun i -> p.own_inc.(i) <- 0);
-  Hmask.iter p.hmask_read (fun i -> G.clear p.r_set.(i));
-  Hmask.clear p.hmask_read;
-  Hmask.clear p.hmask_write;
+  if p.h_dim = 1 then G.clear p.r_set.(0)
+  else begin
+    Hmask.iter p.hmask_write (fun i -> p.own_inc.(i) <- 0);
+    Hmask.iter p.hmask_read (fun i -> G.clear p.r_set.(i));
+    Hmask.clear p.hmask_read;
+    Hmask.clear p.hmask_write
+  end;
   Hmask.iter p.hmask2 (fun g ->
       p.own_inc2.(g) <- 0;
       G.clear p.l2_members.(g));
@@ -169,14 +188,15 @@ let roll_over t =
 (* Hierarchical locking (paper §3.2)                                   *)
 (* ------------------------------------------------------------------ *)
 
-let hier_enabled t = t.cfg.Config.hierarchy > 1
 let hier2_enabled t = t.cfg.Config.hierarchy2 > 1
+let lock_index t addr = (addr lsr t.shifts) land t.lock_mask
 
 (* First touch of a partition (by read or write) snapshots its counter,
    before any of our own increments. *)
-(* Only called with hierarchical locking enabled; [addr] is the accessed
-   address, [i] its level-1 partition. *)
-let hier_touch_read t p addr i =
+(* Only called with hierarchical locking enabled, on a read of [addr]
+   whose level-1 partition [i] carries no read entry yet (a partition in
+   [hmask_read] already has its snapshot, and its group's too). *)
+let[@inline never] hier_touch_read t p addr i =
   if hier2_enabled t then begin
     let g = Config.hier2_index t.cfg addr in
     if Hmask.add p.hmask2 g then p.hsnap2.(g) <- Shm.get t.hier2 g;
@@ -206,7 +226,7 @@ let hier_touch_read t p addr i =
    absorb the increment into its snapshot, read the still-unlocked
    location, and later skip the partition that hides the acquisition.) *)
 let hier_note_acquired t p addr =
-  if hier_enabled t then begin
+  if t.hier_on then begin
     let i = Config.hier_index t.cfg addr in
     if (not (Hmask.mem p.hmask_write i)) && not (Hmask.mem p.hmask_read i)
     then p.hsnap.(i) <- Shm.get t.hier i;
@@ -225,22 +245,23 @@ let hier_note_acquired t p addr =
 (* Validation and snapshot extension                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The LSA rule (see [desc]): an entry passes when its lock is ours, or
+   unlocked at a version no newer than [rv]. *)
 let validate_partition t (d : tx) i =
   let buf = d.p.r_set.(i) in
+  let rv = d.p.rv in
   let n = G.length buf in
   let ok = ref true in
   let k = ref 0 in
   while !ok && !k < n do
-    let li = G.get buf !k in
-    let ver = G.get buf (!k + 1) in
-    let l = Shm.get t.locks li in
+    let l = Shm.get t.locks (G.get buf !k) in
     d.stats.Stats.val_locks_processed <-
       d.stats.Stats.val_locks_processed + 1;
     (if Lockenc.is_locked l then begin
        if Lockenc.owner l <> d.tid then ok := false
      end
-     else if Lockenc.version l <> ver then ok := false);
-    k := !k + 2
+     else if Lockenc.version l > rv then ok := false);
+    incr k
   done;
   !ok
 
@@ -254,7 +275,7 @@ let validate_level1 t (d : tx) ok i =
       (* Fast path: no foreign lock acquisition in this partition since we
          first touched it. *)
       d.stats.Stats.val_locks_skipped <-
-        d.stats.Stats.val_locks_skipped + (G.length p.r_set.(i) / 2)
+        d.stats.Stats.val_locks_skipped + G.length p.r_set.(i)
     else if not (validate_partition t d i) then ok := false
   end
 
@@ -272,7 +293,7 @@ let validate t (d : tx) =
           if c2 = p.hsnap2.(g) + p.own_inc2.(g) then begin
             let entries = ref 0 in
             for k = 0 to G.length members - 1 do
-              entries := !entries + (G.length p.r_set.(G.get members k) / 2)
+              entries := !entries + G.length p.r_set.(G.get members k)
             done;
             d.stats.Stats.val_locks_skipped <-
               d.stats.Stats.val_locks_skipped + !entries
@@ -282,11 +303,9 @@ let validate t (d : tx) =
               validate_level1 t d ok (G.get members k)
             done
         end)
-  else if hier_enabled t then
+  else if t.hier_on then
     Hmask.iter p.hmask_read (fun i -> validate_level1 t d ok i)
-  else
-    Hmask.iter p.hmask_read (fun i ->
-        if !ok && not (validate_partition t d i) then ok := false);
+  else ok := validate_partition t d 0;
   !ok
 
 let extend t (d : tx) =
@@ -371,53 +390,70 @@ let extend_or_abort t (d : tx) =
 (* Read and write barriers (paper §3.1)                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The hot path is the unlocked, in-snapshot read: every other case is a
+   separate function kept out of line, so [read_word] stays small. *)
 let rec read_word t (d : tx) addr =
   Shm.charge_local c_op;
-  if d.irrevocable then begin
-    (* Serial slow path inside the fence: no concurrent transaction exists,
-       memory is the truth. *)
-    d.stats.Stats.reads <- d.stats.Stats.reads + 1;
-    Shm.get t.words addr
-  end
+  if d.irrevocable then read_serial t d addr
   else begin
-  check_killed t d;
-  let p = d.p in
-  (* The partition counter must be snapshotted *before* first sampling the
-     lock: writers increment their counter right after a successful CAS,
-     so an increment absorbed into a snapshot taken here means the
-     matching acquisition already happened and our lock check below will
-     see it (locked, or released with a new version).  Snapshotting after
-     the check would let an acquire-and-increment slip in between, and
-     validation would wrongly take the fast path. *)
-  let part =
-    if d.read_only then 0
-    else if hier_enabled t then begin
-      let i = Config.hier_index t.cfg addr in
-      hier_touch_read t p addr i;
-      i
-    end
+    check_killed t d;
+    let p = d.p in
+    (* The partition counter must be snapshotted *before* first sampling
+       the lock: writers increment their counter right after a successful
+       CAS, so an increment absorbed into a snapshot taken here means the
+       matching acquisition already happened and our lock check below will
+       see it (locked, or released with a new version).  Snapshotting after
+       the check would let an acquire-and-increment slip in between, and
+       validation would wrongly take the fast path. *)
+    let part =
+      if d.read_only || not t.hier_on then 0
+      else begin
+        let i = Config.hier_index t.cfg addr in
+        if not (Hmask.mem p.hmask_read i) then hier_touch_read t p addr i;
+        i
+      end
+    in
+    let li = lock_index t addr in
+    let l1 = Shm.get t.locks li in
+    if Lockenc.is_locked l1 then read_locked t d addr li l1
     else begin
-      ignore (Hmask.add p.hmask_read 0);
-      0
+      let v = Shm.get t.words addr in
+      if l1 <> Shm.get t.locks li then
+        (* The lock changed under us (concurrent acquire/release or a
+           write-through abort bumping the incarnation): retry. *)
+        read_word t d addr
+      else if Lockenc.version l1 > p.rv then read_extend t d addr
+      else begin
+        if not d.read_only then G.push p.r_set.(part) li;
+        if Probe.on () then Probe.read_accepted ~cpu:d.tid ~addr;
+        d.stats.Stats.reads <- d.stats.Stats.reads + 1;
+        v
+      end
     end
-  in
-  let li = Config.lock_index t.cfg addr in
-  let l1 = Shm.get t.locks li in
-  if Lockenc.is_locked l1 then begin
-    if Lockenc.owner l1 <> d.tid then
-      if resolve_conflict t d li (Lockenc.owner l1) then read_word t d addr
-      else abort Stats.Read_conflict
-    else
+  end
+
+(* Serial slow path inside the fence: no concurrent transaction exists,
+   memory is the truth. *)
+and[@inline never] read_serial t (d : tx) addr =
+  d.stats.Stats.reads <- d.stats.Stats.reads + 1;
+  Shm.get t.words addr
+
+and[@inline never] read_locked t (d : tx) addr li l1 =
+  if Lockenc.owner l1 <> d.tid then
+    if resolve_conflict t d li (Lockenc.owner l1) then read_word t d addr
+    else abort Stats.Read_conflict
+  else begin
     (* Read-after-write: we own the covering lock. *)
+    d.stats.Stats.reads <- d.stats.Stats.reads + 1;
     match t.cfg.Config.strategy with
     | Config.Write_through ->
         (* Memory holds our latest value. *)
-        d.stats.Stats.reads <- d.stats.Stats.reads + 1;
         Shm.get t.words addr
     | Config.Write_back ->
         (* Follow the lock's write-set chain; fall back to memory when the
            lock covers the address but we never wrote it (the committed
            value cannot change while we hold the lock). *)
+        let p = d.p in
         let rec find e =
           if e = 0 then Shm.get t.words addr
           else
@@ -425,36 +461,14 @@ let rec read_word t (d : tx) addr =
             if G.get p.w_addr k = addr then G.get p.w_val k
             else find (G.get p.w_next k)
         in
-        d.stats.Stats.reads <- d.stats.Stats.reads + 1;
         find (Lockenc.payload l1)
   end
-  else begin
-    let v = Shm.get t.words addr in
-    let l2 = Shm.get t.locks li in
-    if l1 <> l2 then
-      (* The lock changed under us (concurrent acquire/release or a
-         write-through abort bumping the incarnation): retry. *)
-      read_word t d addr
-    else begin
-      let ver = Lockenc.version l1 in
-      if ver > p.rv then begin
-        extend_or_abort t d;
-        (* The snapshot moved forward: re-read so the value is covered. *)
-        read_word t d addr
-      end
-      else begin
-        if not d.read_only then begin
-          let buf = p.r_set.(part) in
-          G.push buf li;
-          G.push buf ver
-        end;
-        if Probe.on () then Probe.read_accepted ~cpu:d.tid ~addr;
-        d.stats.Stats.reads <- d.stats.Stats.reads + 1;
-        v
-      end
-    end
-  end
-  end
+
+(* A version newer than the snapshot: extend (or abort), then re-read so
+   the value is covered by the moved snapshot. *)
+and[@inline never] read_extend t (d : tx) addr =
+  extend_or_abort t d;
+  read_word t d addr
 
 let rec write_word t (d : tx) addr v =
   Shm.charge_local c_op;
@@ -467,7 +481,7 @@ let rec write_word t (d : tx) addr v =
   else begin
   check_killed t d;
   let p = d.p in
-  let li = Config.lock_index t.cfg addr in
+  let li = lock_index t addr in
   let l = Shm.get t.locks li in
   if Lockenc.is_locked l then begin
     if Lockenc.owner l <> d.tid then
@@ -739,6 +753,9 @@ let create ~kind ?(config = Config.default) ?(max_threads = 64)
       mem;
       words;
       cfg = config;
+      shifts = config.Config.shifts;
+      lock_mask = config.Config.n_locks - 1;
+      hier_on = config.Config.hierarchy > 1;
       locks;
       hier;
       hier2;
@@ -767,6 +784,9 @@ let set_config t cfg =
   Core.fence_and t (fun () ->
       let f = Core.fam t in
       f.cfg <- cfg;
+      f.shifts <- cfg.Config.shifts;
+      f.lock_mask <- cfg.Config.n_locks - 1;
+      f.hier_on <- cfg.Config.hierarchy > 1;
       f.locks <- Shm.make f.kind cfg.Config.n_locks 0;
       f.hier <- Shm.make f.kind cfg.Config.hierarchy 0;
       f.hier2 <- Shm.make f.kind cfg.Config.hierarchy2 0;
