@@ -631,6 +631,123 @@ let test_deterministic_sim_run () =
   in
   check_bool "bit-identical reruns" true (run () = run ())
 
+(* ------------------------------------------------------------------ *)
+(* Read-set validation rule, on fixed two-thread interleavings         *)
+(* ------------------------------------------------------------------ *)
+
+(* Thread 0 reads, hands over to thread 1 and waits until thread 1 is done;
+   the scheduler is deterministic and [wait_for] yields virtual time, so
+   each test below runs one fixed interleaving.  Addresses [a], [a + 1] and
+   [a + 2] sit on distinct locks (1024 locks, no shifts). *)
+let wait_for flag =
+  while not !flag do
+    Tstm_runtime.Shm.yield ()
+  done
+
+(* [reader tx x] runs in thread 0's transaction after its first read [x]
+   of [a]; on the first attempt [writer] runs in thread 1 in between. *)
+let two_step t a ~reader ~writer =
+  let handed = ref false and done_ = ref false and first = ref true in
+  Tstm_runtime.Runtime_sim.run ~nthreads:2 (fun tid ->
+      if tid = 0 then
+        TS.atomically t (fun tx ->
+            let x = TS.read tx a in
+            if !first then begin
+              first := false;
+              handed := true;
+              wait_for done_
+            end;
+            reader tx x)
+      else begin
+        wait_for handed;
+        writer ();
+        done_ := true
+      end)
+
+let test_foreign_commit_fails_extension strategy () =
+  let t = make_sim ~strategy () in
+  let a = TS.atomically t (fun tx -> TS.alloc tx 3) in
+  TS.reset_stats t;
+  let seen = ref [] in
+  two_step t a
+    ~reader:(fun tx x ->
+      (* [a + 1] is newer than the snapshot: extending must find [a]
+         re-versioned by the foreign commit and abort. *)
+      let y = TS.read tx (a + 1) in
+      seen := (x, y) :: !seen;
+      TS.write tx (a + 2) (x + y))
+    ~writer:(fun () ->
+      TS.atomically t (fun tx ->
+          TS.write tx a 1;
+          TS.write tx (a + 1) 1));
+  let s = TS.stats t in
+  check_int "extension failed" 1 s.Tstm_tm.Tm_stats.aborts_validation;
+  check_int "no extension succeeded" 0 s.Tstm_tm.Tm_stats.extensions;
+  Alcotest.(check (list (pair int int))) "only the retry got through"
+    [ (1, 1) ] !seen
+
+let test_read_then_own_write_commits strategy () =
+  let t = make_sim ~strategy () in
+  let a = TS.atomically t (fun tx -> TS.alloc tx 2) in
+  TS.reset_stats t;
+  two_step t a
+    ~reader:(fun tx x -> TS.write tx a (x + 10))
+    ~writer:(fun () -> TS.atomically t (fun tx -> TS.write tx (a + 1) 5));
+  (* The foreign commit moved the clock, so the commit validates, and the
+     entry for [a] is then locked by the validating transaction itself. *)
+  let s = TS.stats t in
+  check_int "commit validated" 1 s.Tstm_tm.Tm_stats.validations;
+  check_int "no aborts" 0 (Tstm_tm.Tm_stats.aborts s);
+  check_int "own write committed" 10 (TS.atomically t (fun tx -> TS.read tx a))
+
+let test_incarnation_overflow_snapshot strategy () =
+  let t = make_sim ~strategy () in
+  let a = TS.atomically t (fun tx -> TS.alloc tx 3) in
+  (* [a] at version 1, the clock at 2: the reader's snapshot starts at 2. *)
+  TS.atomically t (fun tx -> TS.write tx a 7);
+  TS.atomically t (fun tx -> TS.write tx (a + 1) 0);
+  TS.reset_stats t;
+  let seen = ref [] in
+  two_step t a
+    ~reader:(fun tx x ->
+      let y = TS.read tx (a + 1) in
+      seen := (x, y) :: !seen;
+      TS.write tx (a + 2) (x + y))
+    ~writer:(fun () ->
+      (* Eight aborted writes to [a]: under write-through the eighth
+         overflows the incarnation counter and re-versions [a]'s orec to
+         the clock (2, no newer than the reader's snapshot); memory holds
+         the restored 7 throughout. *)
+      for _ = 1 to Lockenc.max_incarnation + 1 do
+        try
+          TS.atomically t (fun tx ->
+              TS.write tx a 99;
+              raise User_error)
+        with User_error -> ()
+      done;
+      TS.atomically t (fun tx -> TS.write tx (a + 1) 1));
+  let s = TS.stats t in
+  Alcotest.(check (list (pair int int))) "consistent snapshot" [ (7, 1) ]
+    !seen;
+  check_int "extended over the re-versioned orec" 1
+    s.Tstm_tm.Tm_stats.extensions;
+  check_int "no validation abort" 0 s.Tstm_tm.Tm_stats.aborts_validation;
+  check_int "committed" 8 (TS.atomically t (fun tx -> TS.read tx (a + 2)))
+
+let validation_rule_tests =
+  List.concat_map
+    (fun strategy ->
+      let tag = Config.strategy_to_string strategy in
+      [
+        Alcotest.test_case (tag ^ ": foreign commit fails extension") `Quick
+          (test_foreign_commit_fails_extension strategy);
+        Alcotest.test_case (tag ^ ": read then own write commits") `Quick
+          (test_read_then_own_write_commits strategy);
+        Alcotest.test_case (tag ^ ": incarnation overflow snapshot") `Quick
+          (test_incarnation_overflow_snapshot strategy);
+      ])
+    [ Config.Write_back; Config.Write_through ]
+
 let () =
   Alcotest.run "tinystm"
     [
@@ -691,4 +808,5 @@ let () =
             test_clock_and_stamps_monotone;
           Alcotest.test_case "deterministic" `Quick test_deterministic_sim_run;
         ] );
+      ("validation rule (sim)", validation_rule_tests);
     ]
