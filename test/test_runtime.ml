@@ -358,9 +358,14 @@ module Semantics (R : Runtime_intf.S) = struct
 
   let test_tids_unique () =
     let a = Shm.make R.kind 8 0 in
+    (* Each job records the id it saw and the checks run after [run]:
+       Alcotest's checks share formatter state, and eight domains asserting
+       at once can corrupt it ([Queue.Empty] out of a worker). *)
+    let seen = Array.init 8 (fun _ -> Atomic.make (-1)) in
     R.run ~nthreads:8 (fun i ->
         ignore (Shm.fetch_add a (Shm.tid ()) 1);
-        check_int "tid = body arg" i (Shm.tid ()));
+        Atomic.set seen.(i) (Shm.tid ()));
+    Array.iteri (fun i s -> check_int "tid = body arg" i (Atomic.get s)) seen;
     for i = 0 to 7 do
       check_int "each tid once" 1 (Shm.get a i)
     done
