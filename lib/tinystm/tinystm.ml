@@ -46,17 +46,18 @@ type inst = {
   kind : Shm.kind;  (* re-tuning makes its fresh arrays of this kind *)
 }
 
-(* The read set holds only the lock index of each accepted read (LSA as in
-   Manticore's TinySTM).  Validation accepts an entry whose lock is ours,
-   or unlocked with a version <= [rv]; that is sound because a writer that
-   locks an orec after our read draws its commit version after that read,
-   so above the [rv] of the read, and every successful extension validates
-   every entry before it raises [rv].  A foreign commit therefore always
-   shows up as "locked by another" or as "version > rv".  The one orec
-   re-versioned without a commit, a write-through abort that overflows the
-   incarnation counter, takes the current clock and may pass at or below
-   [rv]: memory then holds the restored value the reader saw, so accepting
-   the entry is sound.  The version seen at read time is not kept. *)
+(* The read set holds only the lock index of each accepted read, as in
+   Manticore's TinySTM; the version seen at read time is not kept.
+   Validation accepts an entry whose lock is ours, or unlocked at a version
+   <= [rv].  That is sound: a writer that locks an orec after our read
+   draws its commit version after that read, so above the [rv] the read
+   was accepted under, and every successful extension validates every
+   entry before it raises [rv].  A foreign commit therefore always shows up
+   as "locked by another" or as "version > rv".  One orec changes version
+   without a commit: a write-through abort that overflows the incarnation
+   counter re-versions it to the current clock, which can be <= [rv].
+   Accepting that entry is sound too, because memory holds the restored
+   value the reader saw. *)
 type desc = {
   mutable rv : int;  (* upper bound of the snapshot's validity range *)
   (* Read set, partitioned by hierarchy slot; at h = 1 only [r_set.(0)]
