@@ -201,19 +201,11 @@ let[@inline never] hier_touch_read t p addr i =
   if hier2_enabled t then begin
     let g = Config.hier2_index t.cfg addr in
     if Hmask.add p.hmask2 g then p.hsnap2.(g) <- Shm.get t.hier2 g;
-    if
-      (not (Hmask.mem p.hmask_read i)) && not (Hmask.mem p.hmask_write i)
-    then p.hsnap.(i) <- Shm.get t.hier i;
     (* Group membership records the partitions that carry read entries. *)
-    if Hmask.add p.hmask_read i then G.push p.l2_members.(g) i
-  end
-  else if
-    (not (Hmask.mem p.hmask_read i)) && not (Hmask.mem p.hmask_write i)
-  then begin
-    ignore (Hmask.add p.hmask_read i);
-    p.hsnap.(i) <- Shm.get t.hier i
-  end
-  else ignore (Hmask.add p.hmask_read i)
+    G.push p.l2_members.(g) i
+  end;
+  if not (Hmask.mem p.hmask_write i) then p.hsnap.(i) <- Shm.get t.hier i;
+  ignore (Hmask.add p.hmask_read i)
 
 (* Increment the partition counter immediately *after* a successful lock
    CAS (and, crucially, before this transaction can reach its commit and
