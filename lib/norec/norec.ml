@@ -151,7 +151,10 @@ let extend t (d : tx) ~reason =
 (* Read and write barriers                                             *)
 (* ------------------------------------------------------------------ *)
 
-let read_word t (d : tx) addr =
+(* [@inline]: [read] and [free_words] each keep their own copy of this
+   body, so a read costs no extra call; with three [Shm.t] constructors
+   to dispatch on, the body is just over -inline 200. *)
+let[@inline] read_word t (d : tx) addr =
   Shm.charge_local c_op;
   if d.irrevocable then begin
     d.stats.Stats.reads <- d.stats.Stats.reads + 1;

@@ -1,6 +1,7 @@
 (** The real-hardware implementation of {!Runtime_intf.S}: one OCaml domain
-    per thread, [Atomic] cells for shared words, monotonic wall-clock time,
-    and zero-cost charges.  Functionally interchangeable with
+    per thread, [Atomic] cells for synchronisation words and a flat
+    [int array] for data words, monotonic wall-clock time, and zero-cost
+    charges.  Functionally interchangeable with
     {!Runtime_sim}; used by the wall-clock bench path
     ([Tstm_harness.Bench_real]), the examples, and tests that exercise true
     parallelism.
@@ -8,12 +9,17 @@
     {2 Semantics and guarantees}
 
     - {b Shared arrays.}  Instances of kind [Shm.Domains] build [Shm.Real]
-      arrays, [int Atomic.t array]s; the STM barriers access them through
-      {!Shm} directly, never through this module.  [get]/[set] are
+      arrays, [int Atomic.t array]s, for lock words, clocks and counters,
+      and one [Shm.Plain] [int array] for the memory arena's data words;
+      the STM barriers access them through {!Shm} directly, never through
+      this module.  On a [Real] array [get]/[set] are
       sequentially-consistent atomic loads/stores, [cas] is
       [Atomic.compare_and_set], and [fetch_add] is the hardware
       [Atomic.fetch_and_add] — a single atomic read-modify-write, safe as a
-      clock-bump or counter under contention.
+      clock-bump or counter under contention.  On a [Plain] array
+      [get]/[set] are plain loads/stores, ordered by the atomic accesses
+      around them ({!Shm}'s Ordering section), and [cas]/[fetch_add]
+      raise [Invalid_argument].
     - {b Thread identity.}  [run] binds each job's id with
       {!Shm.set_real_tid} (a domain-local key) and {!Shm.tid} reads it.
       Ids are [0 .. nthreads-1]; the orchestrating domain is thread 0 and

@@ -2,14 +2,21 @@
    so the simulator's accesses and charges are [@inline never] functions:
    with them inlined, [get] itself stopped inlining (DESIGN.md §4k). *)
 
+(* Ordering: a [Plain] word is a non-atomic OCaml field, so it may be
+   read only between atomic accesses to a lock or clock array that order
+   it (the argument is in shm.mli).  A word array never needs a
+   read-modify-write, so [Plain] and a [Sim] array made by [make_words]
+   reject one. *)
+
 type sim = {
   data : int array;
   cache : Cache_model.t;
   p : Cache_model.params;
   mutable label : string;
+  plain : bool;
 }
 
-type t = Real of int Atomic.t array | Sim of sim
+type t = Real of int Atomic.t array | Sim of sim | Plain of int array
 type kind = Simulated | Domains
 
 (* The simulator's cost model is process-global; each simulated array
@@ -25,13 +32,20 @@ let configure p =
 let params () = !current_params
 let cold_caches () = Cache_model.reset_tags !glob
 
+let make_sim ~plain len init =
+  Sim
+    { data = Array.make len init; cache = Cache_model.create !glob len;
+      p = !current_params; label = ""; plain }
+
 let make kind len init =
   match kind with
   | Domains -> Real (Array.init len (fun _ -> Atomic.make init))
-  | Simulated ->
-      Sim
-        { data = Array.make len init; cache = Cache_model.create !glob len;
-          p = !current_params; label = "" }
+  | Simulated -> make_sim ~plain:false len init
+
+let make_words kind len init =
+  match kind with
+  | Domains -> Plain (Array.make len init)
+  | Simulated -> make_sim ~plain:true len init
 
 (* Each simulated access first charges its base cost (a preemption point, so
    another fiber may interleave here), then executes atomically, adding the
@@ -60,7 +74,11 @@ let[@inline never] sim_set a i v =
   a.data.(i) <- v;
   if Tap.enabled () then Tap.access ~label:a.label ~index:i Tap.Set
 
-let sim_rmw_charge a i =
+let[@inline never] no_rmw op =
+  invalid_arg ("Shm." ^ op ^ ": a word array has no read-modify-write")
+
+let sim_rmw_charge op a i =
+  if a.plain then no_rmw op;
   if Sim_sched.inside () then begin
     Sim_sched.charge (a.p.Cache_model.write_hit + a.p.Cache_model.cas_extra);
     let cost = Cache_model.write_cost a.cache ~cpu:(Sim_sched.tid ()) ~index:i in
@@ -68,7 +86,7 @@ let sim_rmw_charge a i =
   end
 
 let[@inline never] sim_cas a i expected desired =
-  sim_rmw_charge a i;
+  sim_rmw_charge "cas" a i;
   let ok =
     if a.data.(i) = expected then begin
       a.data.(i) <- desired;
@@ -80,32 +98,44 @@ let[@inline never] sim_cas a i expected desired =
   ok
 
 let[@inline never] sim_fetch_add a i d =
-  sim_rmw_charge a i;
+  sim_rmw_charge "fetch_add" a i;
   let old = a.data.(i) in
   a.data.(i) <- old + d;
   if Tap.enabled () then Tap.access ~label:a.label ~index:i Tap.Faa;
   old
 
-let get t i = match t with Real a -> Atomic.get a.(i) | Sim a -> sim_get a i
+let get t i =
+  match t with
+  | Real a -> Atomic.get a.(i)
+  | Plain a -> a.(i)
+  | Sim a -> sim_get a i
 
 let set t i v =
-  match t with Real a -> Atomic.set a.(i) v | Sim a -> sim_set a i v
+  match t with
+  | Real a -> Atomic.set a.(i) v
+  | Plain a -> a.(i) <- v
+  | Sim a -> sim_set a i v
 
 let cas t i expected desired =
   match t with
   | Real a -> Atomic.compare_and_set a.(i) expected desired
+  | Plain _ -> no_rmw "cas"
   | Sim a -> sim_cas a i expected desired
 
 let fetch_add t i d =
   match t with
   | Real a -> Atomic.fetch_and_add a.(i) d
+  | Plain _ -> no_rmw "fetch_add"
   | Sim a -> sim_fetch_add a i d
 
-let length = function Real a -> Array.length a | Sim a -> Array.length a.data
+let length = function
+  | Real a -> Array.length a
+  | Plain a -> Array.length a
+  | Sim a -> Array.length a.data
 
 let label t l =
   match t with
-  | Real _ -> ()
+  | Real _ | Plain _ -> ()
   | Sim a ->
       a.label <- l;
       Cache_model.set_label a.cache l
@@ -115,7 +145,7 @@ let label t l =
    wall-clock time into simulated traces set up before the run. *)
 let now_cycles = function
   | Sim _ -> Sim_sched.now_cycles ()
-  | Real _ -> Tstm_obs.Monotonic.now_ns ()
+  | Real _ | Plain _ -> Tstm_obs.Monotonic.now_ns ()
 
 (* Threads and costs: a simulator fiber is recognised by [Sim_sched.inside];
    anything else is a real domain (or the orchestrating thread outside any

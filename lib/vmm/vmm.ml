@@ -32,7 +32,7 @@ let create ~kind ~words:n =
   if n < 1 then invalid_arg "Vmm.create: words < 1";
   let t =
     {
-      words = Shm.make kind (n + 1) 0;
+      words = Shm.make_words kind (n + 1) 0;
       (* +1: address 0 is reserved *)
       ctl = Shm.make kind (4 + (2 * max_class)) 0;
       capacity = n;

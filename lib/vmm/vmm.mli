@@ -33,7 +33,11 @@ val null : int
 val capacity : t -> int
 
 val words : t -> Tstm_runtime.Shm.t
-(** The backing shared array; the STM reads and writes data through it. *)
+(** The backing shared array, a word array built by
+    {!Tstm_runtime.Shm.make_words}: a flat [int array] on real domains, so
+    the STM reads and writes data through it with plain loads and stores,
+    ordered by its lock or clock accesses.  It takes no
+    read-modify-write ([Shm.cas] and [Shm.fetch_add] raise on it). *)
 
 val load : t -> int -> int
 (** Raw (non-transactional) load; bounds-checked. *)

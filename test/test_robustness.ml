@@ -879,6 +879,58 @@ let read_only_tests =
       Alcotest.test_case e.Registry.name `Quick (test_read_only_path e))
     (Registry.all ())
 
+(* ------------------------------------------------------------------ *)
+(* Consistent snapshots on real domains                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Two domains increment words [x] and [y] together for about 0.2 s.  Every
+   attempt reads both, an attempt that later aborts included, and counts a
+   torn pair [x <> y]; thread 1 alternates update and read-only attempts.
+   The data words are plain loads and stores on real domains, ordered only
+   by the lock and clock accesses around them, so a broken ordering shows
+   here as a torn pair.  Workers only touch [Atomic]s; the checks run after
+   [run] returns. *)
+let test_real_snapshot (e : Registry.entry) () =
+  let (module S) = e.Registry.real in
+  let stm = e.Registry.name in
+  let t = S.create ~memory_words:4096 () in
+  let x = S.atomically t (fun tx -> S.alloc tx 1) in
+  let y = S.atomically t (fun tx -> S.alloc tx 1) in
+  let torn = Atomic.make 0 and attempts = Atomic.make 0 in
+  let updates = Array.init 2 (fun _ -> Atomic.make 0) in
+  let deadline = Tstm_obs.Monotonic.now_ns () + 200_000_000 in
+  Tstm_runtime.Runtime_real.run ~nthreads:2 (fun tid ->
+      let k = ref 0 in
+      while Tstm_obs.Monotonic.now_ns () < deadline do
+        let update = tid = 0 || !k land 1 = 0 in
+        S.atomically ~read_only:(not update) t (fun tx ->
+            Atomic.incr attempts;
+            let a = S.read tx x in
+            let b = S.read tx y in
+            if a <> b then Atomic.incr torn;
+            if update then begin
+              S.write tx x (a + 1);
+              S.write tx y (b + 1)
+            end);
+        if update then Atomic.incr updates.(tid);
+        incr k
+      done);
+  let total = Atomic.get updates.(0) + Atomic.get updates.(1) in
+  check_int (stm ^ " no torn snapshot") 0 (Atomic.get torn);
+  check_bool (stm ^ " both threads updated") true
+    (Atomic.get updates.(0) > 0 && Atomic.get updates.(1) > 0);
+  check_bool (stm ^ " attempts cover the updates") true
+    (Atomic.get attempts >= total);
+  let fx, fy = S.atomically t (fun tx -> (S.read tx x, S.read tx y)) in
+  check_int (stm ^ " x counts every update") total fx;
+  check_int (stm ^ " y counts every update") total fy
+
+let real_snapshot_tests =
+  List.map
+    (fun e ->
+      Alcotest.test_case e.Registry.name `Quick (test_real_snapshot e))
+    (Registry.all ())
+
 let () =
   Alcotest.run "robustness"
     [
@@ -886,6 +938,7 @@ let () =
         Inject_wb.tests (Config.strategy_to_string Config.Write_back)
         @ Inject_wt.tests (Config.strategy_to_string Config.Write_through)
         @ Inject_tl2.tests "tl2" @ Inject_norec.tests "norec" );
+      ("real-domain snapshots", real_snapshot_tests);
       ( "write-through incarnations",
         [ Alcotest.test_case "overflow" `Quick test_incarnation_overflow ] );
       ( "read-only staleness",

@@ -586,6 +586,61 @@ let test_shm_real_matches_sim () =
   check_ints "sim" expect (shm_script ~base:0 sim);
   check_int "same length" (Shm.length real) (Shm.length sim)
 
+(* [shm_script] without its read-modify-writes, over the same three words:
+   a word array takes none. *)
+let shm_words_script ~base a =
+  Shm.set a base 5;
+  let r1 = Shm.get a base in
+  Shm.set a (base + 8) 3;
+  Shm.set a (base + 9) 4;
+  Shm.set a base 7;
+  [ r1; Shm.get a base; Shm.get a (base + 8); Shm.get a (base + 9) ]
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_shm_word_arrays () =
+  let plain = Shm.make_words Domains 24 0 in
+  let sim = Shm.make_words Simulated 24 0 in
+  (match (plain, sim) with
+  | Shm.Plain _, Shm.Sim _ -> ()
+  | _ -> Alcotest.fail "make_words builds Plain on domains, Sim simulated");
+  let expect = [ 5; 7; 3; 4 ] in
+  check_ints "plain" expect (shm_words_script ~base:0 plain);
+  check_ints "real" expect (shm_words_script ~base:0 (Shm.make Domains 24 0));
+  check_ints "sim words" expect (shm_words_script ~base:0 sim);
+  check_ints "sim" expect (shm_words_script ~base:0 (Shm.make Simulated 24 0));
+  check_int "same length" (Shm.length plain) (Shm.length sim);
+  List.iter
+    (fun (name, a) ->
+      check_bool (name ^ " cas raises") true
+        (raises_invalid (fun () -> Shm.cas a 0 7 8));
+      check_bool (name ^ " fetch_add raises") true
+        (raises_invalid (fun () -> Shm.fetch_add a 0 1));
+      check_int (name ^ " untouched") 7 (Shm.get a 0))
+    [ ("plain", plain); ("sim words", sim) ]
+
+(* A simulated word array is priced exactly like [make]'s: two fibers
+   racing the get/set script end at the same values and virtual times. *)
+let test_shm_sim_words_same_time () =
+  let race make =
+    Shm.configure Cache_model.default;
+    let a = make Shm.Simulated 24 0 in
+    let out = Array.make 2 ([], 0) in
+    Sim_sched.run ~nthreads:2 (fun i ->
+        let r = shm_words_script ~base:i a in
+        out.(i) <- (r, Sim_sched.now_cycles ()));
+    out
+  in
+  let words = race Shm.make_words and sync = race Shm.make in
+  for i = 0 to 1 do
+    check_ints (Printf.sprintf "fiber %d values" i) (fst sync.(i))
+      (fst words.(i));
+    check_int (Printf.sprintf "fiber %d virtual time" i) (snd sync.(i))
+      (snd words.(i))
+  done;
+  check_bool "the race costs time" true (snd sync.(0) > 0)
+
 (* Two fibers race the script over one line each; the values they see and
    the virtual time they end at are the figures [Runtime_sim]'s own access
    code produced before it moved into [Shm]. *)
@@ -808,6 +863,9 @@ let () =
             test_shm_real_matches_sim;
           Alcotest.test_case "virtual time pinned" `Quick
             test_shm_sim_virtual_time_pinned;
+          Alcotest.test_case "word arrays" `Quick test_shm_word_arrays;
+          Alcotest.test_case "sim words priced alike" `Quick
+            test_shm_sim_words_same_time;
           Alcotest.test_case "outside any run" `Quick test_shm_outside_any_run;
           Alcotest.test_case "clock by kind" `Quick test_shm_clock_by_kind;
           Alcotest.test_case "real tids" `Quick test_shm_real_tids;
