@@ -60,6 +60,51 @@ let obj_cast =
       ^ " defeats the type system; there is no sound use of Obj in this \
          codebase")
 
+(* A compiler primitive or C stub picks a value's representation behind
+   the type checker's back, so that choice lives in one audited module:
+   Shm's atomic cells. *)
+let external_decl =
+  let id = "external-decl" in
+  mk ~id ~severity:Finding.Error
+    ~scope_doc:"lib, bin, test (except lib/runtime/shm.ml)"
+    ~scope:(fun p ->
+      not (under2 ~a:"lib" ~b:"runtime" p && basename p = "shm.ml"))
+    ~doc:
+      "external declarations (compiler primitives, C stubs) live only in \
+       lib/runtime/shm.ml, so representation choices stay in one module"
+    (File_pass
+       (fun file ->
+         let acc = ref [] in
+         let flag (vd : Parsetree.value_description) =
+           acc :=
+             Finding.of_location ~rule:id ~severity:Finding.Error vd.pval_loc
+               ("external " ^ vd.pval_name.txt
+              ^ " outside lib/runtime/shm.ml; use the Shm operation that \
+                 wraps it")
+             :: !acc
+         in
+         let it =
+           let open Ast_iterator in
+           {
+             default_iterator with
+             structure_item =
+               (fun it si ->
+                 (match si.Parsetree.pstr_desc with
+                 | Parsetree.Pstr_primitive vd -> flag vd
+                 | _ -> ());
+                 default_iterator.structure_item it si);
+             signature_item =
+               (fun it si ->
+                 (match si.Parsetree.psig_desc with
+                 | Parsetree.Psig_value vd when vd.pval_prim <> [] -> flag vd
+                 | _ -> ());
+                 default_iterator.signature_item it si);
+           }
+         in
+         Option.iter (it.structure it) file.str;
+         Option.iter (it.signature it) file.intf;
+         List.rev !acc))
+
 let stdlib_random =
   mk_ident ~id:"stdlib-random"
     ~scope_doc:"lib, bin (except lib/util/xrand.ml)"
@@ -196,6 +241,7 @@ let mli_coverage =
 let rules =
   [
     obj_cast;
+    external_decl;
     stdlib_random;
     printf_in_lib;
     wallclock;

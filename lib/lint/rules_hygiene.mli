@@ -2,6 +2,8 @@
     literals can never trip them):
 
     - [obj-cast]: no use of the [Obj] module, anywhere.
+    - [external-decl]: no [external] declaration outside
+      [lib/runtime/shm.ml].
     - [stdlib-random]: no [Stdlib.Random] in lib/bin; randomness threads a
       seeded {!Tstm_util.Xrand} stream.
     - [printf-in-lib]: no [Printf.printf]/[print_endline]/[print_string]

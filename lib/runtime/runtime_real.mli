@@ -1,5 +1,5 @@
 (** The real-hardware implementation of {!Runtime_intf.S}: one OCaml domain
-    per thread, [Atomic] cells for synchronisation words and a flat
+    per thread, atomic cells for synchronisation words and a flat
     [int array] for data words, monotonic wall-clock time, and zero-cost
     charges.  Functionally interchangeable with
     {!Runtime_sim}; used by the wall-clock bench path
@@ -9,14 +9,17 @@
     {2 Semantics and guarantees}
 
     - {b Shared arrays.}  Instances of kind [Shm.Domains] build [Shm.Real]
-      arrays, [int Atomic.t array]s, for lock words, clocks and counters,
-      and one [Shm.Plain] [int array] for the memory arena's data words;
-      the STM barriers access them through {!Shm} directly, never through
-      this module.  On a [Real] array [get]/[set] are
-      sequentially-consistent atomic loads/stores, [cas] is
-      [Atomic.compare_and_set], and [fetch_add] is the hardware
-      [Atomic.fetch_and_add] — a single atomic read-modify-write, safe as a
-      clock-bump or counter under contention.  On a [Plain] array
+      arrays, [Shm.cell array]s (one boxed atomic cell per word, the
+      layout of an [int Atomic.t]), for lock words, clocks and counters,
+      a lock array only as long as the stripes the arena can reach
+      ({!Shm.make_locks}), and one [Shm.Plain] [int array] for the memory
+      arena's data words; the STM barriers access them through {!Shm}
+      directly, never through this module.  On a [Real] array [get]/[set]
+      are sequentially-consistent atomic loads/stores, [cas] is the
+      primitive of [Atomic.compare_and_set], and [fetch_add] the hardware
+      fetch-and-add of [Atomic.fetch_and_add] — a single atomic
+      read-modify-write, safe as a clock-bump or counter under
+      contention.  On a [Plain] array
       [get]/[set] are plain loads/stores, ordered by the atomic accesses
       around them ({!Shm}'s Ordering section), and [cas]/[fetch_add]
       raise [Invalid_argument].

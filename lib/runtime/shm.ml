@@ -16,7 +16,19 @@ type sim = {
   plain : bool;
 }
 
-type t = Real of int Atomic.t array | Sim of sim | Plain of int array
+(* A [Real] cell has the layout [Atomic.make] builds and is touched only
+   through the primitives [Stdlib.Atomic] declares.  Unlike the abstract
+   [int Atomic.t], a record is known not to be a float, so indexing a
+   [cell array] is a direct load with no [Double_array_tag] test. *)
+type cell = { mutable v : int }
+
+external make_cell : int -> cell = "%makemutable"
+external atomic_get : cell -> int = "%atomic_load"
+external atomic_exchange : cell -> int -> int = "%atomic_exchange"
+external atomic_cas : cell -> int -> int -> bool = "%atomic_cas"
+external atomic_fetch_add : cell -> int -> int = "%atomic_fetch_add"
+
+type t = Real of cell array | Sim of sim | Plain of int array
 type kind = Simulated | Domains
 
 (* The simulator's cost model is process-global; each simulated array
@@ -39,8 +51,16 @@ let make_sim ~plain len init =
 
 let make kind len init =
   match kind with
-  | Domains -> Real (Array.init len (fun _ -> Atomic.make init))
+  | Domains -> Real (Array.init len (fun _ -> make_cell init))
   | Simulated -> make_sim ~plain:false len init
+
+(* Addresses run from 1 to [capacity], so no lock index exceeds
+   [capacity lsr shifts].  A simulated lock array keeps every stripe: its
+   cache lines are numbered before the arena's (shm.mli). *)
+let make_locks kind ~n_locks ~shifts ~capacity =
+  match kind with
+  | Domains -> make Domains (min n_locks ((capacity lsr shifts) + 1)) 0
+  | Simulated -> make Simulated n_locks 0
 
 let make_words kind len init =
   match kind with
@@ -106,25 +126,25 @@ let[@inline never] sim_fetch_add a i d =
 
 let get t i =
   match t with
-  | Real a -> Atomic.get a.(i)
+  | Real a -> atomic_get a.(i)
   | Plain a -> a.(i)
   | Sim a -> sim_get a i
 
 let set t i v =
   match t with
-  | Real a -> Atomic.set a.(i) v
+  | Real a -> ignore (atomic_exchange a.(i) v)
   | Plain a -> a.(i) <- v
   | Sim a -> sim_set a i v
 
 let cas t i expected desired =
   match t with
-  | Real a -> Atomic.compare_and_set a.(i) expected desired
+  | Real a -> atomic_cas a.(i) expected desired
   | Plain _ -> no_rmw "cas"
   | Sim a -> sim_cas a i expected desired
 
 let fetch_add t i d =
   match t with
-  | Real a -> Atomic.fetch_and_add a.(i) d
+  | Real a -> atomic_fetch_add a.(i) d
   | Plain _ -> no_rmw "fetch_add"
   | Sim a -> sim_fetch_add a i d
 

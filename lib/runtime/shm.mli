@@ -1,18 +1,19 @@
 (** Shared memory and cost charging, called directly by every STM barrier.
 
     One concrete type covers both runtimes.  On {!Runtime_real}'s domains a
-    synchronisation array (lock words, clocks, counters, flags) is an
-    [int Atomic.t array], one boxed [Atomic] per word, and a word array
-    (the [Vmm] arena's data) is a flat [int array]; a {!Runtime_sim}
-    array of either sort is a plain [int array] with its cache model.  The memory operations and the cycle clock dispatch on the
-    constructor; the thread and cost operations dispatch on
-    {!Sim_sched.inside}, so the same call is a charge on a simulated CPU and
-    a no-op on a real domain.
+    synchronisation array (lock words, clocks, counters, flags) is a
+    [cell array], one boxed atomic cell per word, and a word array (the
+    [Vmm] arena's data) is a flat [int array]; a {!Runtime_sim} array of
+    either sort is a plain [int array] with its cache model.  The memory
+    operations and the cycle clock dispatch on the constructor; the
+    thread and cost operations dispatch on {!Sim_sched.inside}, so the
+    same call is a charge on a simulated CPU and a no-op on a real
+    domain.
 
     An STM instance picks its runtime once, when it builds its arrays with
-    {!make} and {!make_words}; from then on every barrier, charge and trace
-    stamp is a direct call here, and nothing in the STM stack is a functor
-    over the runtime (DESIGN.md §4k).
+    {!make}, {!make_locks} and {!make_words}; from then on every barrier,
+    charge and trace stamp is a direct call here, and nothing in the STM
+    stack is a functor over the runtime (DESIGN.md §4k).
 
     {2 Ordering}
 
@@ -60,7 +61,14 @@ type sim = {
 }
 (** A simulated array.  Built by {!make} or {!make_words} [Simulated]. *)
 
-type t = Real of int Atomic.t array | Sim of sim | Plain of int array
+type cell
+(** One word of a [Real] array: a boxed mutable [int] with the layout of
+    an [int Atomic.t], read and written only by this module, with the
+    sequentially consistent primitives [Stdlib.Atomic] uses.  Unlike
+    [int Atomic.t] it is known not to be a float, so indexing a
+    [cell array] needs no float-array test. *)
+
+type t = Real of cell array | Sim of sim | Plain of int array
 (** A fixed-length array of [int] words shared between threads.  A [Real]
     or [Sim] access is sequentially consistent; a [Plain] access is an
     ordinary load or store, ordered only by the atomic accesses around it
@@ -74,9 +82,23 @@ type kind = Simulated | Domains
 val make : kind -> int -> int -> t
 (** [make kind len init]: a [Sim] array with its own cache-model state,
     priced by the parameters {!configure} has set at this call, or a
-    [Real] array of [len] [Atomic] cells.  The simulator numbers cache
+    [Real] array of [len] atomic cells.  The simulator numbers cache
     lines in creation order, so the order of [make] calls is part of
     every simulated result. *)
+
+val make_locks : kind -> n_locks:int -> shifts:int -> capacity:int -> t
+(** [make_locks kind ~n_locks ~shifts ~capacity]: a lock array of
+    [n_locks] stripes, all [0], for an instance whose lock index is
+    [(addr lsr shifts) land (n_locks - 1)] over a [Vmm] arena of
+    [capacity] words.  The stripes that arena can reach number
+    [reach = (capacity lsr shifts) + 1]: every address is at most
+    [capacity], so when [reach <= n_locks] no index reaches [reach].
+    [Domains] builds [min n_locks reach] cells, so a stripe no address
+    maps to costs nothing, as in the paper's flat C array.  [Simulated]
+    builds exactly [make Simulated n_locks 0]: the simulator numbers cache
+    lines in creation order and the arena is made after the locks, so a
+    shorter simulated array would move every later line and change every
+    simulated result. *)
 
 val make_words : kind -> int -> int -> t
 (** [make_words kind len init]: a data-word array, which never takes a
@@ -122,8 +144,8 @@ val label : t -> string -> unit
 (** On a simulator fiber each access of a [Sim] array charges its base cycle
     cost (a preemption point) plus the contention penalty its cache model
     finds at the instant it executes; outside a run it is free.  A [Real]
-    access is the corresponding [Atomic] operation, a [Plain] one a plain
-    load or store. *)
+    access is the corresponding [Stdlib.Atomic] primitive, a [Plain] one
+    a plain load or store. *)
 
 (** {1 Clock} *)
 

@@ -734,7 +734,10 @@ let create ~kind ?(config = Config.default) ?(max_threads = 64)
   let ctl = Shm.make kind ctl_len 0 in
   let hier2 = Shm.make kind config.Config.hierarchy2 0 in
   let hier = Shm.make kind config.Config.hierarchy 0 in
-  let locks = Shm.make kind config.Config.n_locks 0 in
+  let locks =
+    Shm.make_locks kind ~n_locks:config.Config.n_locks
+      ~shifts:config.Config.shifts ~capacity:memory_words
+  in
   let mem = V.create ~kind ~words:memory_words in
   let words = V.words mem in
   Shm.label locks "locks";
@@ -780,7 +783,9 @@ let set_config t cfg =
       f.shifts <- cfg.Config.shifts;
       f.lock_mask <- cfg.Config.n_locks - 1;
       f.hier_on <- cfg.Config.hierarchy > 1;
-      f.locks <- Shm.make f.kind cfg.Config.n_locks 0;
+      f.locks <-
+        Shm.make_locks f.kind ~n_locks:cfg.Config.n_locks
+          ~shifts:cfg.Config.shifts ~capacity:(V.capacity f.mem);
       f.hier <- Shm.make f.kind cfg.Config.hierarchy 0;
       f.hier2 <- Shm.make f.kind cfg.Config.hierarchy2 0;
       Shm.label f.locks "locks";

@@ -346,7 +346,7 @@ let create ~kind ?(n_locks = 1 lsl 16) ?(shifts = 0) ?(max_threads = 64)
   let prios = Shm.make kind (cm_words ~cm_active ~max_threads) 0 in
   let flags = Shm.make kind (flag_slot max_threads + 8) 0 in
   let ctl = Shm.make kind ctl_len 0 in
-  let locks = Shm.make kind n_locks 0 in
+  let locks = Shm.make_locks kind ~n_locks ~shifts ~capacity:memory_words in
   let mem = V.create ~kind ~words:memory_words in
   let words = V.words mem in
   Shm.label locks "locks";

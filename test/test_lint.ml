@@ -59,6 +59,8 @@ let test_exact_lines () =
   expect ~path:(corpus ^ "/lib/fix/bad_printf.ml") ~line:2 ~rule:"printf-in-lib";
   expect ~path:(corpus ^ "/lib/fix/bad_random.ml") ~line:2 ~rule:"stdlib-random";
   expect ~path:(corpus ^ "/lib/fix/bad_obj.ml") ~line:2 ~rule:"obj-cast";
+  expect ~path:(corpus ^ "/lib/fix/bad_external.ml") ~line:2
+    ~rule:"external-decl";
   expect ~path:(corpus ^ "/lib/fix/bad_wallclock.ml") ~line:2 ~rule:"wallclock";
   expect ~path:(corpus ^ "/lib/fix/bad_marshal.ml") ~line:2
     ~rule:"marshal-outside-exec";
@@ -172,6 +174,19 @@ let test_meta_unsuppressable () =
   Alcotest.(check (list string)) "meta rules cannot be suppressed"
     [ "suppression-unknown" ] (rules_of fs)
 
+(* [external-decl] sees declarations in signatures and nested modules,
+   and exempts only Shm's implementation. *)
+let test_external_scope () =
+  let ext = "external get : int ref -> int = \"%field0\"\n" in
+  Alcotest.(check (list string)) "nested module" [ "external-decl" ]
+    (rules_of (check ("module M = struct " ^ ext ^ "end\n")));
+  Alcotest.(check (list string)) "signature" [ "external-decl" ]
+    (rules_of (check ~path:"bin/m.mli" ext));
+  Alcotest.(check (list string)) "Shm's own .mli" [ "external-decl" ]
+    (rules_of (check ~path:"lib/runtime/shm.mli" ext));
+  Alcotest.(check (list string)) "Shm itself" []
+    (rules_of (check ~path:"lib/runtime/shm.ml" ext))
+
 (* ------------------------------------------------------------------ *)
 (* Comment/string false positives (the grep-era bug class)             *)
 (* ------------------------------------------------------------------ *)
@@ -273,5 +288,6 @@ let () =
         [
           Alcotest.test_case "registry sane" `Quick test_registry;
           Alcotest.test_case "reporters" `Quick test_reporters;
+          Alcotest.test_case "external-decl scope" `Quick test_external_scope;
         ] );
     ]

@@ -620,6 +620,26 @@ let test_shm_word_arrays () =
       check_int (name ^ " untouched") 7 (Shm.get a 0))
     [ ("plain", plain); ("sim words", sim) ]
 
+(* A real lock array keeps only the stripes its arena reaches; a simulated
+   one keeps all [n_locks], since the simulator numbers cache lines in
+   creation order and the arena comes after the locks. *)
+let test_shm_lock_arrays () =
+  let n_locks = 1 lsl 16 in
+  let sim = Shm.make_locks Simulated ~n_locks ~shifts:0 ~capacity:4 in
+  (match sim with
+  | Shm.Sim _ -> ()
+  | _ -> Alcotest.fail "make_locks Simulated builds Sim");
+  check_int "sim keeps n_locks" n_locks (Shm.length sim);
+  check_bool "sim locks take a cas" true (Shm.cas sim (n_locks - 1) 0 1);
+  let real = Shm.make_locks Domains ~n_locks ~shifts:0 ~capacity:4 in
+  check_int "real keeps the reach" 5 (Shm.length real);
+  check_bool "real locks take a cas" true (Shm.cas real 4 0 1);
+  check_int "reach under shifts" 3
+    (Shm.length (Shm.make_locks Domains ~n_locks ~shifts:3 ~capacity:16));
+  check_int "reach past n_locks" n_locks
+    (Shm.length
+       (Shm.make_locks Domains ~n_locks ~shifts:0 ~capacity:(2 * n_locks)))
+
 (* A simulated word array is priced exactly like [make]'s: two fibers
    racing the get/set script end at the same values and virtual times. *)
 let test_shm_sim_words_same_time () =
@@ -864,6 +884,7 @@ let () =
           Alcotest.test_case "virtual time pinned" `Quick
             test_shm_sim_virtual_time_pinned;
           Alcotest.test_case "word arrays" `Quick test_shm_word_arrays;
+          Alcotest.test_case "lock arrays" `Quick test_shm_lock_arrays;
           Alcotest.test_case "sim words priced alike" `Quick
             test_shm_sim_words_same_time;
           Alcotest.test_case "outside any run" `Quick test_shm_outside_any_run;

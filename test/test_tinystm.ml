@@ -467,6 +467,73 @@ let test_set_config_preserves_data () =
   TS.atomically t (fun tx -> TS.write tx a 7);
   check_int "post-retune write" 7 (TS.atomically t (fun tx -> TS.read tx a))
 
+(* ------------------------------------------------------------------ *)
+(* Lock reach on real domains                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A real lock array holds only the stripes its arena can reach
+   (Shm.make_locks), so the arena's top word, address [capacity], must
+   still land inside it, for any lock count and shift, and again after a
+   re-tune that changes the shift. *)
+let reach_words = 256
+
+let top_word_round_trip t v =
+  let top = Vmm.capacity (TS.memory t) in
+  TS.atomically t (fun tx ->
+      TS.write tx top v;
+      check_int "read back in tx" v (TS.read tx top));
+  check_int "read back after commit" v
+    (TS.atomically t (fun tx -> TS.read tx top))
+
+let test_reach_top_word ~strategy ~log_locks ~shifts () =
+  let n_locks = 1 lsl log_locks in
+  let t =
+    TS.create ~kind:Tstm_runtime.Shm.Domains
+      ~config:(Config.make ~n_locks ~shifts ~strategy ())
+      ~memory_words:reach_words ()
+  in
+  top_word_round_trip t 1;
+  TS.set_config t (Config.make ~n_locks ~shifts:(3 - shifts) ~strategy ());
+  top_word_round_trip t 2
+
+(* A 2^20-stripe instance over a 4,096-word arena builds 4,097 cells, not
+   2^20 boxed atomics (about 25 MB). *)
+let test_reach_live_words () =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let t =
+    TS.create ~kind:Tstm_runtime.Shm.Domains
+      ~config:(Config.make ~n_locks:(1 lsl 20) ())
+      ~memory_words:4096 ()
+  in
+  let bytes = (live () - before) * (Sys.word_size / 8) in
+  ignore (Sys.opaque_identity t);
+  check_bool
+    (Printf.sprintf "%d bytes of live words added, under 1 MB" bytes)
+    true
+    (bytes < 1 lsl 20)
+
+let reach_tests =
+  List.concat_map
+    (fun strategy ->
+      List.concat_map
+        (fun log_locks ->
+          List.map
+            (fun shifts ->
+              Alcotest.test_case
+                (Printf.sprintf "%s 2^%d locks shifts %d"
+                   (Config.strategy_to_string strategy)
+                   log_locks shifts)
+                `Quick
+                (test_reach_top_word ~strategy ~log_locks ~shifts))
+            [ 0; 3 ])
+        [ 4; 16; 20 ])
+    [ Config.Write_back; Config.Write_through ]
+  @ [ Alcotest.test_case "2^20 locks live words" `Quick test_reach_live_words ]
+
 let test_set_config_during_parallel_run () =
   let t = make_sim ~words:2048 ~n_locks:256 () in
   let a = TS.atomically t (fun tx -> TS.alloc tx 16) in
@@ -809,4 +876,5 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_deterministic_sim_run;
         ] );
       ("validation rule (sim)", validation_rule_tests);
+      ("lock reach (domains)", reach_tests);
     ]

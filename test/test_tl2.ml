@@ -376,6 +376,57 @@ let read_after_write_tests =
           ])
     [ "tl2"; "norec" ]
 
+(* ------------------------------------------------------------------ *)
+(* Lock reach on real domains                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A real lock array holds only the stripes its arena can reach
+   (Shm.make_locks), so the arena's top word, address [capacity], must
+   still land inside it, for any lock count and shift. *)
+let test_reach_top_word ~log_locks ~shifts () =
+  let t =
+    Tl2.create ~kind:Tstm_runtime.Shm.Domains ~n_locks:(1 lsl log_locks)
+      ~shifts ~memory_words:256 ()
+  in
+  let top = Vmm.capacity (Tl2.memory t) in
+  Tl2.atomically t (fun tx ->
+      Tl2.write tx top 1;
+      check_int "read back in tx" 1 (Tl2.read tx top));
+  check_int "read back after commit" 1
+    (Tl2.atomically t (fun tx -> Tl2.read tx top))
+
+(* A 2^20-stripe instance over a 4,096-word arena builds 4,097 cells, not
+   2^20 boxed atomics (about 25 MB). *)
+let test_reach_live_words () =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let t =
+    Tl2.create ~kind:Tstm_runtime.Shm.Domains ~n_locks:(1 lsl 20)
+      ~memory_words:4096 ()
+  in
+  let bytes = (live () - before) * (Sys.word_size / 8) in
+  ignore (Sys.opaque_identity t);
+  check_bool
+    (Printf.sprintf "%d bytes of live words added, under 1 MB" bytes)
+    true
+    (bytes < 1 lsl 20)
+
+let reach_tests =
+  List.concat_map
+    (fun log_locks ->
+      List.map
+        (fun shifts ->
+          Alcotest.test_case
+            (Printf.sprintf "2^%d locks shifts %d" log_locks shifts)
+            `Quick
+            (test_reach_top_word ~log_locks ~shifts))
+        [ 0; 3 ])
+    [ 4; 16; 20 ]
+  @ [ Alcotest.test_case "2^20 locks live words" `Quick test_reach_live_words ]
+
 module Sim_sem = Semantics (Tstm_runtime.Runtime_sim) ()
 module Real_sem = Semantics (Tstm_runtime.Runtime_real) ()
 
@@ -406,4 +457,5 @@ let () =
       ("read-after-write", read_after_write_tests);
       ("semantics (sim)", Sim_sem.tests);
       ("semantics (domains)", Real_sem.tests);
+      ("lock reach (domains)", reach_tests);
     ]
