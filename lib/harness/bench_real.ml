@@ -78,14 +78,6 @@ let latency_json (c : Sink.collector) =
       ("abort", pcts c.Sink.abort_latency);
     ]
 
-let cell_stats_json ~observe ~shards cum =
-  let base = [ ("tm", Stats.to_json cum) ] in
-  let latency =
-    if observe then [ ("latency", latency_json (Sink.merged shards)) ]
-    else []
-  in
-  Json.Obj (base @ latency)
-
 type cell_request = {
   stm : string;
   structure : string;  (** a [Workload.structure] name, or ["vacation"] *)
@@ -107,51 +99,28 @@ let default_request =
     seed = 42;
   }
 
-(* The intset/paper-mix cell. *)
-let run_structure_cell (module M : STM) ~canon ~structure (req : cell_request)
-    (p : protocol) =
-  let module D = Driver.Make (R) (M) in
-  let spec =
-    Workload.make ~structure ~initial_size:req.size
-      ~update_pct:req.update_pct ~nthreads:req.domains ~duration:p.duration_s
-      ~seed:req.seed ~pattern:req.pattern ()
-  in
-  let t = M.create ~memory_words:(Workload.memory_words_for spec) () in
-  let ops = D.make_structure t spec.Workload.structure in
-  D.populate t ops spec;
-  let live0 = M.live_words t in
-  let nthreads = spec.Workload.nthreads in
-  let ops_counts = Array.make nthreads 0 in
+(* The Synchrobench-style protocol both cell kinds share: warmup, reset,
+   [reps] timed phases (each one sample, diffed from the cumulative
+   stats), then the integrity checks.  A cell supplies [body ~tid ~rep
+   ~deadline], which runs its thread's operations until [deadline] and
+   returns how many it ran, and [audit], its post-run violations. *)
+let run_protocol (type a) (module M : STM with type t = a) (t : a) ~canon
+    ~structure ~workload (req : cell_request) (p : protocol) ~body ~audit =
+  let ops_counts = Array.make req.domains 0 in
   let phase ~seconds ~rep =
     let t0 = Mono.now_ns () in
     let deadline = t0 + int_of_float (seconds *. 1e9) in
-    R.run ~nthreads (fun tid ->
-        let g =
-          Tstm_util.Xrand.create (rep_seed (D.thread_seed spec tid) rep)
-        in
-        let ctx = D.thread_ctx spec tid in
-        let pending = ref None in
-        let mine = ref 0 in
-        while Mono.now_ns () < deadline do
-          D.step t ops spec ctx g pending;
-          incr mine
-        done;
-        (match !pending with
-        | Some v ->
-            ignore (M.atomically t (fun tx -> ops.D.op_remove tx v));
-            incr mine
-        | None -> ());
-        ops_counts.(tid) <- ops_counts.(tid) + !mine);
+    R.run ~nthreads:req.domains (fun tid ->
+        ops_counts.(tid) <- ops_counts.(tid) + body ~tid ~rep ~deadline);
     Mono.elapsed_s ~since:t0
   in
   if p.warmup_s > 0.0 then ignore (phase ~seconds:p.warmup_s ~rep:(-1));
   M.reset_stats t;
-  Array.fill ops_counts 0 nthreads 0;
+  Array.fill ops_counts 0 req.domains 0;
   let shards = Array.init Sink.max_cpus (fun _ -> Sink.collector ()) in
   let in_sink f =
     if p.observe then Sink.with_sink (Sink.Sharded shards) f else f ()
   in
-  let cum = Stats.create () in
   let prev = ref (Stats.create ()) in
   let failed_reps = ref [] in
   let samples =
@@ -183,43 +152,32 @@ let run_structure_cell (module M : STM) ~canon ~structure (req : cell_request)
             None)
       (List.init p.reps Fun.id)
   in
-  Stats.add_into ~dst:cum (M.stats t);
+  let cum = Stats.copy (M.stats t) in
   let ops_total = Array.fold_left ( + ) 0 ops_counts in
-  let size_after = M.atomically t (fun tx -> ops.D.op_size tx) in
-  let live_after = M.live_words t in
   let violations =
-    List.concat
-      [
-        (if cum.Stats.commits <> ops_total then
-           [
-             Printf.sprintf "commits (%d) <> operations (%d)"
-               cum.Stats.commits ops_total;
-           ]
-         else []);
-        (if size_after <> spec.Workload.initial_size then
-           [
-             Printf.sprintf "structure size %d <> populated size %d"
-               size_after spec.Workload.initial_size;
-           ]
-         else []);
-        (if live_after <> live0 then
-           [
-             Printf.sprintf "allocator drift: %d live words vs baseline %d"
-               live_after live0;
-           ]
-         else []);
-      ]
+    (if cum.Stats.commits <> ops_total then
+       [
+         Printf.sprintf "commits (%d) <> operations (%d)" cum.Stats.commits
+           ops_total;
+       ]
+     else [])
+    @ audit ()
   in
   let cell =
     {
       Bench.stm = canon;
-      structure = Workload.structure_to_string structure;
+      structure;
       domains = req.domains;
-      workload = Workload.pattern_to_string req.pattern;
+      workload;
       size = req.size;
       update_pct = req.update_pct;
       samples;
-      stats = cell_stats_json ~observe:p.observe ~shards cum;
+      stats =
+        Json.Obj
+          (("tm", Stats.to_json cum)
+          ::
+          (if p.observe then [ ("latency", latency_json (Sink.merged shards)) ]
+           else []));
     }
   in
   ( cell,
@@ -230,10 +188,61 @@ let run_structure_cell (module M : STM) ~canon ~structure (req : cell_request)
       failed_reps = List.rev !failed_reps;
     } )
 
-(* The Vacation cell: same protocol, STAMP-style mix, integrity via the
-   workload's own transactional audit. *)
-let run_vacation_cell (module M : STM) ~canon (req : cell_request)
-    (p : protocol) =
+(* The intset/paper-mix cell: the structure must return to its populated
+   size and the allocator to its post-populate baseline. *)
+let run_structure_cell (module M : STM) ~canon ~structure (req : cell_request)
+    p =
+  let module D = Driver.Make (R) (M) in
+  let spec =
+    Workload.make ~structure ~initial_size:req.size
+      ~update_pct:req.update_pct ~nthreads:req.domains ~duration:p.duration_s
+      ~seed:req.seed ~pattern:req.pattern ()
+  in
+  let t = M.create ~memory_words:(Workload.memory_words_for spec) () in
+  let ops = D.make_structure t spec.Workload.structure in
+  D.populate t ops spec;
+  let live0 = M.live_words t in
+  let body ~tid ~rep ~deadline =
+    let g = Tstm_util.Xrand.create (rep_seed (D.thread_seed spec tid) rep) in
+    let ctx = D.thread_ctx spec tid in
+    let pending = ref None in
+    let mine = ref 0 in
+    while Mono.now_ns () < deadline do
+      D.step t ops spec ctx g pending;
+      incr mine
+    done;
+    (match !pending with
+    | Some v ->
+        ignore (M.atomically t (fun tx -> ops.D.op_remove tx v));
+        incr mine
+    | None -> ());
+    !mine
+  in
+  let audit () =
+    let size_after = M.atomically t (fun tx -> ops.D.op_size tx) in
+    let live_after = M.live_words t in
+    (if size_after <> req.size then
+       [
+         Printf.sprintf "structure size %d <> populated size %d" size_after
+           req.size;
+       ]
+     else [])
+    @
+    if live_after <> live0 then
+      [
+        Printf.sprintf "allocator drift: %d live words vs baseline %d"
+          live_after live0;
+      ]
+    else []
+  in
+  run_protocol (module M) t ~canon
+    ~structure:(Workload.structure_to_string structure)
+    ~workload:(Workload.pattern_to_string req.pattern)
+    req p ~body ~audit
+
+(* The Vacation cell: STAMP-style mix, integrity via the workload's own
+   transactional audit. *)
+let run_vacation_cell (module M : STM) ~canon (req : cell_request) p =
   let module Vac = Tstm_vacation.Vacation.Make (M) in
   let spec =
     {
@@ -244,95 +253,27 @@ let run_vacation_cell (module M : STM) ~canon (req : cell_request)
     }
   in
   let t = M.create ~memory_words:(Vac.memory_words_for spec) () in
-  let v = Vac.create t in
-  let v = Vac.populate v spec ~seed:req.seed in
-  let nthreads = req.domains in
-  let ops_counts = Array.make nthreads 0 in
-  let phase ~seconds ~rep =
-    let t0 = Mono.now_ns () in
-    let deadline = t0 + int_of_float (seconds *. 1e9) in
-    R.run ~nthreads (fun tid ->
-        let g =
-          Tstm_util.Xrand.create
-            (rep_seed (Tstm_util.Bitops.mix ((req.seed * 131) + tid)) rep)
-        in
-        let mine = ref 0 in
-        while Mono.now_ns () < deadline do
-          Vac.client_step v spec g;
-          incr mine
-        done;
-        ops_counts.(tid) <- ops_counts.(tid) + !mine);
-    Mono.elapsed_s ~since:t0
+  let v = Vac.populate (Vac.create t) spec ~seed:req.seed in
+  let body ~tid ~rep ~deadline =
+    let g =
+      Tstm_util.Xrand.create
+        (rep_seed (Tstm_util.Bitops.mix ((req.seed * 131) + tid)) rep)
+    in
+    let mine = ref 0 in
+    while Mono.now_ns () < deadline do
+      Vac.client_step v spec g;
+      incr mine
+    done;
+    !mine
   in
-  if p.warmup_s > 0.0 then ignore (phase ~seconds:p.warmup_s ~rep:(-1));
-  M.reset_stats t;
-  Array.fill ops_counts 0 nthreads 0;
-  let shards = Array.init Sink.max_cpus (fun _ -> Sink.collector ()) in
-  let in_sink f =
-    if p.observe then Sink.with_sink (Sink.Sharded shards) f else f ()
-  in
-  let prev = ref (Stats.create ()) in
-  let failed_reps = ref [] in
-  let samples =
-    List.filter_map
-      (fun rep ->
-        match in_sink (fun () -> phase ~seconds:p.duration_s ~rep) with
-        | elapsed_s ->
-            let now_stats = M.stats t in
-            let commits = now_stats.Stats.commits - !prev.Stats.commits in
-            let aborts = Stats.aborts now_stats - Stats.aborts !prev in
-            prev := Stats.copy now_stats;
-            Some
-              {
-                Bench.thr = float_of_int commits /. elapsed_s;
-                elapsed_s;
-                commits;
-                aborts;
-              }
-        | exception e ->
-            (* Same contract as the structure cell: a raising worker fails
-               this repetition, not the run. *)
-            prev := Stats.copy (M.stats t);
-            failed_reps := (rep, Printexc.to_string e) :: !failed_reps;
-            None)
-      (List.init p.reps Fun.id)
-  in
-  let cum = Stats.copy (M.stats t) in
-  let ops_total = Array.fold_left ( + ) 0 ops_counts in
-  let audit =
+  let audit () =
     match Vac.check_consistency v with
     | () -> []
     | exception Vac.Inconsistent msg ->
         [ Printf.sprintf "vacation audit failed: %s" msg ]
   in
-  let violations =
-    (if cum.Stats.commits <> ops_total then
-       [
-         Printf.sprintf "commits (%d) <> operations (%d)" cum.Stats.commits
-           ops_total;
-       ]
-     else [])
-    @ audit
-  in
-  let cell =
-    {
-      Bench.stm = canon;
-      structure = "vacation";
-      domains = req.domains;
-      workload = "stamp";
-      size = req.size;
-      update_pct = req.update_pct;
-      samples;
-      stats = cell_stats_json ~observe:p.observe ~shards cum;
-    }
-  in
-  ( cell,
-    {
-      ops_total;
-      commits_total = cum.Stats.commits;
-      violations;
-      failed_reps = List.rev !failed_reps;
-    } )
+  run_protocol (module M) t ~canon ~structure:"vacation" ~workload:"stamp" req
+    p ~body ~audit
 
 let run_cell (req : cell_request) (p : protocol) =
   if req.domains < 1 then Error "domains must be >= 1"

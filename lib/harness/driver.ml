@@ -67,6 +67,11 @@ struct
       if T.atomically t (fun tx -> ops.op_add tx v) then incr inserted
     done
 
+  let drain t ops =
+    List.iter
+      (fun k -> ignore (T.atomically t (fun tx -> ops.op_remove tx k)))
+      (T.atomically t (fun tx -> ops.op_to_list tx))
+
   (* Per-thread workload-pattern context: the key sampler plus this thread's
      role under the pattern.  For [Uniform] the sampler consumes the
      historical RNG stream and [span]/[idle] are zero, so the default path

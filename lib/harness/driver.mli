@@ -25,6 +25,12 @@ module Make
   val populate : T.t -> ops -> Workload.spec -> unit
   (** Deterministically fill the structure to [spec.initial_size]. *)
 
+  val drain : T.t -> ops -> unit
+  (** Empty the structure: one transaction reads [op_to_list], then one
+      transaction per key removes it, in list order.  The post-run audits
+      of the service engines and the fault sweep call it, then check size
+      and [live_words] themselves. *)
+
   type thread_ctx
   (** Per-thread workload-pattern context: the key sampler plus this
       thread's role (long-reader span, think-time) under the pattern. *)

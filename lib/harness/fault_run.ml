@@ -144,10 +144,7 @@ let run_packed (module M : Bench_real.STM) spec =
      compare the arena against the pre-populate skeleton.  Crash replays
      make commit/size counts meaningless, but drift is exact. *)
   let violations = ref [] in
-  let keys = M.atomically t (fun tx -> ops.D.op_to_list tx) in
-  List.iter
-    (fun k -> ignore (M.atomically t (fun tx -> ops.D.op_remove tx k)))
-    keys;
+  D.drain t ops;
   let size = M.atomically t (fun tx -> ops.D.op_size tx) in
   if size <> 0 then
     violations :=

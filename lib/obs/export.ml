@@ -1,26 +1,12 @@
-let json_escape b s =
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let add_args b args =
   Buffer.add_string b "\"args\":{";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_char b '"';
-      json_escape b k;
+      Json.escape b k;
       Buffer.add_string b "\":\"";
-      json_escape b v;
+      Json.escape b v;
       Buffer.add_char b '"')
     args;
   Buffer.add_char b '}'
@@ -90,116 +76,3 @@ let histo_summary (c : Sink.collector) =
     "commit latency (cycles): %a@.abort latency  (cycles): %a@.retries/commit:          %a@.reads/commit:            %a@.writes/commit:           %a@."
     Histo.pp c.Sink.commit_latency Histo.pp c.Sink.abort_latency Histo.pp
     c.Sink.retries Histo.pp c.Sink.read_set Histo.pp c.Sink.write_set
-
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON validator                                              *)
-(* ------------------------------------------------------------------ *)
-
-exception Bad of int
-
-let json_is_valid s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect ch =
-    if !pos < n && s.[!pos] = ch then advance () else raise (Bad !pos)
-  in
-  let literal lit =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then pos := !pos + l
-    else raise (Bad !pos)
-  in
-  let string_ () =
-    expect '"';
-    let closed = ref false in
-    while not !closed do
-      if !pos >= n then raise (Bad !pos);
-      (match s.[!pos] with
-      | '"' -> closed := true
-      | '\\' -> advance () (* skip the escaped char below *)
-      | c when Char.code c < 0x20 -> raise (Bad !pos)
-      | _ -> ());
-      advance ()
-    done
-  in
-  let number () =
-    let start = !pos in
-    if peek () = Some '-' then advance ();
-    let digits () =
-      let d0 = !pos in
-      while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do advance () done;
-      if !pos = d0 then raise (Bad !pos)
-    in
-    digits ();
-    if peek () = Some '.' then begin advance (); digits () end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
-    | _ -> ());
-    if !pos = start then raise (Bad !pos)
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then advance ()
-        else begin
-          let more = ref true in
-          while !more do
-            skip_ws ();
-            string_ ();
-            skip_ws ();
-            expect ':';
-            value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance ()
-            | Some '}' ->
-                advance ();
-                more := false
-            | _ -> raise (Bad !pos)
-          done
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then advance ()
-        else begin
-          let more = ref true in
-          while !more do
-            value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance ()
-            | Some ']' ->
-                advance ();
-                more := false
-            | _ -> raise (Bad !pos)
-          done
-        end
-    | Some '"' -> string_ ()
-    | Some 't' -> literal "true"
-    | Some 'f' -> literal "false"
-    | Some 'n' -> literal "null"
-    | Some _ -> number ()
-    | None -> raise (Bad !pos)
-  in
-  match
-    value ();
-    skip_ws ();
-    !pos = n
-  with
-  | ok -> ok
-  | exception Bad _ -> false

@@ -1,6 +1,8 @@
 (** Exporters over a {!Sink.collector}: Chrome trace-event JSON (loadable in
     Perfetto / [chrome://tracing]), a pretty contention report, and a
-    histogram summary.
+    histogram summary.  Trace strings go through {!Json.escape}, and
+    {!Json.of_string} is the one JSON reader that checks what these
+    exporters write.
 
     Virtual-time mapping: Chrome traces use microseconds; we emit
     [ts_us = cycles / (ghz * 1000)], so with the default 2 GHz cost model
@@ -21,8 +23,3 @@ val top_contended : ?n:int -> Sink.collector -> string
 
 val histo_summary : Sink.collector -> string
 (** One line per histogram: commit/abort latency, retries, set sizes. *)
-
-val json_is_valid : string -> bool
-(** Minimal structural JSON validator (objects, arrays, strings, numbers,
-    booleans, null) used by the smoke tests — the toolchain has no JSON
-    library and must not grow one. *)

@@ -159,6 +159,7 @@ let parse_string_body c =
             else Buffer.add_char b '?';
             go ()
         | _ -> error c "bad escape")
+    | Some ch when Char.code ch < 0x20 -> error c "raw control character"
     | Some ch ->
         advance c;
         Buffer.add_char b ch;
@@ -166,34 +167,30 @@ let parse_string_body c =
   in
   go ()
 
+(* JSON's number grammar: [-]digits[.digits][(e|E)[+|-]digits]. *)
 let parse_number c =
   let start = c.pos in
-  let is_float = ref false in
-  let rec go () =
-    match peek c with
-    | Some ('0' .. '9' | '-' | '+') ->
-        advance c;
-        go ()
-    | Some ('.' | 'e' | 'E') ->
-        is_float := true;
-        advance c;
-        go ()
-    | _ -> ()
+  let digits () =
+    let d0 = c.pos in
+    while match peek c with Some '0' .. '9' -> true | _ -> false do
+      advance c
+    done;
+    if c.pos = d0 then error c "expected a digit"
   in
-  go ();
+  let skip ch = if peek c = Some ch then (advance c; true) else false in
+  ignore (skip '-');
+  digits ();
+  if skip '.' then digits ();
+  if skip 'e' || skip 'E' then begin
+    ignore (skip '+' || skip '-');
+    digits ()
+  end;
   let text = String.sub c.s start (c.pos - start) in
-  if !is_float then
-    match float_of_string_opt text with
-    | Some f -> Float f
-    | None -> error c (Printf.sprintf "bad number %S" text)
-  else
-    match int_of_string_opt text with
-    | Some i -> Int i
-    | None -> (
-        (* Integers beyond OCaml's int range degrade to float. *)
-        match float_of_string_opt text with
-        | Some f -> Float f
-        | None -> error c (Printf.sprintf "bad number %S" text))
+  match int_of_string_opt text with
+  | Some i -> Int i
+  | None ->
+      (* Fractions, exponents and integers beyond OCaml's int range. *)
+      Float (float_of_string text)
 
 let rec parse_value c =
   skip_ws c;

@@ -18,12 +18,17 @@ type t =
 exception Parse_error of string
 (** Raised by {!of_string} with a byte offset and reason. *)
 
+val escape : Buffer.t -> string -> unit
+(** Append [s] as the body of a JSON string (no surrounding quotes):
+    quote, backslash and every control character below 0x20 escaped. *)
+
 val to_string : t -> string
 (** Pretty-printed (2-space indent), newline-terminated, deterministic. *)
 
 val of_string : string -> t
-(** Parse; raises {!Parse_error} on malformed input (including trailing
-    garbage). *)
+(** Parse; raises {!Parse_error} on malformed input, including trailing
+    garbage, a raw control character below 0x20 inside a string and a
+    number outside JSON's grammar (["1."], ["-.5"], ["2e"]). *)
 
 val of_string_opt : string -> t option
 (** [None] on any parse error. *)

@@ -364,15 +364,7 @@ let make_engine (type a) spec
               hs;
             List.rev !violations
       in
-      let cleanup () =
-        Array.iter
-          (fun ops ->
-            let keys = M.atomically t (fun tx -> ops.D.op_to_list tx) in
-            List.iter
-              (fun k -> ignore (M.atomically t (fun tx -> ops.D.op_remove tx k)))
-              keys)
-          shard_ops
-      in
+      let cleanup () = Array.iter (D.drain t) shard_ops in
       { exec; finalize; cleanup; baseline = empty_baseline; record }
   | Vacation ->
       let module V = Tstm_vacation.Vacation.Make (M) in

@@ -282,10 +282,7 @@ let run_packed (module M : BR.STM) spec =
   masked (fun () ->
       Array.iteri
         (fun i ops ->
-          let keys = M.atomically t (fun tx -> ops.D.op_to_list tx) in
-          List.iter
-            (fun k -> ignore (M.atomically t (fun tx -> ops.D.op_remove tx k)))
-            keys;
+          D.drain t ops;
           let size = M.atomically t (fun tx -> ops.D.op_size tx) in
           if size <> 0 then
             violations :=

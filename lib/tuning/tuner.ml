@@ -181,7 +181,8 @@ let record t sample =
   if t.n_samples < t.samples_per_config then Keep_measuring
   else begin
     t.n_samples <- 0;
-    let thr = Tstm_util.Stats.maximum (Array.sub t.samples 0 t.samples_per_config) in
+    let a = Array.sub t.samples 0 t.samples_per_config in
+    let thr = Array.fold_left Float.max a.(0) a in
     Hashtbl.replace t.table (key_of t.current) thr;
     t.history_rev <-
       { config = t.current; throughput = thr; move = t.last_move }

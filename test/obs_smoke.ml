@@ -31,7 +31,7 @@ let () =
   let ic = open_in_bin trace_path in
   let json = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  check "trace file is valid JSON" (Obs.Export.json_is_valid json);
+  check "trace file is valid JSON" (Obs.Json.of_string_opt json <> None);
   check "trace has traceEvents" (contains "\"traceEvents\"" json);
   check "trace has tx slices" (contains "\"name\":\"tx\"" json);
   check "trace has per-CPU tracks" (contains "thread_name" json);

@@ -136,7 +136,8 @@ let test_trace_deterministic () =
 let test_trace_json_valid () =
   let _, c, m = observed () in
   let json = Obs.Export.chrome_trace c in
-  Alcotest.(check bool) "trace is valid JSON" true (Obs.Export.json_is_valid json);
+  Alcotest.(check bool) "trace is valid JSON" true
+    (Obs.Json.of_string_opt json <> None);
   (* The trace actually recorded transactions on several CPU tracks. *)
   let contains sub s =
     let n = String.length sub and m = String.length s in
@@ -155,14 +156,6 @@ let test_trace_json_valid () =
   Alcotest.(check bool)
     "CSV has the latency columns" true
     (contains "p99_commit_cycles" csv)
-
-let test_json_validator_rejects () =
-  List.iter
-    (fun s ->
-      Alcotest.(check bool)
-        (Printf.sprintf "rejects %S" s)
-        false (Obs.Export.json_is_valid s))
-    [ "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "{\"a\":1}extra"; "" ]
 
 let test_null_sink_neutral () =
   (* The whole point of the probe gate: a run with the sink collecting and
@@ -250,7 +243,7 @@ let test_tl2_observed () =
   in
   Alcotest.(check bool)
     "TL2 trace valid JSON" true
-    (Obs.Export.json_is_valid (Obs.Export.chrome_trace c));
+    (Obs.Json.of_string_opt (Obs.Export.chrome_trace c) <> None);
   Alcotest.(check bool)
     "TL2 recorded commits" true
     (Obs.Histo.count c.Obs.Sink.commit_latency > 0);
@@ -310,8 +303,6 @@ let () =
             test_trace_deterministic;
           Alcotest.test_case "trace JSON + CSV shape" `Quick
             test_trace_json_valid;
-          Alcotest.test_case "validator rejects junk" `Quick
-            test_json_validator_rejects;
         ] );
       ( "sink",
         [

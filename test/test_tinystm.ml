@@ -564,6 +564,73 @@ let test_set_config_during_parallel_run () =
       (TS.atomically t (fun tx -> TS.read tx (a + tid)))
   done
 
+(* The same re-tune on real domains.  Domain 0 re-tunes across lock
+   counts, shifts and hierarchies while domains 1 and 2 increment their
+   own words; every re-tune rebuilds the lock array for the live arena
+   (Shm.make_locks) under the quiescence fence.  Before each re-tune
+   domain 0 waits until both workers have committed since the last one,
+   so every fence meets transacting domains. *)
+let retunes =
+  [ (64, 0, 1); (1 lsl 16, 3, 1); (16, 5, 4); (1024, 0, 16); (2, 1, 1) ]
+
+let test_set_config_on_domains strategy () =
+  let nd = 3 in
+  let t =
+    TS.create ~kind:Tstm_runtime.Shm.Domains
+      ~config:(Config.make ~n_locks:256 ~strategy ())
+      ~memory_words:1024 ()
+  in
+  let a = TS.atomically t (fun tx -> TS.alloc tx (8 * nd)) in
+  let live0 = Vmm.live_words (TS.memory t) in
+  let commits = Array.init nd (fun _ -> Atomic.make 0) in
+  let stop = Atomic.make false in
+  let bump tid =
+    let w = a + (8 * tid) in
+    TS.atomically t (fun tx -> TS.write tx w (TS.read tx w + 1));
+    Atomic.incr commits.(tid)
+  in
+  (* Bounded by CPU time so a dead worker fails the counts, not the run. *)
+  let await_workers since =
+    let t0 = Sys.time () in
+    while
+      Sys.time () -. t0 < 10.0
+      && List.exists (fun w -> Atomic.get commits.(w) <= since.(w)) [ 1; 2 ]
+    do
+      Domain.cpu_relax ()
+    done
+  in
+  Tstm_runtime.Runtime_real.run ~nthreads:nd (fun tid ->
+      if tid = 0 then begin
+        List.iter
+          (fun (n_locks, shifts, hierarchy) ->
+            let since = Array.map Atomic.get commits in
+            for _ = 1 to 20 do
+              bump 0
+            done;
+            await_workers since;
+            TS.set_config t
+              (Config.make ~n_locks ~shifts ~hierarchy ~strategy ()))
+          retunes;
+        for _ = 1 to 20 do
+          bump 0
+        done;
+        Atomic.set stop true
+      end
+      else
+        while not (Atomic.get stop) do
+          bump tid
+        done);
+  for tid = 0 to nd - 1 do
+    check_int
+      (Printf.sprintf "domain %d's counter = its commits" tid)
+      (Atomic.get commits.(tid))
+      (TS.atomically t (fun tx -> TS.read tx (a + (8 * tid))))
+  done;
+  check_bool "workers committed between re-tunes" true
+    (Atomic.get commits.(1) >= List.length retunes
+    && Atomic.get commits.(2) >= List.length retunes);
+  check_int "no live_words drift" live0 (Vmm.live_words (TS.memory t))
+
 let test_hierarchy_correctness_under_contention ?(hierarchy = 8)
     ?(hierarchy2 = 1) () =
   (* Run the bank-conservation workload with hierarchical locking on: the
@@ -877,4 +944,13 @@ let () =
         ] );
       ("validation rule (sim)", validation_rule_tests);
       ("lock reach (domains)", reach_tests);
+      ( "set_config on domains",
+        List.map
+          (fun strategy ->
+            Alcotest.test_case
+              (Config.strategy_to_string strategy
+              ^ ": re-tune while 3 domains transact")
+              `Quick
+              (test_set_config_on_domains strategy))
+          [ Config.Write_back; Config.Write_through ] );
     ]

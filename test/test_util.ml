@@ -189,29 +189,6 @@ let prop_growbuf_model =
       Growbuf.to_list b = xs)
 
 (* ------------------------------------------------------------------ *)
-(* Stats                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_stats_simple () =
-  let s = Stats.summarize [| 1.0; 2.0; 3.0 |] in
-  check_int "n" 3 s.Stats.n;
-  Alcotest.(check (float 1e-9)) "mean" 2.0 s.Stats.mean;
-  Alcotest.(check (float 1e-9)) "min" 1.0 s.Stats.min;
-  Alcotest.(check (float 1e-9)) "max" 3.0 s.Stats.max
-
-let test_stats_constant () =
-  let s = Stats.summarize [| 5.0; 5.0; 5.0; 5.0 |] in
-  Alcotest.(check (float 1e-9)) "sd" 0.0 s.Stats.stddev
-
-let prop_stats_mean_bounds =
-  QCheck.Test.make ~name:"mean between min and max" ~count:200
-    QCheck.(list_of_size Gen.(int_range 1 50) (float_range (-1e6) 1e6))
-    (fun xs ->
-      let a = Array.of_list xs in
-      let s = Stats.summarize a in
-      s.Stats.min <= s.Stats.mean +. 1e-6 && s.Stats.mean <= s.Stats.max +. 1e-6)
-
-(* ------------------------------------------------------------------ *)
 (* Series                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -318,12 +295,6 @@ let () =
           Alcotest.test_case "bounds" `Quick test_growbuf_bounds;
         ] );
       qsuite "growbuf-props" [ prop_growbuf_model ];
-      ( "stats",
-        [
-          Alcotest.test_case "simple" `Quick test_stats_simple;
-          Alcotest.test_case "constant" `Quick test_stats_constant;
-        ] );
-      qsuite "stats-props" [ prop_stats_mean_bounds ];
       ( "series",
         [
           Alcotest.test_case "table csv" `Quick test_table_csv;
