@@ -104,6 +104,20 @@ let test_json_errors () =
     (Json.of_string_opt "[-0, 1.5e-3, 2E+10, 7e2, 12345678901234567890]"
     <> None)
 
+let prop_json_escape_roundtrip =
+  (* [Json.escape] writes the Chrome trace's strings; whatever bytes it is
+     given, the reader must get the same string back. *)
+  QCheck.Test.make ~name:"escape then parse is the identity" ~count:500
+    QCheck.(string_gen Gen.char)
+    (fun s ->
+      let b = Buffer.create (String.length s + 2) in
+      Buffer.add_char b '"';
+      Json.escape b s;
+      Buffer.add_char b '"';
+      match Json.of_string_opt (Buffer.contents b) with
+      | Some (Json.String s') -> s' = s
+      | _ -> false)
+
 let test_json_accessors () =
   let v = Json.of_string "{\"i\": 3, \"f\": 2.5, \"fi\": 4.0, \"s\": \"x\"}" in
   Alcotest.(check (option int)) "to_int Int" (Some 3)
@@ -441,6 +455,8 @@ let () =
           Alcotest.test_case "errors" `Quick test_json_errors;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
         ] );
+      ( "json-props",
+        List.map QCheck_alcotest.to_alcotest [ prop_json_escape_roundtrip ] );
       ( "tm-stats",
         [
           Alcotest.test_case "roundtrip" `Quick test_stats_roundtrip;

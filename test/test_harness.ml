@@ -92,6 +92,26 @@ let test_size_preserved_by_updates () =
     true
     (abs (final - 128) <= spec.W.nthreads)
 
+let test_drain_empties () =
+  (* After a run, [drain] must leave every structure empty and hand every
+     node back to the arena: live words return to the pre-populate
+     skeleton, the check the service engines and the fault sweep rely on. *)
+  List.iter
+    (fun structure ->
+      let name = W.structure_to_string structure in
+      let spec = tiny ~structure ~size:96 () in
+      let t = make_instance spec in
+      let ops = D.make_structure t spec.W.structure in
+      let skeleton = Tstm_vmm.Vmm.live_words (S.Ts.memory t) in
+      D.populate t ops spec;
+      ignore (D.run t ops spec);
+      D.drain t ops;
+      check_int (name ^ " size after drain") 0
+        (S.Ts.atomically t (fun tx -> ops.D.op_size tx));
+      check_int (name ^ " live words back to skeleton") skeleton
+        (Tstm_vmm.Vmm.live_words (S.Ts.memory t)))
+    [ W.List; W.Rbtree; W.Skiplist; W.Hashset ]
+
 let test_run_deterministic () =
   let go () =
     let spec = tiny ~structure:W.Rbtree ~size:256 () in
@@ -369,6 +389,7 @@ let () =
           Alcotest.test_case "run commits" `Quick test_run_produces_commits;
           Alcotest.test_case "size preserved" `Quick
             test_size_preserved_by_updates;
+          Alcotest.test_case "drain empties" `Quick test_drain_empties;
           Alcotest.test_case "deterministic" `Quick test_run_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_seed_changes_runs;
           Alcotest.test_case "control periods" `Quick

@@ -157,6 +157,33 @@ let test_trace_json_valid () =
     "CSV has the latency columns" true
     (contains "p99_commit_cycles" csv)
 
+let test_json_validator_rejects () =
+  (* [Json.of_string_opt] is the one check the trace and snapshot exports
+     are held to, so it must reject junk as well as accept the traces. *)
+  let rejects s =
+    Alcotest.(check bool)
+      (Printf.sprintf "rejects %S" s)
+      true
+      (Obs.Json.of_string_opt s = None)
+  in
+  List.iter rejects
+    [
+      "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "{\"a\":1}extra"; "";
+      "\"raw\001control\"";
+    ];
+  (* A real trace damaged three ways: cut short, trailing garbage, and a
+     raw newline spliced into its first string. *)
+  let _, c, _ = observed () in
+  let json = Obs.Export.chrome_trace c in
+  let q = String.index json '"' in
+  List.iter rejects
+    [
+      String.sub json 0 (String.length json / 2);
+      json ^ "]";
+      String.sub json 0 (q + 1) ^ "\n"
+      ^ String.sub json (q + 1) (String.length json - q - 1);
+    ]
+
 let test_null_sink_neutral () =
   (* The whole point of the probe gate: a run with the sink collecting and
      the sanitizer armed must report exactly the same simulated results as
@@ -303,6 +330,8 @@ let () =
             test_trace_deterministic;
           Alcotest.test_case "trace JSON + CSV shape" `Quick
             test_trace_json_valid;
+          Alcotest.test_case "validator rejects junk" `Quick
+            test_json_validator_rejects;
         ] );
       ( "sink",
         [
