@@ -8,6 +8,11 @@ struct
   module Sk = Tstm_structures.Skiplist.Make (T)
   module Hs = Tstm_structures.Hashset.Make (T)
 
+  type finger_add = {
+    head : int;
+    add_from : T.tx -> finger:int -> int -> int option;
+  }
+
   type ops = {
     op_contains : T.tx -> int -> bool;
     op_add : T.tx -> int -> bool;
@@ -15,6 +20,7 @@ struct
     op_overwrite : T.tx -> int -> int;
     op_size : T.tx -> int;
     op_to_list : T.tx -> int list;
+    op_finger_add : finger_add option;
   }
 
   let make_structure t = function
@@ -27,6 +33,7 @@ struct
           op_overwrite = Ll.overwrite_upto s;
           op_size = Ll.size s;
           op_to_list = Ll.to_list s;
+          op_finger_add = Some { head = Ll.head s; add_from = Ll.add_from s };
         }
     | Workload.Rbtree ->
         let s = Rb.create t in
@@ -37,6 +44,7 @@ struct
           op_overwrite = Rb.overwrite_upto s;
           op_size = Rb.size s;
           op_to_list = Rb.to_list s;
+          op_finger_add = None;
         }
     | Workload.Skiplist ->
         let s = Sk.create t in
@@ -47,6 +55,7 @@ struct
           op_overwrite = Sk.overwrite_upto s;
           op_size = Sk.size s;
           op_to_list = Sk.to_list s;
+          op_finger_add = None;
         }
     | Workload.Hashset ->
         let s = Hs.create t in
@@ -57,14 +66,36 @@ struct
           op_overwrite = Hs.overwrite_upto s;
           op_size = Hs.size s;
           op_to_list = Hs.to_list s;
+          op_finger_add = None;
         }
 
+  module Imap = Map.Make (Int)
+
+  (* One transaction per draw, duplicates included.  A list inserts from a
+     finger, the new key's predecessor: [nodes] maps every key inserted so
+     far (the head sentinel under [min_int]) to its node's address, and
+     takes an address only once its insert has committed.  The search then
+     reads a few words instead of walking from the head, while the
+     allocations and writes, and so the arena, stay those of [op_add]. *)
   let populate t ops (spec : Workload.spec) =
     let g = Tstm_util.Xrand.create spec.Workload.seed in
+    let add =
+      match ops.op_finger_add with
+      | None -> fun v -> T.atomically t (fun tx -> ops.op_add tx v)
+      | Some f -> (
+          let nodes = ref (Imap.singleton min_int f.head) in
+          fun v ->
+            let _, finger = Imap.find_last (fun k -> k < v) !nodes in
+            match T.atomically t (fun tx -> f.add_from tx ~finger v) with
+            | Some n ->
+                nodes := Imap.add v n !nodes;
+                true
+            | None -> false)
+    in
     let inserted = ref 0 in
     while !inserted < spec.Workload.initial_size do
       let v = 1 + Tstm_util.Xrand.int g spec.Workload.key_range in
-      if T.atomically t (fun tx -> ops.op_add tx v) then incr inserted
+      if add v then incr inserted
     done
 
   let drain t ops =

@@ -9,6 +9,15 @@
 module Make
     (R : Tstm_runtime.Runtime_intf.S)
     (T : Tstm_tm.Tm_intf.TM) : sig
+  (** A sorted list's finger insert
+      ({!Tstm_structures.Intset_list.Make.add_from}). *)
+  type finger_add = {
+    head : int;  (** the head sentinel's address: a finger for every key *)
+    add_from : T.tx -> finger:int -> int -> int option;
+        (** [op_add] searching from [finger], a live node; returns the new
+            node's address, [None] when the key was present *)
+  }
+
   (** Structure operations bound to one instance (see {!make_structure}). *)
   type ops = {
     op_contains : T.tx -> int -> bool;
@@ -17,13 +26,20 @@ module Make
     op_overwrite : T.tx -> int -> int;
     op_size : T.tx -> int;
     op_to_list : T.tx -> int list;
+    op_finger_add : finger_add option;
+        (** [Some] for lists only: the insert {!populate} uses *)
   }
 
   val make_structure : T.t -> Workload.structure -> ops
   (** Allocate the requested structure in the instance's memory. *)
 
   val populate : T.t -> ops -> Workload.spec -> unit
-  (** Deterministically fill the structure to [spec.initial_size]. *)
+  (** Deterministically fill the structure to [spec.initial_size]: one
+      [atomically] per key drawn from the spec's seed, duplicates
+      included.  A list inserts each key from its predecessor's node
+      ([op_finger_add]), a few reads per draw; the arena, allocations,
+      writes and commits are those of [op_add] from the head.  Other
+      structures insert with [op_add]. *)
 
   val drain : T.t -> ops -> unit
   (** Empty the structure: one transaction reads [op_to_list], then one

@@ -52,18 +52,7 @@ let github findings =
 
 let json_escape s =
   let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> buf_add b "\\\""
-      | '\\' -> buf_add b "\\\\"
-      | '\n' -> buf_add b "\\n"
-      | '\t' -> buf_add b "\\t"
-      | '\r' -> buf_add b "\\r"
-      | c when Char.code c < 0x20 ->
-          buf_add b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  Tstm_util.Json_string.escape b s;
   Buffer.contents b
 
 let json ~files_checked findings =

@@ -223,7 +223,7 @@ let layers =
     { dir = "harness"; root_module = "Tstm_harness"; lib_name = "tstm_harness"; allowed = [ "util"; "cm"; "obs"; "chaos"; "runtime"; "vmm"; "tm"; "stms"; "san"; "tinystm"; "tl2"; "norec"; "structures"; "tuning"; "vacation" ] };
     { dir = "service"; root_module = "Tstm_service"; lib_name = "tstm_service"; allowed = [ "util"; "cm"; "obs"; "chaos"; "runtime"; "tm"; "san"; "structures"; "vacation"; "harness" ] };
     { dir = "exec"; root_module = "Tstm_exec"; lib_name = "tstm_exec"; allowed = [ "util"; "cm"; "obs"; "chaos"; "runtime"; "tm"; "san"; "tinystm"; "harness"; "service" ] };
-    { dir = "lint"; root_module = "Tstm_lint"; lib_name = "tstm_lint"; allowed = [] };
+    { dir = "lint"; root_module = "Tstm_lint"; lib_name = "tstm_lint"; allowed = [ "util" ] };
   ]
 
 (* The STM stack is written once for both runtimes: an instance picks its

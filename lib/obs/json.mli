@@ -19,8 +19,8 @@ exception Parse_error of string
 (** Raised by {!of_string} with a byte offset and reason. *)
 
 val escape : Buffer.t -> string -> unit
-(** Append [s] as the body of a JSON string (no surrounding quotes):
-    quote, backslash and every control character below 0x20 escaped. *)
+(** {!Tstm_util.Json_string.escape}: append [s] as the body of a JSON
+    string (no surrounding quotes). *)
 
 val to_string : t -> string
 (** Pretty-printed (2-space indent), newline-terminated, deterministic. *)

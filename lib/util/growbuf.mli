@@ -4,7 +4,10 @@
     these buffers: appending must not allocate in the common case, and
     clearing must be O(1), because both happen on every transaction. *)
 
-type t
+type t = private { mutable data : int array; mutable len : int }
+(** The representation is exposed (read-only outside this module) so the
+    compiler knows [t] is a record: reading a [t] out of a [t array] then
+    needs no float-array ([Double_array_tag]) check. *)
 
 val create : int -> t
 (** [create capacity] with an initial capacity (grown on demand). *)

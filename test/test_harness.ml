@@ -67,6 +67,68 @@ let test_populate_exact_size () =
         (S.Ts.atomically t (fun tx -> ops.D.op_size tx)))
     [ W.List; W.Rbtree; W.Skiplist; W.Hashset ]
 
+(* The list's finger population changes only how each insert searches.
+   Against a reference loop that inserts every draw with [op_add] from the
+   head, every arena word, the live words, the contents, the commits and
+   the writes must be identical, while the reads fall to a few per draw.
+   Every registry entry, on both runtimes. *)
+let populate_identity (module M : Tstm_tm.Tm_intf.STM)
+    (module Rt : Tstm_runtime.Runtime_intf.S) label () =
+  let module Dm = Tstm_harness.Driver.Make (Rt) (M) in
+  let spec = W.make ~structure:W.List ~initial_size:1024 ~seed:1 () in
+  let fresh () =
+    let t = M.create ~memory_words:(W.memory_words_for spec) () in
+    let ops = Dm.make_structure t W.List in
+    M.reset_stats t;
+    (t, ops)
+  in
+  let t, ops = fresh () in
+  Dm.populate t ops spec;
+  let t_ref, ops_ref = fresh () in
+  let g = Tstm_util.Xrand.create spec.W.seed in
+  let inserted = ref 0 in
+  while !inserted < spec.W.initial_size do
+    let v = 1 + Tstm_util.Xrand.int g spec.W.key_range in
+    if M.atomically t_ref (fun tx -> ops_ref.Dm.op_add tx v) then incr inserted
+  done;
+  let stats = M.stats t and stats_ref = M.stats t_ref in
+  let module St = Tstm_tm.Tm_stats in
+  let draws = stats_ref.St.commits in
+  check_int (label ^ " commits") draws stats.St.commits;
+  check_int (label ^ " writes") stats_ref.St.writes stats.St.writes;
+  check_bool
+    (Printf.sprintf "%s reads %d <= 4 per draw (%d draws)" label
+       stats.St.reads draws)
+    true
+    (stats.St.reads <= 4 * draws);
+  check_int (label ^ " live words") (M.live_words t_ref) (M.live_words t);
+  Alcotest.(check (list int))
+    (label ^ " contents")
+    (M.atomically t_ref ops_ref.Dm.op_to_list)
+    (M.atomically t ops.Dm.op_to_list);
+  (* Nothing was freed, so a fresh word comes from the bump pointer. *)
+  let bump t = M.atomically t (fun tx -> M.alloc tx 1) in
+  let top = bump t in
+  check_int (label ^ " bump pointer") (bump t_ref) top;
+  let words t =
+    M.atomically t (fun tx -> List.init (top - 1) (fun i -> M.read tx (i + 1)))
+  in
+  check_bool (label ^ " arena words") true (words t = words t_ref)
+
+let populate_identity_cases =
+  List.concat_map
+    (fun (e : Tstm_tm.Registry.entry) ->
+      let case stm rt where =
+        let label = e.Tstm_tm.Registry.name ^ "/" ^ where in
+        Alcotest.test_case ("populate identity " ^ label) `Quick
+          (populate_identity stm rt label)
+      in
+      [
+        case e.Tstm_tm.Registry.sim (module R) "sim";
+        case e.Tstm_tm.Registry.real (module Tstm_runtime.Runtime_real) "domains";
+      ])
+    (Tstm_tm.Registry.all ())
+
 let test_run_produces_commits () =
   let spec = tiny () in
   let t = make_instance spec in
@@ -386,6 +448,9 @@ let () =
       ( "driver",
         [
           Alcotest.test_case "populate size" `Quick test_populate_exact_size;
+        ]
+        @ populate_identity_cases
+        @ [
           Alcotest.test_case "run commits" `Quick test_run_produces_commits;
           Alcotest.test_case "size preserved" `Quick
             test_size_preserved_by_updates;

@@ -110,6 +110,67 @@ struct
       stm
 
   let all = [ list; rbtree; skiplist; hashset ]
+
+  (* [Ll.add_from]'s fallback: a finger whose key is not below the new key
+     (the tail sentinel, the key's own node, a larger key) restarts the
+     search at the head, so any live node is a correct finger. *)
+  let finger_fallback () =
+    let stm = T.make_instance () in
+    let s = Ll.create stm in
+    let add_from finger k =
+      T.atomically stm (fun tx -> Ll.add_from s tx ~finger k)
+    in
+    let head = Ll.head s in
+    let tail = T.atomically stm (fun tx -> T.read tx (head + 1)) in
+    let n10 = Option.get (add_from tail 10) in
+    check_bool "own node as finger: duplicate" true (add_from n10 10 = None);
+    let n5 = Option.get (add_from n10 5) in
+    check_bool "tail as finger: duplicate" true (add_from tail 5 = None);
+    ignore (add_from n5 7);
+    ignore (add_from head 20);
+    check_int "new node holds its key" 5
+      (T.atomically stm (fun tx -> T.read tx n5));
+    Alcotest.(check (list int)) "sorted contents" [ 5; 7; 10; 20 ]
+      (T.atomically stm (Ll.to_list s))
+
+  (* Random keys, each inserted through an arbitrary live node of the list
+     (head, tail or any node inserted so far) into one list and through
+     [Ll.add] into another: same results, same strictly sorted set. *)
+  let finger_prop =
+    QCheck.Test.make
+      ~name:(T.name ^ "/list add_from matches add")
+      ~count:40
+      QCheck.(list (pair (int_range 1 50) small_nat))
+      (fun draws ->
+        let stm = T.make_instance () in
+        let s = Ll.create stm and r = Ll.create stm in
+        let head = Ll.head s in
+        let tail = T.atomically stm (fun tx -> T.read tx (head + 1)) in
+        let nodes = ref [ head; tail ] in
+        List.for_all
+          (fun (k, i) ->
+            let finger = List.nth !nodes (i mod List.length !nodes) in
+            let got = T.atomically stm (fun tx -> Ll.add_from s tx ~finger k) in
+            let expected = T.atomically stm (fun tx -> Ll.add r tx k) in
+            match got with
+            | Some n ->
+                nodes := n :: !nodes;
+                expected && T.atomically stm (fun tx -> T.read tx n) = k
+            | None -> not expected)
+          draws
+        &&
+        let l = T.atomically stm (Ll.to_list s) in
+        let rec strictly_sorted = function
+          | a :: (b :: _ as rest) -> a < b && strictly_sorted rest
+          | _ -> true
+        in
+        l = T.atomically stm (Ll.to_list r) && strictly_sorted l)
+
+  let finger_tests =
+    [
+      Alcotest.test_case (T.name ^ ": fallback") `Quick finger_fallback;
+      QCheck_alcotest.to_alcotest finger_prop;
+    ]
 end
 
 module Ts = Tinystm
@@ -304,4 +365,8 @@ let () =
           QCheck_alcotest.to_alcotest (model_prop make h.h_name))
         harness_makers )
   in
-  Alcotest.run "tstm_structures" (unit_suites @ [ prop_suite ])
+  let finger_suite =
+    ( "list-fingers",
+      Ts_wb.finger_tests @ Ts_wt.finger_tests @ Tl2_b.finger_tests )
+  in
+  Alcotest.run "tstm_structures" (unit_suites @ [ prop_suite; finger_suite ])
