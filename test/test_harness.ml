@@ -129,6 +129,55 @@ let populate_identity_cases =
       ])
     (Tstm_tm.Registry.all ())
 
+(* At one thread the two packagings of an STM do the same work: the same
+   driver steps from the same seed give equal statistics, live words and
+   contents on the simulator and on a domain.  Every registry entry, plus
+   TinySTM-WB with a hierarchical array, whose barriers then take the
+   hierarchy path on both runtimes. *)
+let one_thread_identity (e : Tstm_tm.Registry.entry) tuning structure updates
+    () =
+  let spec =
+    W.make ~structure ~update_pct:updates ~overwrite_pct:5.0 ~nthreads:1
+      ~seed:7 ()
+  in
+  let go (module M : Tstm_tm.Tm_intf.STM)
+      (module Rt : Tstm_runtime.Runtime_intf.S) =
+    let module Dm = Tstm_harness.Driver.Make (Rt) (M) in
+    let t = M.create ~tuning ~memory_words:(W.memory_words_for spec) () in
+    let ops = Dm.make_structure t structure in
+    Dm.populate t ops spec;
+    M.reset_stats t;
+    Rt.run ~nthreads:1 (fun tid ->
+        let g = Tstm_util.Xrand.create (Dm.thread_seed spec tid) in
+        let ctx = Dm.thread_ctx spec tid and pending = ref None in
+        for _ = 1 to 1500 do
+          Dm.step t ops spec ctx g pending
+        done);
+    (M.stats t, M.live_words t, M.atomically t ops.Dm.op_to_list)
+  in
+  let stats = Alcotest.testable Tstm_tm.Tm_stats.pp ( = ) in
+  Alcotest.(check (triple stats int (list int)))
+    "stats, live words, contents"
+    (go e.Tstm_tm.Registry.sim (module R))
+    (go e.Tstm_tm.Registry.real (module Tstm_runtime.Runtime_real))
+
+let one_thread_identity_cases =
+  let case ?(h = 1) (e : Tstm_tm.Registry.entry) s u =
+    Alcotest.test_case
+      (Printf.sprintf "one-thread identity %s %s u=%.0f h=%d"
+         e.Tstm_tm.Registry.name (W.structure_to_string s) u h)
+      `Quick
+      (one_thread_identity e
+         { Tstm_tm.Tm_intf.default_tuning with hierarchy = h }
+         s u)
+  in
+  let wb = Option.get (Tstm_tm.Registry.entry_of "tinystm-wb") in
+  List.concat_map
+    (fun e ->
+      List.concat_map (fun s -> [ case e s 0.0; case e s 20.0 ]) [ W.List; W.Rbtree ])
+    (Tstm_tm.Registry.all ())
+  @ [ case ~h:64 wb W.List 20.0; case ~h:64 wb W.Rbtree 20.0 ]
+
 let test_run_produces_commits () =
   let spec = tiny () in
   let t = make_instance spec in
@@ -449,7 +498,7 @@ let () =
         [
           Alcotest.test_case "populate size" `Quick test_populate_exact_size;
         ]
-        @ populate_identity_cases
+        @ populate_identity_cases @ one_thread_identity_cases
         @ [
           Alcotest.test_case "run commits" `Quick test_run_produces_commits;
           Alcotest.test_case "size preserved" `Quick
