@@ -154,7 +154,7 @@ let ablation_cmd =
        ~doc:
          "Cost-model ablation: the Fig. 3b comparison under altered \
           simulator cost constants, bounded-wait contention management and \
-          the two-level hierarchical array")
+          the size of the hierarchical array")
     Term.(const run $ Cli.jobs_arg)
 
 let sweep_cmd =

@@ -1,6 +1,6 @@
 (* Cost-model ablation: how the headline comparison responds to each
    simulator cost constant, plus the §3.1 contention-management and §3.2
-   two-level-hierarchy alternatives.
+   hierarchical-array alternatives.
 
    Each point is pure data and [run_point] is self-contained (it installs
    the cost model it needs before running), so points evaluate
@@ -13,14 +13,13 @@ module Shm = Tstm_runtime.Shm
 type point =
   | Cost of { label : string; params : CM.params }
   | Conflict_wait of int
-  | Two_level of { hierarchy : int; hierarchy2 : int }
+  | Hierarchy of int
 
 type row =
   | Cost_row of { label : string; cells : (string * float) list }
   | Wait_row of { attempts : int; throughput : float; aborts : int }
-  | Two_level_row of {
+  | Hierarchy_row of {
       hierarchy : int;
-      hierarchy2 : int;
       throughput : float;
       processed : int;
       skipped : int;
@@ -58,10 +57,9 @@ let default_points =
     Conflict_wait 0;
     Conflict_wait 4;
     Conflict_wait 32;
-    Two_level { hierarchy = 1; hierarchy2 = 1 };
-    Two_level { hierarchy = 64; hierarchy2 = 1 };
-    Two_level { hierarchy = 64; hierarchy2 = 8 };
-    Two_level { hierarchy = 256; hierarchy2 = 16 };
+    Hierarchy 1;
+    Hierarchy 64;
+    Hierarchy 256;
   ]
 
 let headline_spec ~initial_size =
@@ -110,20 +108,18 @@ let run_point = function
       let r, _ = D.run t ops spec in
       Wait_row
         { attempts; throughput = r.Workload.throughput; aborts = r.Workload.aborts }
-  | Two_level { hierarchy; hierarchy2 } ->
-      (* The paper's §3.2 generalization: a second, coarser counter level
-         over the hierarchical array (validation-heavy list workload). *)
+  | Hierarchy hierarchy ->
+      (* The §3.2 validation fast path on a validation-heavy list. *)
       Shm.configure CM.default;
       let spec = headline_spec ~initial_size:1024 in
       let r =
         Scenario.run_intset ~stm:"tinystm-wb" ~n_locks:(1 lsl 16) ~shifts:2
-          ~hierarchy ~hierarchy2 spec
+          ~hierarchy spec
       in
       let s = r.Workload.stats in
-      Two_level_row
+      Hierarchy_row
         {
           hierarchy;
-          hierarchy2;
           throughput = r.Workload.throughput;
           processed = s.Tstm_tm.Tm_stats.val_locks_processed;
           skipped = s.Tstm_tm.Tm_stats.val_locks_skipped;
@@ -132,8 +128,7 @@ let run_point = function
 let point_label = function
   | Cost { label; _ } -> Printf.sprintf "ablation %s" label
   | Conflict_wait n -> Printf.sprintf "ablation conflict_wait=%d" n
-  | Two_level { hierarchy; hierarchy2 } ->
-      Printf.sprintf "ablation h=%d h2=%d" hierarchy hierarchy2
+  | Hierarchy h -> Printf.sprintf "ablation h=%d" h
 
 let header = "=== Cost-model ablation (list 256, 20% updates, 8 threads) ==="
 
@@ -156,7 +151,7 @@ let render = function
   | Wait_row { attempts; throughput; aborts } ->
       Printf.sprintf "conflict_wait=%-3d                  WB %8.0f tx/s   aborts %d"
         attempts throughput aborts
-  | Two_level_row { hierarchy; hierarchy2; throughput; processed; skipped } ->
+  | Hierarchy_row { hierarchy; throughput; processed; skipped } ->
       Printf.sprintf
-        "hierarchy h=%-3d h2=%-3d            WB %8.0f tx/s   val locks: %d processed, %d skipped"
-        hierarchy hierarchy2 throughput processed skipped
+        "hierarchy h=%-3d                    WB %8.0f tx/s   val locks: %d processed, %d skipped"
+        hierarchy throughput processed skipped

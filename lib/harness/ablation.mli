@@ -1,7 +1,7 @@
 (** Cost-model ablation sweep: sensitivity of the headline comparison
     (Fig. 3b: list, 256 elements, 20% updates, 8 threads) to the simulator
     cost constants, plus the paper's §3.1 bounded-wait contention
-    management and §3.2 two-level hierarchical array.
+    management and §3.2 hierarchical array.
 
     Points are pure data and {!run_point} installs the cost model it needs
     before running, so points evaluate independently in any order or
@@ -12,17 +12,16 @@ type point =
       (** headline per-family comparison point under altered cost constants *)
   | Conflict_wait of int
       (** bounded wait of [n] attempts on a foreign lock (0 = abort now) *)
-  | Two_level of { hierarchy : int; hierarchy2 : int }
-      (** two-level hierarchical array on the validation-heavy list *)
+  | Hierarchy of int
+      (** hierarchical array of size [h] on the validation-heavy list *)
 
 type row =
   | Cost_row of { label : string; cells : (string * float) list }
       (** one throughput cell per registered algorithm family, in
           family-registration order (family name, tx/s) *)
   | Wait_row of { attempts : int; throughput : float; aborts : int }
-  | Two_level_row of {
+  | Hierarchy_row of {
       hierarchy : int;
-      hierarchy2 : int;
       throughput : float;
       processed : int;  (** validation lock words processed *)
       skipped : int;  (** validation lock words skipped via counters *)

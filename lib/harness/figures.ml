@@ -143,9 +143,12 @@ let trace_cache : (cell, value) Hashtbl.t = Hashtbl.create 4
 
 let eval_cell cell =
   match cell with
-  | Intset_cell { stm; n_locks; shifts; hierarchy; hierarchy2; spec } ->
-      Result
-        (Scenario.run_intset ~stm ~n_locks ~shifts ~hierarchy ~hierarchy2 spec)
+  (* TinySTM has one counter level; the field stays only because the
+     frozen benchmark under perfbench/ builds this record. *)
+  | Intset_cell { hierarchy2; _ } when hierarchy2 <> 1 ->
+      invalid_arg "Figures.eval_cell: hierarchy2 must be 1"
+  | Intset_cell { stm; n_locks; shifts; hierarchy; spec; _ } ->
+      Result (Scenario.run_intset ~stm ~n_locks ~shifts ~hierarchy spec)
   | Vacation_cell
       { n_locks; shifts; hierarchy; n_relations; nthreads; duration; seed } ->
       let spec =
@@ -190,8 +193,9 @@ let trace = function
 let default_locks = Config.default.Config.n_locks
 
 let intset (ev : eval) ~stm ?(n_locks = default_locks) ?(shifts = 0)
-    ?(hierarchy = 1) ?(hierarchy2 = 1) spec =
-  res (ev (Intset_cell { stm; n_locks; shifts; hierarchy; hierarchy2; spec }))
+    ?(hierarchy = 1) spec =
+  res
+    (ev (Intset_cell { stm; n_locks; shifts; hierarchy; hierarchy2 = 1; spec }))
 
 let kilo x = x /. 1000.0
 

@@ -54,6 +54,9 @@ type cell =
       shifts : int;
       hierarchy : int;
       hierarchy2 : int;
+          (** must be 1 ({!eval_cell} raises [Invalid_argument] otherwise);
+              kept only because the frozen benchmark under [perfbench/]
+              builds this record *)
       spec : Workload.spec;
     }
   | Vacation_cell of {
@@ -81,7 +84,8 @@ val cell_label : cell -> string
 val eval_cell : cell -> value
 (** Run one cell on the simulated runtime.  Deterministic: the value
     depends only on the cell.  Autotune traces are memoised process-wide
-    (Figs. 11 and 12 share one). *)
+    (Figs. 11 and 12 share one).  Raises [Invalid_argument] for an
+    [Intset_cell] whose [hierarchy2] is not 1. *)
 
 val plan : profile -> int -> cell array
 (** The ordered cells figure [n] needs under the given profile. *)

@@ -21,15 +21,14 @@ let stm_label = Registry.label
 
 let default_locks = Config.default.Config.n_locks
 
-let tuning_of ?(n_locks = default_locks) ?(shifts = 0) ?(hierarchy = 1)
-    ?(hierarchy2 = 1) () =
-  { Intf.n_locks; shifts; hierarchy; hierarchy2 }
+let tuning_of ?(n_locks = default_locks) ?(shifts = 0) ?(hierarchy = 1) () =
+  { Intf.n_locks; shifts; hierarchy }
 
-let run_intset ~stm ?n_locks ?shifts ?hierarchy ?hierarchy2 ?cm ?watchdog
+let run_intset ~stm ?n_locks ?shifts ?hierarchy ?cm ?watchdog
     (spec : Workload.spec) =
   let (module M) = Registry.get stm in
   let module D = Driver.Make (R) (M) in
-  let tuning = tuning_of ?n_locks ?shifts ?hierarchy ?hierarchy2 () in
+  let tuning = tuning_of ?n_locks ?shifts ?hierarchy () in
   let t =
     M.create ~tuning ?cm ?watchdog
       ~memory_words:(Workload.memory_words_for spec) ()
@@ -38,11 +37,11 @@ let run_intset ~stm ?n_locks ?shifts ?hierarchy ?hierarchy2 ?cm ?watchdog
   D.populate t ops spec;
   fst (D.run t ops spec)
 
-let run_intset_observed ~stm ?n_locks ?shifts ?hierarchy ?hierarchy2 ?cm
-    ?watchdog ?ring_capacity ~period ~n_periods (spec : Workload.spec) =
+let run_intset_observed ~stm ?n_locks ?shifts ?hierarchy ?cm ?watchdog
+    ?ring_capacity ~period ~n_periods (spec : Workload.spec) =
   let (module M) = Registry.get stm in
   let module D = Driver.Make (R) (M) in
-  let tuning = tuning_of ?n_locks ?shifts ?hierarchy ?hierarchy2 () in
+  let tuning = tuning_of ?n_locks ?shifts ?hierarchy () in
   let collector = Tstm_obs.Sink.collector ?ring_capacity () in
   let t =
     M.create ~tuning ?cm ?watchdog

@@ -24,7 +24,6 @@ val run_intset :
   ?n_locks:int ->
   ?shifts:int ->
   ?hierarchy:int ->
-  ?hierarchy2:int ->
   ?cm:Tstm_cm.Cm.policy ->
   ?watchdog:Tstm_runtime.Watchdog.t ->
   Workload.spec ->
@@ -40,7 +39,6 @@ val run_intset_observed :
   ?n_locks:int ->
   ?shifts:int ->
   ?hierarchy:int ->
-  ?hierarchy2:int ->
   ?cm:Tstm_cm.Cm.policy ->
   ?watchdog:Tstm_runtime.Watchdog.t ->
   ?ring_capacity:int ->

@@ -8,7 +8,6 @@ type t = {
   n_locks : int;
   shifts : int;
   hierarchy : int;
-  hierarchy2 : int;
   strategy : strategy;
 }
 
@@ -21,46 +20,33 @@ let validate c =
   if not (B.is_pow2 c.hierarchy) || c.hierarchy < 1 || c.hierarchy > 1024 then
     invalid_arg "Config: hierarchy must be a power of two in [1, 1024]";
   if c.hierarchy > c.n_locks then
-    invalid_arg "Config: hierarchy must not exceed n_locks";
-  if not (B.is_pow2 c.hierarchy2) || c.hierarchy2 < 1 then
-    invalid_arg "Config: hierarchy2 must be a positive power of two";
-  if c.hierarchy2 > c.hierarchy then
-    invalid_arg "Config: hierarchy2 must not exceed hierarchy"
+    invalid_arg "Config: hierarchy must not exceed n_locks"
 
 let default =
   {
     n_locks = 1 lsl 16;
     shifts = 0;
     hierarchy = 1;
-    hierarchy2 = 1;
     strategy = Write_back;
   }
 
 let make ?(n_locks = default.n_locks) ?(shifts = default.shifts)
-    ?(hierarchy = default.hierarchy) ?(hierarchy2 = default.hierarchy2)
-    ?(strategy = default.strategy) () =
-  let c = { n_locks; shifts; hierarchy; hierarchy2; strategy } in
+    ?(hierarchy = default.hierarchy) ?(strategy = default.strategy) () =
+  let c = { n_locks; shifts; hierarchy; strategy } in
   validate c;
   c
 
 let lock_index c addr = (addr lsr c.shifts) land (c.n_locks - 1)
 let hier_index c addr = (addr lsr c.shifts) land (c.hierarchy - 1)
-let hier2_index c addr = (addr lsr c.shifts) land (c.hierarchy2 - 1)
 
 let pp ppf c =
-  if c.hierarchy2 > 1 then
-    Format.fprintf ppf "{locks=2^%d; shifts=%d; h=%d/%d; %s}"
-      (Tstm_util.Bitops.log2 c.n_locks)
-      c.shifts c.hierarchy c.hierarchy2
-      (strategy_to_string c.strategy)
-  else
-    Format.fprintf ppf "{locks=2^%d; shifts=%d; h=%d; %s}"
-      (Tstm_util.Bitops.log2 c.n_locks)
-      c.shifts c.hierarchy
-      (strategy_to_string c.strategy)
+  Format.fprintf ppf "{locks=2^%d; shifts=%d; h=%d; %s}"
+    (Tstm_util.Bitops.log2 c.n_locks)
+    c.shifts c.hierarchy
+    (strategy_to_string c.strategy)
 
 let to_string c = Format.asprintf "%a" pp c
 
 let equal a b =
   a.n_locks = b.n_locks && a.shifts = b.shifts && a.hierarchy = b.hierarchy
-  && a.hierarchy2 = b.hierarchy2 && a.strategy = b.strategy
+  && a.strategy = b.strategy

@@ -10,11 +10,6 @@ type t = {
   shifts : int;  (** address right-shifts before lock hashing (locality) *)
   hierarchy : int;
       (** size h of the hierarchical array; a power of two; 1 = disabled *)
-  hierarchy2 : int;
-      (** size of the optional second, coarser counter level (paper §3.2:
-          "this scheme can be generalized hierarchically to multiple levels
-          of nesting"); a power of two dividing [hierarchy]; 1 = single
-          level *)
   strategy : strategy;
 }
 
@@ -23,17 +18,15 @@ val default : t
     disabled, write-back. *)
 
 val make :
-  ?n_locks:int -> ?shifts:int -> ?hierarchy:int -> ?hierarchy2:int ->
-  ?strategy:strategy -> unit -> t
+  ?n_locks:int -> ?shifts:int -> ?hierarchy:int -> ?strategy:strategy ->
+  unit -> t
 (** [default] with overrides; validated. *)
 
 val validate : t -> unit
 (** Raises [Invalid_argument] unless [n_locks] is a power of two in
     [2{^1}, 2{^26}], [shifts] is in [0, 16], [hierarchy] is a power of two
     in [1, 1024] not exceeding [n_locks] (the counter hash must be consistent
-    with the lock hash: two addresses on the same lock share a counter), and
-    [hierarchy2] is a power of two not exceeding [hierarchy] (two addresses
-    on the same level-1 counter share a level-2 counter). *)
+    with the lock hash: two addresses on the same lock share a counter). *)
 
 val lock_index : t -> int -> int
 (** [(addr lsr shifts) mod n_locks] — per-stripe mapping; consecutive
@@ -42,8 +35,6 @@ val lock_index : t -> int -> int
 val hier_index : t -> int -> int
 (** [(addr lsr shifts) mod hierarchy]; consistent with {!lock_index}. *)
 
-val hier2_index : t -> int -> int
-(** [(addr lsr shifts) mod hierarchy2]; consistent with {!hier_index}. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -35,7 +35,6 @@ type inst = {
   mutable hier_on : bool;  (* hierarchy > 1 *)
   mutable locks : Shm.t;
   mutable hier : Shm.t;
-  mutable hier2 : Shm.t;  (* coarser second counter level; len 1 = off *)
   ctl : Shm.t;  (* clock / fence mode / roll-over count, padded apart *)
   max_clock : int;
   conflict_wait : int;  (* bounded re-check attempts on a foreign lock *)
@@ -67,14 +66,6 @@ type desc = {
   mutable hmask_write : Hmask.t;
   mutable hsnap : int array;  (* counter value at first touch *)
   mutable own_inc : int array;  (* own increments since first touch *)
-  (* Second (coarser) hierarchy level, paper §3.2's "multiple levels of
-     nesting": group snapshots, own increments, and the list of
-     read-touched level-1 partitions per group. *)
-  mutable hmask2 : Hmask.t;
-  mutable hsnap2 : int array;
-  mutable own_inc2 : int array;
-  mutable l2_members : G.t array;
-  mutable h2_dim : int;
   (* Write set (write-back): per-lock chains through [w_next]
      (index + 1; 0 terminates). *)
   w_addr : G.t;
@@ -102,18 +93,13 @@ let ctl_len = 32
 (* Descriptors                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_hier_state p h h2 =
+let fresh_hier_state p h =
   p.r_set <- Array.init h (fun _ -> G.create 32);
   p.hmask_read <- Hmask.create h;
   p.hmask_write <- Hmask.create h;
   p.hsnap <- Array.make h 0;
   p.own_inc <- Array.make h 0;
-  p.h_dim <- h;
-  p.hmask2 <- Hmask.create h2;
-  p.hsnap2 <- Array.make h2 0;
-  p.own_inc2 <- Array.make h2 0;
-  p.l2_members <- Array.init h2 (fun _ -> G.create 8);
-  p.h2_dim <- h2
+  p.h_dim <- h
 
 let new_desc t =
   let p =
@@ -132,14 +118,9 @@ let new_desc t =
       l_idx = G.create 32;
       l_old = G.create 32;
       h_dim = 0;
-      hmask2 = Hmask.create 1;
-      hsnap2 = [||];
-      own_inc2 = [||];
-      l2_members = [||];
-      h2_dim = 0;
     }
   in
-  fresh_hier_state p t.cfg.Config.hierarchy t.cfg.Config.hierarchy2;
+  fresh_hier_state p t.cfg.Config.hierarchy;
   p
 
 let cleanup p =
@@ -150,10 +131,6 @@ let cleanup p =
     Hmask.clear p.hmask_read;
     Hmask.clear p.hmask_write
   end;
-  Hmask.iter p.hmask2 (fun g ->
-      p.own_inc2.(g) <- 0;
-      G.clear p.l2_members.(g));
-  Hmask.clear p.hmask2;
   G.clear p.w_addr;
   G.clear p.w_val;
   G.clear p.w_next;
@@ -174,9 +151,6 @@ let reset_clock t =
   for i = 0 to Shm.length t.hier - 1 do
     Shm.set t.hier i 0
   done;
-  for i = 0 to Shm.length t.hier2 - 1 do
-    Shm.set t.hier2 i 0
-  done;
   ignore (Shm.fetch_add t.ctl rollover_slot 1);
   if Probe.on () then Probe.clock_rollover ~clk:t.ctl
 
@@ -189,21 +163,14 @@ let roll_over t =
 (* Hierarchical locking (paper §3.2)                                   *)
 (* ------------------------------------------------------------------ *)
 
-let hier2_enabled t = t.cfg.Config.hierarchy2 > 1
 let lock_index t addr = (addr lsr t.shifts) land t.lock_mask
 
 (* First touch of a partition (by read or write) snapshots its counter,
    before any of our own increments. *)
-(* Only called with hierarchical locking enabled, on a read of [addr]
-   whose level-1 partition [i] carries no read entry yet (a partition in
-   [hmask_read] already has its snapshot, and its group's too). *)
-let[@inline never] hier_touch_read t p addr i =
-  if hier2_enabled t then begin
-    let g = Config.hier2_index t.cfg addr in
-    if Hmask.add p.hmask2 g then p.hsnap2.(g) <- Shm.get t.hier2 g;
-    (* Group membership records the partitions that carry read entries. *)
-    G.push p.l2_members.(g) i
-  end;
+(* Only called with hierarchical locking enabled, on a read whose
+   partition [i] carries no read entry yet (a partition in [hmask_read]
+   already has its snapshot). *)
+let[@inline never] hier_touch_read t p i =
   if not (Hmask.mem p.hmask_write i) then p.hsnap.(i) <- Shm.get t.hier i;
   ignore (Hmask.add p.hmask_read i)
 
@@ -225,13 +192,7 @@ let hier_note_acquired t p addr =
     then p.hsnap.(i) <- Shm.get t.hier i;
     ignore (Hmask.add p.hmask_write i);
     p.own_inc.(i) <- p.own_inc.(i) + 1;
-    ignore (Shm.fetch_add t.hier i 1);
-    if hier2_enabled t then begin
-      let g = Config.hier2_index t.cfg addr in
-      if Hmask.add p.hmask2 g then p.hsnap2.(g) <- Shm.get t.hier2 g;
-      p.own_inc2.(g) <- p.own_inc2.(g) + 1;
-      ignore (Shm.fetch_add t.hier2 g 1)
-    end
+    ignore (Shm.fetch_add t.hier i 1)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -258,48 +219,23 @@ let validate_partition t (d : tx) i =
   done;
   !ok
 
-(* Level-1 check of one partition: skip via its counter or re-check its
-   read-set entries. *)
-let validate_level1 t (d : tx) ok i =
-  if !ok then begin
-    let p = d.p in
-    let c = Shm.get t.hier i in
-    if c = p.hsnap.(i) + p.own_inc.(i) then
-      (* Fast path: no foreign lock acquisition in this partition since we
-         first touched it. *)
-      d.stats.Stats.val_locks_skipped <-
-        d.stats.Stats.val_locks_skipped + G.length p.r_set.(i)
-    else if not (validate_partition t d i) then ok := false
-  end
-
+(* With hierarchical locking, a partition whose counter moved only by our
+   own increments since we first touched it saw no foreign lock
+   acquisition: its read-set entries are skipped (paper §3.2). *)
 let validate t (d : tx) =
   let p = d.p in
   d.stats.Stats.validations <- d.stats.Stats.validations + 1;
-  let ok = ref true in
-  if hier2_enabled t then
-    (* Two-level fast path: an unchanged group counter clears every
-       partition under it at once. *)
-    Hmask.iter p.hmask2 (fun g ->
-        if !ok then begin
-          let members = p.l2_members.(g) in
-          let c2 = Shm.get t.hier2 g in
-          if c2 = p.hsnap2.(g) + p.own_inc2.(g) then begin
-            let entries = ref 0 in
-            for k = 0 to G.length members - 1 do
-              entries := !entries + G.length p.r_set.(G.get members k)
-            done;
+  if t.hier_on then begin
+    let ok = ref true in
+    Hmask.iter p.hmask_read (fun i ->
+        if !ok then
+          if Shm.get t.hier i = p.hsnap.(i) + p.own_inc.(i) then
             d.stats.Stats.val_locks_skipped <-
-              d.stats.Stats.val_locks_skipped + !entries
-          end
-          else
-            for k = 0 to G.length members - 1 do
-              validate_level1 t d ok (G.get members k)
-            done
-        end)
-  else if t.hier_on then
-    Hmask.iter p.hmask_read (fun i -> validate_level1 t d ok i)
-  else ok := validate_partition t d 0;
-  !ok
+              d.stats.Stats.val_locks_skipped + G.length p.r_set.(i)
+          else ok := validate_partition t d i);
+    !ok
+  end
+  else validate_partition t d 0
 
 let extend t (d : tx) =
   if Probe.on () then Probe.perturb ~clk:t.ctl ~tid:d.tid d.stats Clock_sample;
@@ -402,7 +338,7 @@ let rec read_word t (d : tx) addr =
       if d.read_only || not t.hier_on then 0
       else begin
         let i = Config.hier_index t.cfg addr in
-        if not (Hmask.mem p.hmask_read i) then hier_touch_read t p addr i;
+        if not (Hmask.mem p.hmask_read i) then hier_touch_read t p i;
         i
       end
     in
@@ -580,10 +516,8 @@ let free_words t (d : tx) addr n =
    roll over (inside the fence) before any transaction can start. *)
 let begin_ (d : tx) =
   let t = d.owner and p = d.p in
-  if
-    p.h_dim <> t.cfg.Config.hierarchy
-    || p.h2_dim <> t.cfg.Config.hierarchy2
-  then fresh_hier_state p t.cfg.Config.hierarchy t.cfg.Config.hierarchy2;
+  if p.h_dim <> t.cfg.Config.hierarchy then
+    fresh_hier_state p t.cfg.Config.hierarchy;
   p.rv <- Shm.get t.ctl clock_slot;
   if Probe.on () then Probe.clock_read ~cpu:d.tid ~value:p.rv;
   p.rv < t.max_clock - 1
@@ -732,7 +666,10 @@ let create ~kind ?(config = Config.default) ?(max_threads = 64)
   let kill_flags = Shm.make kind cm_len 0 in
   let flags = Shm.make kind (flag_slot max_threads + 8) 0 in
   let ctl = Shm.make kind ctl_len 0 in
-  let hier2 = Shm.make kind config.Config.hierarchy2 0 in
+  (* An unused word, kept so that every later array keeps the simulator
+     cache lines it had when a second counter level was made here: the
+     figures' output depends on that numbering. *)
+  ignore (Shm.make kind 1 0);
   let hier = Shm.make kind config.Config.hierarchy 0 in
   let locks =
     Shm.make_locks kind ~n_locks:config.Config.n_locks
@@ -742,7 +679,6 @@ let create ~kind ?(config = Config.default) ?(max_threads = 64)
   let words = V.words mem in
   Shm.label locks "locks";
   Shm.label hier "hier";
-  Shm.label hier2 "hier2";
   Shm.label words "mem";
   Core.make
     {
@@ -754,7 +690,6 @@ let create ~kind ?(config = Config.default) ?(max_threads = 64)
       hier_on = config.Config.hierarchy > 1;
       locks;
       hier;
-      hier2;
       ctl;
       max_clock;
       conflict_wait;
@@ -787,10 +722,10 @@ let set_config t cfg =
         Shm.make_locks f.kind ~n_locks:cfg.Config.n_locks
           ~shifts:cfg.Config.shifts ~capacity:(V.capacity f.mem);
       f.hier <- Shm.make f.kind cfg.Config.hierarchy 0;
-      f.hier2 <- Shm.make f.kind cfg.Config.hierarchy2 0;
+      (* The unused word of [create], for the same line numbering. *)
+      ignore (Shm.make f.kind 1 0);
       Shm.label f.locks "locks";
       Shm.label f.hier "hier";
-      Shm.label f.hier2 "hier2";
       Shm.set f.ctl clock_slot 0;
       if Probe.on () then Probe.reconfigured ())
 
@@ -832,7 +767,7 @@ end) : Tstm_tm.Tm_intf.PACKED = struct
 
   let config_of_tuning (tu : Intf.tuning) =
     Config.make ~n_locks:tu.Intf.n_locks ~shifts:tu.Intf.shifts
-      ~hierarchy:tu.Intf.hierarchy ~hierarchy2:tu.Intf.hierarchy2
+      ~hierarchy:tu.Intf.hierarchy
       ~strategy:S.strategy ()
 
   let create ~kind ?(tuning = Intf.default_tuning) ?max_retries ?cm

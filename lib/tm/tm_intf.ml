@@ -18,11 +18,9 @@ type tuning = {
   n_locks : int;  (** size of the lock array; a power of two *)
   shifts : int;  (** address right-shifts before lock hashing *)
   hierarchy : int;  (** hierarchical-array size; 1 = disabled *)
-  hierarchy2 : int;  (** second counter level; 1 = single level *)
 }
 
-let default_tuning =
-  { n_locks = 1 lsl 16; shifts = 0; hierarchy = 1; hierarchy2 = 1 }
+let default_tuning = { n_locks = 1 lsl 16; shifts = 0; hierarchy = 1 }
 
 (** What an STM implementation can actually do, declared by the
     implementation itself and carried through {!Registry}.  Plans, tuners

@@ -87,12 +87,11 @@ let best_two t =
           | Some _ -> (b1, b2)))
     t.table (None, None)
 
-(* The tuner searches the paper's three parameters; the write strategy and
-   the optional second hierarchy level are carried along unchanged. *)
+(* The tuner searches the paper's three parameters; the write strategy is
+   carried along unchanged. *)
 let config_of_key (t : t) ((n_locks, shifts, hierarchy) : key) =
-  Config.make ~n_locks ~shifts ~hierarchy
-    ~hierarchy2:t.current.Config.hierarchy2
-    ~strategy:t.current.Config.strategy ()
+  Config.make ~n_locks ~shifts ~hierarchy ~strategy:t.current.Config.strategy
+    ()
 
 let best t =
   match best_two t with
@@ -121,7 +120,7 @@ let apply_move t (c : Config.t) = function
       else Some { c with Config.hierarchy = h }
   | Hier_halve ->
       let h = c.Config.hierarchy / 2 in
-      if h < t.hier_lo || h < c.Config.hierarchy2 then None
+      if h < t.hier_lo then None
       else Some { c with Config.hierarchy = h }
   | Nop -> Some c
   | Reverse -> (

@@ -192,7 +192,7 @@ let test_pinned_ablation_digest () =
   in
   let rows = List.map Abl.run_point pts in
   Alcotest.(check string)
-    "ablation digest pinned" "a6ac5ff6370f6731a778e802e1dbe76f"
+    "ablation digest pinned" "e5c71cbcd9630a1bdd832ff30e30d371"
     (digest (String.concat "\n" (List.map Abl.render rows)))
 
 let test_pinned_tune_digest () =

@@ -485,6 +485,16 @@ let test_every_figure_smokes () =
         outputs)
     Tstm_harness.Figures.fig_numbers
 
+let test_eval_cell_rejects_hierarchy2 () =
+  let module F = Tstm_harness.Figures in
+  Alcotest.check_raises "hierarchy2 = 2"
+    (Invalid_argument "Figures.eval_cell: hierarchy2 must be 1") (fun () ->
+      ignore
+        (F.eval_cell
+           (F.Intset_cell
+              { stm = "tinystm-wb"; n_locks = 1024; shifts = 0; hierarchy = 4;
+                hierarchy2 = 2; spec = tiny () })))
+
 let () =
   Alcotest.run "tstm_harness"
     [
@@ -535,5 +545,9 @@ let () =
             test_observed_width_bound;
         ] );
       ( "figures",
-        [ Alcotest.test_case "all figures smoke" `Slow test_every_figure_smokes ] );
+        [
+          Alcotest.test_case "all figures smoke" `Slow test_every_figure_smokes;
+          Alcotest.test_case "eval_cell rejects hierarchy2" `Quick
+            test_eval_cell_rejects_hierarchy2;
+        ] );
     ]

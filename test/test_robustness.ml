@@ -239,7 +239,7 @@ let test_set_config_validates () =
   let t = make () in
   (try
      Ts.set_config t
-       { Config.n_locks = 4; shifts = 0; hierarchy = 8; hierarchy2 = 1; strategy = Config.Write_back };
+       { Config.n_locks = 4; shifts = 0; hierarchy = 8; strategy = Config.Write_back };
      Alcotest.fail "expected rejection"
    with Invalid_argument _ -> ());
   (* Instance unharmed. *)
@@ -791,7 +791,7 @@ let test_serialize_commits_via_escalation () =
 (* Shared-array labels holding concurrency-control state: TinySTM's and
    TL2's lock words and hierarchical counters, and the control block that
    holds each family's clock (NOrec's seqlock).  "mem" is the arena. *)
-let protocol_labels = [ "locks"; "hier"; "hier2"; "ctl"; "mem" ]
+let protocol_labels = [ "locks"; "hier"; "ctl"; "mem" ]
 
 (* Every mutating access ([Set], [Cas], [Faa]) to a protocol array while
    [f] runs; NOrec's seqlock acquire is its [Cas true] on "ctl".  An empty

@@ -69,13 +69,10 @@ module Run (R : Tstm_runtime.Runtime_intf.S) () = struct
     check_bool "final contents match the serial model" true
       (final = IS.elements !model)
 
-  let run_history ?(hierarchy2 = 1) ~strategy ~hierarchy ~structure ~nthreads
-      ~per () =
+  let run_history ~strategy ~hierarchy ~structure ~nthreads ~per () =
     let stm =
       Ts.create ~kind:R.kind
-        ~config:
-          (Tinystm.Config.make ~n_locks:256 ~hierarchy ~hierarchy2 ~strategy
-             ())
+        ~config:(Tinystm.Config.make ~n_locks:256 ~hierarchy ~strategy ())
         ~memory_words:200_000 ()
     in
     let with_set :
@@ -142,12 +139,12 @@ module Run (R : Tstm_runtime.Runtime_intf.S) () = struct
       Alcotest.test_case "rbtree / hierarchical h=8" `Quick
         (run_history ~strategy:Tinystm.Config.Write_back ~hierarchy:8
            ~structure:`Rbtree ~nthreads:6 ~per:120);
-      Alcotest.test_case "rbtree / two-level h=16/4" `Quick
+      Alcotest.test_case "rbtree / hierarchical h=16" `Quick
         (run_history ~strategy:Tinystm.Config.Write_back ~hierarchy:16
-           ~hierarchy2:4 ~structure:`Rbtree ~nthreads:6 ~per:120);
-      Alcotest.test_case "list / two-level h=16/4 write-through" `Quick
+           ~structure:`Rbtree ~nthreads:6 ~per:120);
+      Alcotest.test_case "list / write-through h=16" `Quick
         (run_history ~strategy:Tinystm.Config.Write_through ~hierarchy:16
-           ~hierarchy2:4 ~structure:`List ~nthreads:4 ~per:80);
+           ~structure:`List ~nthreads:4 ~per:80);
       Alcotest.test_case "list / write-back" `Quick
         (run_history ~strategy:Tinystm.Config.Write_back ~hierarchy:1
            ~structure:`List ~nthreads:4 ~per:80);

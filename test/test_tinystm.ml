@@ -62,23 +62,6 @@ let prop_lockenc_disjoint =
 
 let test_config_default_valid () = Config.validate Config.default
 
-let test_config_two_level () =
-  Config.validate (Config.make ~hierarchy:16 ~hierarchy2:4 ());
-  let bad f = try f (); false with Invalid_argument _ -> true in
-  check_bool "h2 > h rejected" true
-    (bad (fun () -> ignore (Config.make ~hierarchy:4 ~hierarchy2:8 ())));
-  check_bool "non-pow2 h2" true
-    (bad (fun () -> ignore (Config.make ~hierarchy:16 ~hierarchy2:3 ())));
-  (* Two addresses on the same level-1 counter share a level-2 counter. *)
-  let c = Config.make ~n_locks:64 ~hierarchy:16 ~hierarchy2:4 () in
-  for a = 0 to 200 do
-    for b = 0 to 200 do
-      if Config.hier_index c a = Config.hier_index c b then
-        check_int "nested consistency" (Config.hier2_index c a)
-          (Config.hier2_index c b)
-    done
-  done
-
 let test_config_rejects_bad () =
   let bad f = try f (); false with Invalid_argument _ -> true in
   check_bool "non-pow2 locks" true
@@ -419,11 +402,7 @@ module Real_sem = Semantics (Tstm_runtime.Runtime_real) ()
 
 module TS = Tinystm
 
-let make_sim ?(strategy = Config.Write_back) ?(n_locks = 1 lsl 10)
-    ?(hierarchy = 1) ?(hierarchy2 = 1) ?max_clock ?(words = 4096) () =
-  TS.create ~kind:Tstm_runtime.Shm.Simulated
-    ~config:(Config.make ~n_locks ~hierarchy ~hierarchy2 ~strategy ())
-    ?max_clock ~memory_words:words ()
+let make_sim = Sim_sem.make
 
 let test_rollover () =
   let t = make_sim ~max_clock:64 () in
@@ -631,16 +610,13 @@ let test_set_config_on_domains strategy () =
     && Atomic.get commits.(2) >= List.length retunes);
   check_int "no live_words drift" live0 (Vmm.live_words (TS.memory t))
 
-let test_hierarchy_correctness_under_contention ?(hierarchy = 8)
-    ?(hierarchy2 = 1) () =
+let test_hierarchy_correctness_under_contention ?(hierarchy = 8) () =
   (* Run the bank-conservation workload with hierarchical locking on: the
      fast path must never hide a real conflict. *)
   List.iter
     (fun strategy ->
       let accounts = 32 in
-      let t =
-        make_sim ~strategy ~n_locks:64 ~hierarchy ~hierarchy2 ~words:1024 ()
-      in
+      let t = make_sim ~strategy ~n_locks:64 ~hierarchy ~words:1024 () in
       let base = TS.atomically t (fun tx -> TS.alloc tx accounts) in
       TS.atomically t (fun tx ->
           for i = 0 to accounts - 1 do
@@ -676,10 +652,10 @@ let test_hierarchy_correctness_under_contention ?(hierarchy = 8)
         (accounts * 50) total)
     [ Config.Write_back; Config.Write_through ]
 
-let test_hierarchy_fast_path_skips ?(hierarchy = 64) ?(hierarchy2 = 1) () =
+let test_hierarchy_fast_path_skips () =
   (* Validation-heavy, low-write workload: the hierarchy must skip most
      read-set locks. *)
-  let t = make_sim ~n_locks:1024 ~hierarchy ~hierarchy2 ~words:8192 () in
+  let t = make_sim ~n_locks:1024 ~hierarchy:64 ~words:8192 () in
   let n = 512 in
   let base = TS.atomically t (fun tx -> TS.alloc tx n) in
   TS.atomically t (fun tx ->
@@ -903,7 +879,6 @@ let () =
           Alcotest.test_case "default valid" `Quick test_config_default_valid;
           Alcotest.test_case "rejects bad" `Quick test_config_rejects_bad;
           Alcotest.test_case "stripes" `Quick test_config_lock_index_stripes;
-          Alcotest.test_case "two-level" `Quick test_config_two_level;
           Alcotest.test_case "hier consistent" `Quick test_config_hier_consistent;
         ] );
       ( "config-props",
@@ -928,14 +903,10 @@ let () =
             test_set_config_during_parallel_run;
           Alcotest.test_case "hierarchy under contention" `Quick (fun () ->
               test_hierarchy_correctness_under_contention ());
-          Alcotest.test_case "two-level hierarchy under contention" `Quick
-            (fun () ->
-              test_hierarchy_correctness_under_contention ~hierarchy:32
-                ~hierarchy2:4 ());
-          Alcotest.test_case "hierarchy fast path" `Quick (fun () ->
-              test_hierarchy_fast_path_skips ());
-          Alcotest.test_case "two-level fast path" `Quick (fun () ->
-              test_hierarchy_fast_path_skips ~hierarchy:64 ~hierarchy2:8 ());
+          Alcotest.test_case "hierarchy h=32 under contention" `Quick
+            (fun () -> test_hierarchy_correctness_under_contention ~hierarchy:32 ());
+          Alcotest.test_case "hierarchy fast path" `Quick
+            test_hierarchy_fast_path_skips;
           Alcotest.test_case "aborts recorded" `Quick
             test_aborts_recorded_under_contention;
           Alcotest.test_case "clock and stamps" `Quick
