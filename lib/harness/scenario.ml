@@ -100,9 +100,16 @@ let tuning_start =
 
 module D_ts = Driver.Make (R) (Ts)
 
+(* The arena size [Workload.memory_words_for] gave before it followed the
+   structure's node size.  Each [set_config] makes new lock arrays after the
+   arena, and the simulator numbers cache lines in creation order, so the
+   tuner's path (Figs. 10-12) moves with the arena size alone. *)
+let autotuned_words (spec : Workload.spec) =
+  ((spec.initial_size + (8 * spec.nthreads) + 64) * 24) + 8192
+
 let run_intset_autotuned ?(initial = tuning_start) ?(period = 0.002)
     ?(n_steps = 20) ?(tuner_seed = 0x51ce) (spec : Workload.spec) =
-  let words = Workload.memory_words_for spec in
+  let words = autotuned_words spec in
   let t = Ts.create ~kind:R.kind ~config:initial ~memory_words:words () in
   let ops = D_ts.make_structure t spec.Workload.structure in
   D_ts.populate t ops spec;

@@ -59,13 +59,12 @@ type report = {
 
 let failed r = r.violation <> None || r.san_findings <> []
 
-(* Sized like [Workload.memory_words_for]: at most [key_range] live elements
-   plus transient overshoot of concurrent inserts. *)
-let memory_words spec =
-  ((spec.key_range + (8 * spec.nthreads) + 64) * 24) + 8192
-
 let run_one spec =
-  let words = memory_words spec in
+  (* Random adds can fill the structure with every key in range. *)
+  let words =
+    Workload.arena_words spec.structure ~elements:spec.key_range
+      ~nthreads:spec.nthreads
+  in
   let policy =
     match Tstm_cm.Cm.of_string spec.cm with
     | Ok p -> p

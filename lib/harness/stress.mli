@@ -44,8 +44,6 @@ val failed : report -> bool
 (** A run fails when the checker found a violation or the sanitizer
     reported at least one finding. *)
 
-val memory_words : spec -> int
-
 val run_one : spec -> report
 (** One deterministic run: fresh instance (STM resolved through
     {!Tstm_tm.Registry}), chaos plan [seed], random single-op transactions,

@@ -164,11 +164,21 @@ let make ?(structure = default.structure) ?(initial_size = default.initial_size)
     pattern;
   }
 
+(* Words per element: list and hash-set nodes are [value; next] pairs, a
+   red-black node is [Rbtree.node_words]; skip-list nodes run up to the
+   19-word tower and one size class never reuses another's blocks, so they
+   keep 24. *)
+let node_words = function
+  | List | Hashset -> 2
+  | Rbtree -> Tstm_structures.Rbtree.node_words
+  | Skiplist -> 24
+
+let arena_words structure ~elements ~nthreads =
+  ((elements + (8 * nthreads) + 64) * node_words structure) + 512
+
 let memory_words_for spec =
-  (* Largest node is a full skip-list tower (19 words); add slack for the
-     transient size overshoot of concurrent updates and for bucket/sentinel
-     headers. *)
-  ((spec.initial_size + (8 * spec.nthreads) + 64) * 24) + 8192
+  arena_words spec.structure ~elements:spec.initial_size
+    ~nthreads:spec.nthreads
 
 type result = {
   commits : int;

@@ -79,8 +79,25 @@ val make :
 (** [key_range] defaults to twice [initial_size], as in the paper's
     size-preserving harness; [pattern] defaults to [Uniform]. *)
 
+val arena_words : structure -> elements:int -> nthreads:int -> int
+(** Arena words for one structure of at most [elements] live elements under
+    [nthreads] threads: [(elements + 8 * nthreads + 64) * node_words + 512].
+    [node_words] is the structure's node size: 2 for the list and the hash
+    set, [Rbtree.node_words] (6) for the red-black tree, and 24 for the skip
+    list, whose nodes run up to a 19-word tower.  The [8 * nthreads + 64]
+    extra nodes cover the transient overshoot of concurrent inserts (each
+    thread's pending insert, aborted attempts' allocations before they are
+    reclaimed); the 512 spare words cover the structure's header, the
+    largest being the hash set's 65-word bucket array.  This is the one
+    sizing rule: every arena that holds a benchmark structure is built from
+    it. *)
+
 val memory_words_for : spec -> int
-(** A safe arena size for the spec's structure and churn. *)
+(** [arena_words spec.structure ~elements:spec.initial_size
+    ~nthreads:spec.nthreads]: the arena for one populated instance of the
+    spec.  On real domains a lock array's reach follows this size, so the
+    list and the hash set get 2 words per element, not a skip-list tower's
+    24. *)
 
 type result = {
   commits : int;

@@ -275,10 +275,12 @@ let validate spec =
 
 let memory_words spec =
   match spec.backend with
-  | Intset _ ->
-      (spec.shards
-       * ((initial_size + (8 * spec.workers) + 64) * 24))
-      + 8192
+  | Intset structure ->
+      (* [initial_size + 64] is [key_range]: the slack covers a shard that
+         fills with every key. *)
+      spec.shards
+      * Workload.arena_words structure ~elements:initial_size
+          ~nthreads:spec.workers
   | Vacation ->
       let per =
         Tstm_vacation.Vacation.memory_words_for vac_spec

@@ -114,7 +114,12 @@ let run_packed (module M : BR.STM) spec =
       ~update_pct:update_pct ~nthreads:1 ~duration:1.0 ~seed:spec.seed
       ~key_range:key_range ()
   in
-  let memory_words = Workload.memory_words_for wspec * (spec.shards + 1) in
+  (* Random adds can fill a shard with every key in range. *)
+  let memory_words =
+    spec.shards
+    * Workload.arena_words spec.structure ~elements:key_range
+        ~nthreads:spec.workers
+  in
   let t = M.create ~memory_words () in
   (* Structure setup, population and (later) the drain run on the
      orchestrator with injection masked: a caller may arm the fault plan

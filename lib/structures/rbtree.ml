@@ -9,12 +9,13 @@
     fixup parent explicitly, which avoids a shared sentinel node that every
     delete would write (a serialisation hotspot under an STM). *)
 
+let node_words = 6
+
 module Make (T : Tstm_tm.Tm_intf.TM) = struct
   type t = { hdr : int }  (* one word holding the root pointer *)
 
   let red = 0
   let black = 1
-  let node_words = 6
 
   let get_key tx a = T.read tx a
   let get_value tx a = T.read tx (a + 1)

@@ -8,6 +8,9 @@
 
     Node layout: [key; value; left; right; parent; color] (6 words). *)
 
+val node_words : int
+(** Words per node (6); the root header is one more word. *)
+
 module Make (T : Tstm_tm.Tm_intf.TM) : sig
   type t
 

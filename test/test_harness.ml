@@ -31,8 +31,44 @@ let test_spec_validation () =
 
 let test_spec_defaults () =
   let s = W.make ~initial_size:300 () in
-  check_int "range defaults to 2x size" 600 s.W.key_range;
-  check_bool "memory sized" true (W.memory_words_for s > 300 * 6)
+  check_int "range defaults to 2x size" 600 s.W.key_range
+
+(* The arena from [memory_words_for] holds the populated structure plus the
+   slack it promises ([8 * nthreads + 64] more nodes) on real domains, where
+   the lock arrays' reach follows the arena; it is smaller than the former
+   one-size rule of 24 words per element plus 8,192. *)
+let arena_fits (e : Tstm_tm.Registry.entry) structure () =
+  let spec = W.make ~structure ~initial_size:1024 ~nthreads:2 ~seed:3 () in
+  let (module M) = e.Tstm_tm.Registry.real in
+  let module Dm = Tstm_harness.Driver.Make (Tstm_runtime.Runtime_real) (M) in
+  let words = W.memory_words_for spec in
+  let t = M.create ~memory_words:words () in
+  let ops = Dm.make_structure t structure in
+  Dm.populate t ops spec;
+  let extra = (8 * spec.W.nthreads) + 64 in
+  let added = ref 0 and k = ref 1 in
+  while !added < extra do
+    if M.atomically t (fun tx -> ops.Dm.op_add tx !k) then incr added;
+    incr k
+  done;
+  check_int "size" (spec.W.initial_size + extra)
+    (M.atomically t ops.Dm.op_size);
+  let former = ((spec.W.initial_size + extra) * 24) + 8192 in
+  check_bool
+    (Printf.sprintf "%d words < former %d" words former)
+    true (words < former)
+
+let arena_fits_cases =
+  List.concat_map
+    (fun (e : Tstm_tm.Registry.entry) ->
+      List.map
+        (fun s ->
+          Alcotest.test_case
+            (Printf.sprintf "arena fits %s %s" e.Tstm_tm.Registry.name
+               (W.structure_to_string s))
+            `Quick (arena_fits e s))
+        [ W.List; W.Hashset; W.Rbtree; W.Skiplist ])
+    (Tstm_tm.Registry.all ())
 
 let test_structure_strings () =
   List.iter
@@ -485,6 +521,86 @@ let test_every_figure_smokes () =
         outputs)
     Tstm_harness.Figures.fig_numbers
 
+(* ------------------------------------------------------------------ *)
+(* Footprint                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* perfbench's list-read spec: a 1,024-key list at 20 % updates, sized for
+   two domains. *)
+let list_read =
+  W.make ~structure:W.List ~initial_size:1024 ~update_pct:20.0 ~nthreads:2
+    ~seed:1 ()
+
+(* One registry entry on one domain: the major-heap words that create and
+   populate leave live, and the minor words per transaction over 20,000
+   driver steps after 1,000 warmup steps.  Both are deterministic. *)
+let footprint (e : Tstm_tm.Registry.entry) =
+  let (module M) = e.Tstm_tm.Registry.real in
+  let module Rt = Tstm_runtime.Runtime_real in
+  let module Dm = Tstm_harness.Driver.Make (Rt) (M) in
+  let live () =
+    Gc.full_major ();
+    (Gc.quick_stat ()).Gc.live_words
+  in
+  let w0 = live () in
+  let t = M.create ~memory_words:(W.memory_words_for list_read) () in
+  let ops = Dm.make_structure t W.List in
+  Dm.populate t ops list_read;
+  let live_words = live () - w0 in
+  let per_tx = ref 0.0 in
+  Rt.run ~nthreads:1 (fun tid ->
+      let g = Tstm_util.Xrand.create (Dm.thread_seed list_read tid) in
+      let ctx = Dm.thread_ctx list_read tid and pending = ref None in
+      for _ = 1 to 1_000 do
+        Dm.step t ops list_read ctx g pending
+      done;
+      M.reset_stats t;
+      let m0 = Gc.minor_words () in
+      for _ = 1 to 20_000 do
+        Dm.step t ops list_read ctx g pending
+      done;
+      per_tx :=
+        (Gc.minor_words () -. m0)
+        /. float_of_int (M.stats t).Tstm_tm.Tm_stats.commits);
+  (live_words, !per_tx)
+
+(* results/footprint.txt, one [(stm, (live words, minor words per
+   transaction))] per row.  [dune test] runs from _build/default/test and
+   names the build profile; a direct run from the root is taken to be the
+   release build. *)
+let footprint_table () =
+  let path =
+    if Sys.file_exists "../results/footprint.txt" then
+      "../results/footprint.txt"
+    else "results/footprint.txt"
+  in
+  let dev = Sys.getenv_opt "BUILD_PROFILE" = Some "dev" in
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         if line = "" || line.[0] = '#' then None
+         else
+           Scanf.sscanf line " %s %d %s %s" (fun stm live release dev_ ->
+               Some (stm, (live, if dev then dev_ else release))))
+
+let footprint_cases =
+  let table = lazy (footprint_table ()) in
+  List.map
+    (fun (e : Tstm_tm.Registry.entry) ->
+      let name = e.Tstm_tm.Registry.name in
+      Alcotest.test_case name `Quick (fun () ->
+          let live, per_tx = footprint e in
+          let pinned_live, pinned_per_tx =
+            match List.assoc_opt name (Lazy.force table) with
+            | Some row -> row
+            | None -> Alcotest.failf "no row for %s in footprint.txt" name
+          in
+          check_int "live words after create + populate" pinned_live live;
+          Alcotest.(check string)
+            "minor words per transaction" pinned_per_tx
+            (Printf.sprintf "%.2f" per_tx)))
+    (Tstm_tm.Registry.all ())
+
 let test_eval_cell_rejects_hierarchy2 () =
   let module F = Tstm_harness.Figures in
   Alcotest.check_raises "hierarchy2 = 2"
@@ -503,7 +619,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_spec_validation;
           Alcotest.test_case "defaults" `Quick test_spec_defaults;
           Alcotest.test_case "structure strings" `Quick test_structure_strings;
-        ] );
+        ]
+        @ arena_fits_cases );
       ( "driver",
         [
           Alcotest.test_case "populate size" `Quick test_populate_exact_size;
@@ -544,6 +661,7 @@ let () =
           Alcotest.test_case "observed width bound" `Quick
             test_observed_width_bound;
         ] );
+      ("footprint", footprint_cases);
       ( "figures",
         [
           Alcotest.test_case "all figures smoke" `Slow test_every_figure_smokes;
