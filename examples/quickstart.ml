@@ -7,7 +7,7 @@
    its memory arena, and wrap reads/writes in [atomically].  Conflicting
    transfers abort and retry automatically; the total balance is invariant. *)
 
-module R = Tstm_runtime.Runtime_real
+let kind = Tstm_runtime.Shm.Domains (* the instance's runtime, and its threads' *)
 module Stm = Tinystm
 
 let n_accounts = 32
@@ -17,7 +17,7 @@ let transfers_per_domain = 25_000
 
 let () =
   let stm =
-    Stm.create ~kind:R.kind
+    Stm.create ~kind
       ~config:(Tinystm.Config.make ~n_locks:1024 ())
       ~memory_words:4096 ()
   in
@@ -38,7 +38,7 @@ let () =
     end
   in
   let t0 = Unix.gettimeofday () in
-  R.run ~nthreads:n_domains (fun tid ->
+  Tstm_runtime.Runtime.run kind ~nthreads:n_domains (fun tid ->
       let g = Tstm_util.Xrand.create (2024 + tid) in
       for _ = 1 to transfers_per_domain do
         let src = Tstm_util.Xrand.int g n_accounts

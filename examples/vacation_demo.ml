@@ -4,7 +4,7 @@
      dune exec examples/vacation_demo.exe
 *)
 
-module R = Tstm_runtime.Runtime_real
+let kind = Tstm_runtime.Shm.Domains (* the instance's runtime, and its threads' *)
 module Stm = Tinystm
 module Vac = Tstm_vacation.Vacation.Make (Stm)
 
@@ -20,7 +20,7 @@ let () =
     }
   in
   let stm =
-    Stm.create ~kind:R.kind
+    Stm.create ~kind
       ~config:(Tinystm.Config.make ~n_locks:(1 lsl 14) ~hierarchy:4 ())
       ~memory_words:(Tstm_vacation.Vacation.memory_words_for spec)
       ()
@@ -32,7 +32,7 @@ let () =
   let v = Vac.populate v spec ~seed:2024 in
   Stm.reset_stats stm;
   let t0 = Unix.gettimeofday () in
-  R.run ~nthreads:n_domains (fun tid ->
+  Tstm_runtime.Runtime.run kind ~nthreads:n_domains (fun tid ->
       let g = Tstm_util.Xrand.create (42 + tid) in
       for _ = 1 to txs_per_domain do
         Vac.client_step v spec g

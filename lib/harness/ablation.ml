@@ -7,7 +7,6 @@
    independently in any order or process. *)
 
 module CM = Tstm_runtime.Cache_model
-module Rs = Tstm_runtime.Runtime_sim
 module Shm = Tstm_runtime.Shm
 
 type point =
@@ -96,13 +95,13 @@ let run_point = function
       Shm.configure CM.default;
       let spec = headline_spec ~initial_size:256 in
       let t =
-        Scenario.Ts.create ~kind:Rs.kind
+        Scenario.Ts.create ~kind:Scenario.Sim.kind
           ~config:(Tinystm.Config.make ())
           ~conflict_wait:attempts
           ~memory_words:(Workload.memory_words_for spec)
           ()
       in
-      let module D = Driver.Make (Rs) (Scenario.Ts) in
+      let module D = Driver.Make (Scenario.Sim) (Scenario.Ts) in
       let ops = D.make_structure t spec.Workload.structure in
       D.populate t ops spec;
       let r, _ = D.run t ops spec in

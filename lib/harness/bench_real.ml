@@ -1,6 +1,6 @@
-(* Wall-clock benchmark harness over the real-hardware runtime.
+(* Wall-clock benchmark harness on real domains.
 
-   Takes each registry entry's packaging over [Runtime_real] and drives
+   Takes each registry entry's packaging bound to domains and drives
    [Driver.step] — the exact paper mix the simulator measures — under a
    Synchrobench-style protocol: a warmup phase, then [reps] fixed-duration
    timed repetitions against one long-lived structure, timed with the
@@ -13,19 +13,12 @@
    pending removal after the deadline), and the word allocator must show
    zero drift against the post-populate baseline. *)
 
-module R = Tstm_runtime.Runtime_real
-module Shm = Tstm_runtime.Shm
 module Mono = Tstm_obs.Monotonic
 module Json = Tstm_obs.Json
 module Bench = Tstm_obs.Bench
 module Sink = Tstm_obs.Sink
 module Stats = Tstm_tm.Tm_stats
 module Intf = Tstm_tm.Tm_intf
-
-(* Histogram notes carry no cpu argument; the sharded sink asks this hook
-   for the recording domain's shard.  Runtime_real's tids are dense and
-   bounded by the thread count, so they index shards directly. *)
-let () = Sink.set_domain_id Shm.tid
 
 module type STM = Intf.STM
 
@@ -110,7 +103,7 @@ let run_protocol (type a) (module M : STM with type t = a) (t : a) ~canon
   let phase ~seconds ~rep =
     let t0 = Mono.now_ns () in
     let deadline = t0 + int_of_float (seconds *. 1e9) in
-    R.run ~nthreads:req.domains (fun tid ->
+    Tstm_runtime.Runtime.run M.kind ~nthreads:req.domains (fun tid ->
         ops_counts.(tid) <- ops_counts.(tid) + body ~tid ~rep ~deadline);
     Mono.elapsed_s ~since:t0
   in
@@ -142,7 +135,7 @@ let run_protocol (type a) (module M : STM with type t = a) (t : a) ~canon
                 aborts;
               }
         | exception e ->
-            (* A raising worker must not abort the whole bench run: [R.run]
+            (* A raising worker must not abort the whole bench run: [run]
                has already awaited every domain of this repetition, so the
                pool is reusable.  Record the repetition as a typed failure
                (it yields no sample) and keep going; the CLI exits non-zero
@@ -192,7 +185,7 @@ let run_protocol (type a) (module M : STM with type t = a) (t : a) ~canon
    size and the allocator to its post-populate baseline. *)
 let run_structure_cell (module M : STM) ~canon ~structure (req : cell_request)
     p =
-  let module D = Driver.Make (R) (M) in
+  let module D = Driver.Make (M) (M) in
   let spec =
     Workload.make ~structure ~initial_size:req.size
       ~update_pct:req.update_pct ~nthreads:req.domains ~duration:p.duration_s

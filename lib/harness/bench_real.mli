@@ -1,5 +1,4 @@
-(** Wall-clock benchmark harness over the real-hardware runtime
-    ({!Tstm_runtime.Runtime_real}) — the producer of
+(** Wall-clock benchmark harness on real domains — the producer of
     [Tstm_obs.Bench] snapshot cells.
 
     Runs the paper's transaction mix ({!Driver.step}) — or the Vacation
@@ -22,7 +21,7 @@ val stm_names : string list
 (** {!Tstm_tm.Registry.names}: ["tinystm-wb"], ["tinystm-wt"], ["tl2"],
     ["norec"]; the aliases ["wb"] and ["wt"] also resolve. *)
 
-(** A packaged STM over {!Tstm_runtime.Runtime_real}: a registry entry's
+(** A packaged STM bound to real domains: a registry entry's
     [real] field. *)
 module type STM = Tstm_tm.Tm_intf.STM
 
@@ -67,7 +66,7 @@ type integrity = {
       (** repetitions whose phase raised, as (rep index, exception).  A
           raising worker fails its repetition — it yields no sample and the
           CLI exits non-zero — but never aborts the remaining repetitions:
-          [Runtime_real.run] has already awaited every domain, so the pool
+          the runtime's [run] has already awaited every domain, so the pool
           stays reusable. *)
 }
 

@@ -1,8 +1,12 @@
-module Make
-    (R : Tstm_runtime.Runtime_intf.S)
-    (T : Tstm_tm.Tm_intf.TM) =
+module Make (K : sig val kind : Tstm_runtime.Shm.kind end) (T : Tstm_tm.Tm_intf.TM) =
 struct
   module Shm = Tstm_runtime.Shm
+
+  (* The runtime's functions, picked once for the kind. *)
+  let run_threads = Tstm_runtime.Runtime.run K.kind
+  let now = Tstm_runtime.Runtime.now K.kind
+  let now_cycles = Tstm_runtime.Runtime.now_cycles K.kind
+
   module Ll = Tstm_structures.Intset_list.Make (T)
   module Rb = Tstm_structures.Rbtree.Make (T)
   module Sk = Tstm_structures.Skiplist.Make (T)
@@ -179,7 +183,7 @@ struct
     T.reset_stats t;
     let module H = Tstm_chaos.History in
     let draw_key = Workload.key_gen pattern ~key_range in
-    R.run ~nthreads (fun tid ->
+    run_threads ~nthreads (fun tid ->
         let g =
           Tstm_util.Xrand.create (Tstm_util.Bitops.mix ((seed * 131071) + tid))
         in
@@ -195,7 +199,7 @@ struct
             | 2 -> H.Remove key
             | _ -> H.Contains key
           in
-          let inv = R.now_cycles () in
+          let inv = now_cycles () in
           let result =
             T.atomically t (fun tx ->
                 match op with
@@ -203,7 +207,7 @@ struct
                 | H.Remove k -> ops.op_remove tx k
                 | H.Contains k -> ops.op_contains tx k)
           in
-          let resp = R.now_cycles () in
+          let resp = now_cycles () in
           H.record history ~tid ~inv ~resp ~op ~result
         done)
 
@@ -230,13 +234,13 @@ struct
 
   let run_timed t ops (spec : Workload.spec) =
     T.reset_stats t;
-    R.run ~nthreads:spec.Workload.nthreads (fun tid ->
+    run_threads ~nthreads:spec.Workload.nthreads (fun tid ->
         let g = Tstm_util.Xrand.create (thread_seed spec tid) in
         let ctx = thread_ctx spec tid in
         let pending = ref None in
-        let t0 = R.now () in
+        let t0 = now () in
         let tend = t0 +. spec.Workload.duration in
-        while R.now () < tend do
+        while now () < tend do
           step t ops spec ctx g pending
         done)
 
@@ -245,23 +249,23 @@ struct
     T.reset_stats t;
     (* Per-thread commit counters on private cache lines, plus a stop flag;
        thread 0 aggregates them at period boundaries. *)
-    let ctl = Shm.make R.kind (8 * (spec.Workload.nthreads + 2)) 0 in
+    let ctl = Shm.make K.kind (8 * (spec.Workload.nthreads + 2)) 0 in
     let stop_slot = 0 in
     let commit_slot tid = 8 * (tid + 1) in
-    R.run ~nthreads:spec.Workload.nthreads (fun tid ->
+    run_threads ~nthreads:spec.Workload.nthreads (fun tid ->
         let g = Tstm_util.Xrand.create (thread_seed spec tid) in
         let ctx = thread_ctx spec tid in
         let pending = ref None in
         let mine = ref 0 in
         if tid = 0 then begin
           let periods_done = ref 0 in
-          let next = ref (R.now () +. period) in
+          let next = ref (now () +. period) in
           let last_total = ref 0 in
           while !periods_done < n_periods do
             step t ops spec ctx g pending;
             incr mine;
             Shm.set ctl (commit_slot 0) !mine;
-            if R.now () >= !next then begin
+            if now () >= !next then begin
               let total = ref 0 in
               for k = 0 to spec.Workload.nthreads - 1 do
                 total := !total + Shm.get ctl (commit_slot k)
@@ -270,7 +274,7 @@ struct
               last_total := !total;
               on_period !periods_done thr (T.stats t);
               incr periods_done;
-              next := R.now () +. period
+              next := now () +. period
             end
           done;
           Shm.set ctl stop_slot 1
@@ -320,7 +324,7 @@ struct
       Tstm_obs.Metrics.add_row m
         [|
           float_of_int idx;
-          R.now ();
+          now ();
           thr;
           d (fun s -> s.S.commits);
           d S.aborts;

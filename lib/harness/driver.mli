@@ -1,14 +1,18 @@
-(** The benchmark thread driver, generic over runtime and STM.
+(** The benchmark thread driver, generic over the STM.
 
     [run] executes the paper's microbenchmark loop (§3.3) and reports
     throughput and abort statistics.  The optional [control] gives a
     controller callback on thread 0 at fixed period boundaries — the hook
     the dynamic tuner (§4) plugs into; the optional [collector] records one
-    metrics row per measurement period for the CSV exporter. *)
+    metrics row per measurement period for the CSV exporter.
 
-module Make
-    (R : Tstm_runtime.Runtime_intf.S)
-    (T : Tstm_tm.Tm_intf.TM) : sig
+    [K.kind] is the kind of the instances [T] will be handed; threads and
+    clocks come from {!Tstm_runtime.Runtime} at that kind.  A registry
+    packaging carries its kind, so callers write [Make (M) (M)].  [K]
+    stays apart from [T] because a plain {!Tstm_tm.Tm_intf.TM}, such as
+    an instrumented wrapper, has no kind. *)
+
+module Make (K : sig val kind : Tstm_runtime.Shm.kind end) (T : Tstm_tm.Tm_intf.TM) : sig
   (** A sorted list's finger insert
       ({!Tstm_structures.Intset_list.Make.add_from}). *)
   type finger_add = {

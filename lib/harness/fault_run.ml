@@ -76,7 +76,7 @@ let validate spec =
   | _ -> ()
 
 let run_packed (module M : Bench_real.STM) spec =
-  let module D = Driver.Make (R) (M) in
+  let module D = Driver.Make (M) (M) in
   let wspec =
     Workload.make ~structure:spec.structure ~initial_size:spec.initial_size
       ~update_pct:spec.update_pct ~nthreads:spec.domains ~duration:1.0

@@ -1,4 +1,3 @@
-module R = Tstm_runtime.Runtime_sim
 module Ts = Tinystm
 module Tl = Tstm_tl2.Tl2
 module No = Tstm_norec.Norec
@@ -7,9 +6,7 @@ module Config = Tinystm.Config
 module Intf = Tstm_tm.Tm_intf
 module Registry = Tstm_tm.Registry
 
-(* Timestamps for layers without a runtime handle (the tuner) come from the
-   sink's clock; every scenario runs on the simulated runtime. *)
-let () = Tstm_obs.Sink.set_clock R.now_cycles
+module Sim = struct let kind = Tstm_runtime.Shm.Simulated end
 
 let all_stms = Registry.names ()
 
@@ -27,7 +24,7 @@ let tuning_of ?(n_locks = default_locks) ?(shifts = 0) ?(hierarchy = 1) () =
 let run_intset ~stm ?n_locks ?shifts ?hierarchy ?cm ?watchdog
     (spec : Workload.spec) =
   let (module M) = Registry.get stm in
-  let module D = Driver.Make (R) (M) in
+  let module D = Driver.Make (M) (M) in
   let tuning = tuning_of ?n_locks ?shifts ?hierarchy () in
   let t =
     M.create ~tuning ?cm ?watchdog
@@ -40,7 +37,7 @@ let run_intset ~stm ?n_locks ?shifts ?hierarchy ?cm ?watchdog
 let run_intset_observed ~stm ?n_locks ?shifts ?hierarchy ?cm ?watchdog
     ?ring_capacity ~period ~n_periods (spec : Workload.spec) =
   let (module M) = Registry.get stm in
-  let module D = Driver.Make (R) (M) in
+  let module D = Driver.Make (M) (M) in
   let tuning = tuning_of ?n_locks ?shifts ?hierarchy () in
   let collector = Tstm_obs.Sink.collector ?ring_capacity () in
   let t =
@@ -65,15 +62,16 @@ let run_vacation ?(n_locks = default_locks) ?(shifts = 0) ?(hierarchy = 1)
     ?(spec = Vac.default_spec) ~nthreads ~duration ~seed () =
   let config = Config.make ~n_locks ~shifts ~hierarchy () in
   let t =
-    Ts.create ~kind:R.kind ~config ~memory_words:(Vac.memory_words_for spec) ()
+    Ts.create ~kind:Sim.kind ~config ~memory_words:(Vac.memory_words_for spec) ()
   in
   let v = Vac.create t in
   let v = Vac.populate v spec ~seed in
   Ts.reset_stats t;
-  R.run ~nthreads (fun tid ->
+  let now = Tstm_runtime.Runtime.now Sim.kind in
+  Tstm_runtime.Runtime.run Sim.kind ~nthreads (fun tid ->
       let g = Tstm_util.Xrand.create (Tstm_util.Bitops.mix ((seed * 131) + tid)) in
-      let t0 = R.now () in
-      while R.now () -. t0 < duration do
+      let t0 = now () in
+      while now () -. t0 < duration do
         Vac.client_step v spec g
       done);
   let stats = Ts.stats t in
@@ -98,7 +96,7 @@ let tuning_start =
      disabled hierarchical array (§4.3). *)
   Config.make ~n_locks:(1 lsl 8) ~shifts:0 ~hierarchy:1 ()
 
-module D_ts = Driver.Make (R) (Ts)
+module D_ts = Driver.Make (Sim) (Ts)
 
 (* The arena size [Workload.memory_words_for] gave before it followed the
    structure's node size.  Each [set_config] makes new lock arrays after the
@@ -110,7 +108,7 @@ let autotuned_words (spec : Workload.spec) =
 let run_intset_autotuned ?(initial = tuning_start) ?(period = 0.002)
     ?(n_steps = 20) ?(tuner_seed = 0x51ce) (spec : Workload.spec) =
   let words = autotuned_words spec in
-  let t = Ts.create ~kind:R.kind ~config:initial ~memory_words:words () in
+  let t = Ts.create ~kind:Sim.kind ~config:initial ~memory_words:words () in
   let ops = D_ts.make_structure t spec.Workload.structure in
   D_ts.populate t ops spec;
   let tuner = Tstm_tuning.Tuner.create ~seed:tuner_seed initial in

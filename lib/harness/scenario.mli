@@ -5,11 +5,14 @@
     Every [~stm] argument below is a {!Tstm_tm.Registry} name or alias
     (["tinystm-wb"]/["wb"], ["tinystm-wt"]/["wt"], ["tl2"], ["norec"]). *)
 
-module R = Tstm_runtime.Runtime_sim
 module Ts = Tinystm
 module Tl = Tstm_tl2.Tl2
 module No = Tstm_norec.Norec
 module Vac : module type of Tstm_vacation.Vacation.Make (Ts)
+
+module Sim : sig val kind : Tstm_runtime.Shm.kind end
+(** [Simulated], the kind every scenario runs at; a raw [Ts] instance
+    built for its own config API is built at it. *)
 
 val all_stms : string list
 (** {!Tstm_tm.Registry.names}: the registration block lists each family's

@@ -11,7 +11,6 @@
    Everything is deterministic from the spec; a virtual-time deadline bounds
    livelocked runs, so even a run that makes no progress terminates. *)
 
-module R = Tstm_runtime.Runtime_sim
 module Shm = Tstm_runtime.Shm
 module Registry = Tstm_tm.Registry
 module Cm = Tstm_cm.Cm
@@ -95,7 +94,8 @@ let run_one spec =
   in
   let commits = Array.make spec.nthreads 0 in
   let elapsed = ref 0.0 in
-  R.run ~nthreads:spec.nthreads (fun tid ->
+  let now = Tstm_runtime.Runtime.now M.kind in
+  Tstm_runtime.Runtime.run M.kind ~nthreads:spec.nthreads (fun tid ->
       (* Pair words live 8 words apart: distinct addresses, distinct locks
          under the default lock hash. *)
       let a = base + (16 * (tid / 2)) in
@@ -109,12 +109,12 @@ let run_one spec =
           (Tstm_util.Bitops.mix ((spec.seed * 65599) + tid))
       in
       Shm.charge_local (Tstm_util.Xrand.int g 64);
-      let t0 = R.now () in
+      let t0 = now () in
       (try
          while commits.(tid) < spec.quota do
            ignore
              (M.atomically t (fun tx ->
-                  if R.now () -. t0 >= deadline then raise Deadline;
+                  if now () -. t0 >= deadline then raise Deadline;
                   let x = M.read tx first in
                   let y = M.read tx second in
                   M.write tx first (x + 1);
@@ -123,7 +123,7 @@ let run_one spec =
            commits.(tid) <- commits.(tid) + 1
          done
        with Deadline -> ());
-      if R.now () > !elapsed then elapsed := R.now ());
+      if now () > !elapsed then elapsed := now ());
   let stats = M.stats t in
   {
     commits;

@@ -7,7 +7,6 @@
    by the spec, so a failing spec *is* the repro — [Tstm_exec.Cli] renders
    it as a `repro stress` invocation. *)
 
-module R = Tstm_runtime.Runtime_sim
 module Plan = Tstm_chaos.Plan
 module History = Tstm_chaos.History
 module San = Tstm_san.San
@@ -77,7 +76,7 @@ let run_one spec =
           ~seed:spec.seed (fun () ->
             let body () =
               let (module M) = Registry.get spec.stm in
-              let module D = Driver.Make (R) (M) in
+              let module D = Driver.Make (M) (M) in
               let t =
                 M.create ~max_retries:spec.max_retries ~cm:policy
                   ~memory_words:words ()

@@ -217,7 +217,7 @@ let layers =
     { dir = "tl2"; root_module = "Tstm_tl2"; lib_name = "tstm_tl2"; allowed = [ "util"; "cm"; "runtime"; "vmm"; "tm" ] };
     { dir = "norec"; root_module = "Tstm_norec"; lib_name = "tstm_norec"; allowed = [ "util"; "cm"; "runtime"; "vmm"; "tm" ] };
     { dir = "structures"; root_module = "Tstm_structures"; lib_name = "tstm_structures"; allowed = [ "util"; "runtime"; "vmm"; "tm" ] };
-    { dir = "tuning"; root_module = "Tstm_tuning"; lib_name = "tstm_tuning"; allowed = [ "util"; "obs"; "tinystm" ] };
+    { dir = "tuning"; root_module = "Tstm_tuning"; lib_name = "tstm_tuning"; allowed = [ "util"; "tinystm" ] };
     { dir = "vacation"; root_module = "Tstm_vacation"; lib_name = "tstm_vacation"; allowed = [ "util"; "runtime"; "tm"; "structures" ] };
     { dir = "stms"; root_module = "Tstm_stms"; lib_name = "tstm_stms"; allowed = [ "runtime"; "tm"; "tinystm"; "tl2"; "norec" ] };
     { dir = "harness"; root_module = "Tstm_harness"; lib_name = "tstm_harness"; allowed = [ "util"; "cm"; "obs"; "chaos"; "runtime"; "vmm"; "tm"; "stms"; "san"; "tinystm"; "tl2"; "norec"; "structures"; "tuning"; "vacation" ] };
@@ -231,7 +231,7 @@ let layers =
    these dirs may name a runtime module of lib/runtime, although the
    library itself is allowed. *)
 let runtime_free = [ "vmm"; "tm"; "tinystm"; "tl2"; "norec" ]
-let runtime_modules = [ "Runtime_intf"; "Runtime_sim"; "Runtime_real" ]
+let runtime_modules = [ "Runtime"; "Runtime_sim"; "Runtime_real" ]
 
 let names_runtime (r : Astq.ref_) =
   match Astq.flatten r.r_lid with

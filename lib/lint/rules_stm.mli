@@ -16,7 +16,7 @@
     - [layering] (whole repo): the declared library DAG, checked against
       both source module references and [dune] library stanzas; and no
       module in lib/vmm, lib/tm, lib/tinystm, lib/tl2 or lib/norec names
-      [Runtime_intf], [Runtime_sim] or [Runtime_real]. *)
+      [Runtime], [Runtime_sim] or [Runtime_real]. *)
 
 type layer = {
   dir : string;

@@ -7,7 +7,6 @@ type t =
   | Lock_release of { lock : int }
   | Clock_extend
   | Clock_rollover
-  | Tuner_move of { label : string }
   | Cache_transfer of {
       label : string;
       line : int;
@@ -30,7 +29,6 @@ let name = function
   | Lock_release _ -> "lock_release"
   | Clock_extend -> "clock_extend"
   | Clock_rollover -> "clock_rollover"
-  | Tuner_move _ -> "tuner_move"
   | Cache_transfer _ -> "cache_transfer"
   | Tx_livelock _ -> "tx_livelock"
   | Tx_starved _ -> "tx_starved"
@@ -59,7 +57,6 @@ let args = function
       [ ("outcome", "escalate"); ("retries", string_of_int retries) ]
   | Lock_acquire { lock } | Lock_release { lock } ->
       [ ("lock", string_of_int lock) ]
-  | Tuner_move { label } -> [ ("config", label) ]
   | Cache_transfer { label; line; word; same_word } ->
       [
         ("array", label);

@@ -1,7 +1,7 @@
 (** Typed trace events recorded by the observability layer.
 
-    Events are emitted by the STM implementations, the simulated runtime and
-    the tuner through {!Sink} and stamped there with a virtual-time cycle
+    Events are emitted by the STM implementations, the runtimes and the
+    service layer through {!Sink} and stamped there with a virtual-time cycle
     count and the emitting CPU id; the payloads below carry only what the
     emitting site knows locally.  Abort reasons travel as strings (produced
     by [Tm_stats.abort_reason_to_string]) so this library stays below
@@ -18,7 +18,6 @@ type t =
   | Lock_release of { lock : int }
   | Clock_extend  (** successful snapshot extension *)
   | Clock_rollover  (** clock wrapped; lock array reset under a fence *)
-  | Tuner_move of { label : string }  (** the tuner reconfigured the STM *)
   | Cache_transfer of {
       label : string;  (** shared-array label, e.g. ["locks"] *)
       line : int;  (** line index within that array *)

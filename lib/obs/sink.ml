@@ -27,13 +27,10 @@ let collector ?ring_capacity () =
     write_set = Histo.create ();
   }
 
-(* One collector per domain: each domain writes only its own shard, so
-   recording stays plain mutable arithmetic — no atomics, no locks, no
-   allocation — and remains race-free under true parallelism.  Shards are
-   merged after the domains have joined. *)
-let sharded ?ring_capacity () =
-  Sharded (Array.init max_cpus (fun _ -> collector ?ring_capacity ()))
-
+(* A [Sharded] sink holds one collector per domain: each domain writes
+   only its own shard, so recording stays plain mutable arithmetic — no
+   atomics, no locks, no allocation — and remains race-free under true
+   parallelism.  Shards are merged after the domains have joined. *)
 let merged shards =
   let dst = collector () in
   Array.iteri
@@ -68,13 +65,6 @@ let with_sink s f =
   install s;
   Fun.protect ~finally:(fun () -> install prev) f
 
-(* Thread-id source for sinks that shard by domain: histogram notes carry
-   no cpu argument, so the sharded sink asks this hook.  Installed by the
-   real-hardware bench alongside the sharded sink; the default (always 0)
-   keeps single-threaded users working unconfigured. *)
-let domain_id = ref (fun () -> 0)
-let set_domain_id f = domain_id := f
-
 let shard_of shards cpu =
   if cpu >= 0 && cpu < Array.length shards then Some shards.(cpu) else None
 
@@ -95,21 +85,21 @@ let note_histos c ~lat ~retries ~reads ~writes =
   Histo.record c.read_set reads;
   Histo.record c.write_set writes
 
-let note_commit ~lat ~retries ~reads ~writes =
+let note_commit ~cpu ~lat ~retries ~reads ~writes =
   match !sink with
   | Null -> ()
   | Collect c -> note_histos c ~lat ~retries ~reads ~writes
   | Sharded shards -> (
-      match shard_of shards (!domain_id ()) with
+      match shard_of shards cpu with
       | Some c -> note_histos c ~lat ~retries ~reads ~writes
       | None -> ())
 
-let note_abort ~lat =
+let note_abort ~cpu ~lat =
   match !sink with
   | Null -> ()
   | Collect c -> Histo.record c.abort_latency lat
   | Sharded shards -> (
-      match shard_of shards (!domain_id ()) with
+      match shard_of shards cpu with
       | Some c -> Histo.record c.abort_latency lat
       | None -> ())
 
@@ -130,8 +120,3 @@ let note_transfer ~ts ~cpu ~label ~line ~word ~same_word =
           Ring.push c.rings.(cpu)
             { Ring.ts; cpu; ev = Event.Cache_transfer { label; line; word; same_word } }
       | None -> ())
-
-let clock = ref (fun () -> 0)
-let set_clock f = clock := f
-let now () = !clock ()
-let emit_now ~cpu ev = emit ~ts:(now ()) ~cpu ev

@@ -32,18 +32,15 @@ type t =
   | Null
   | Collect of collector
   | Sharded of collector array
-      (** one shard per domain id; see {!sharded} and {!merged} *)
+      (** one shard per domain id, picked by the [cpu] every emission
+          names: each domain records only under its own id, which the
+          runtimes guarantee (thread ids index the shards); see
+          {!merged} *)
 
 val max_cpus : int
 
 val collector : ?ring_capacity:int -> unit -> collector
 (** Fresh, empty collector; [ring_capacity] bounds each per-CPU ring. *)
-
-val sharded : ?ring_capacity:int -> unit -> t
-(** A {!Sharded} sink of {!max_cpus} fresh collectors.  Each domain must
-    only record under its own id (shard selection uses the event's [cpu],
-    or {!set_domain_id} for the histogram notes), which the runtimes
-    guarantee by construction: thread ids index the shards. *)
 
 val merged : collector array -> collector
 (** Combine shards into one collector after the writers have quiesced:
@@ -62,8 +59,11 @@ val with_sink : t -> (unit -> 'a) -> 'a
 
 val emit : ts:int -> cpu:int -> Event.t -> unit
 
-val note_commit : lat:int -> retries:int -> reads:int -> writes:int -> unit
-val note_abort : lat:int -> unit
+val note_commit :
+  cpu:int -> lat:int -> retries:int -> reads:int -> writes:int -> unit
+
+val note_abort : cpu:int -> lat:int -> unit
+(** The histogram notes; a {!Sharded} sink records them in shard [cpu]. *)
 
 val note_transfer :
   ts:int ->
@@ -75,21 +75,3 @@ val note_transfer :
   unit
 (** Record a coherence transfer in the contention table and emit the
     corresponding {!Event.Cache_transfer}. *)
-
-(** {1 Clock} — lets layers without access to a runtime (the tuner) stamp
-    events with the current virtual time. *)
-
-val set_clock : (unit -> int) -> unit
-(** Install the virtual-time source (e.g. the simulator's cycle counter).
-    The default clock returns [0]. *)
-
-val now : unit -> int
-
-val emit_now : cpu:int -> Event.t -> unit
-(** [emit] stamped via the installed clock. *)
-
-val set_domain_id : (unit -> int) -> unit
-(** Install the thread-id source the {!Sharded} sink uses to pick the shard
-    for {!note_commit}/{!note_abort} (which carry no [cpu] argument).  The
-    real-hardware bench installs the runtime's [tid]; the default returns
-    [0]. *)

@@ -1,4 +1,3 @@
-let name = "domains"
 let kind = Shm.Domains
 
 (* Kept for perfbench, which builds and accesses its micro-benchmark array

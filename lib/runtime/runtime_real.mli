@@ -1,10 +1,9 @@
-(** The real-hardware implementation of {!Runtime_intf.S}: one OCaml domain
-    per thread, atomic cells for synchronisation words and a flat
-    [int array] for data words, monotonic wall-clock time, and zero-cost
-    charges.  Functionally interchangeable with
-    {!Runtime_sim}; used by the wall-clock bench path
-    ([Tstm_harness.Bench_real]), the examples, and tests that exercise true
-    parallelism.
+(** Real hardware, {!Runtime}'s [Domains] kind: one OCaml domain per
+    thread, atomic cells for synchronisation words and a flat [int array]
+    for data words, monotonic wall-clock time, and zero-cost charges.
+    Functionally interchangeable with {!Runtime_sim}.  Code that holds an
+    instance reaches it through {!Runtime}; only the real-domain service
+    engine, the fault sweep ({!run_healed}) and perfbench name it.
 
     {2 Semantics and guarantees}
 
@@ -51,7 +50,12 @@
       {!Shm.label} are no-ops: real hardware charges its own cycles.
       {!Shm.yield} is [Domain.cpu_relax], suitable inside spin loops. *)
 
-include Runtime_intf.S
+(** {!Runtime}'s functions at [kind = Domains]; see the guarantees above. *)
+
+val kind : Shm.kind
+val run : nthreads:int -> (int -> unit) -> unit
+val now : unit -> float
+val now_cycles : unit -> int
 
 (** {2 For perfbench}
 

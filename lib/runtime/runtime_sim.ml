@@ -1,4 +1,3 @@
-let name = "sim"
 let kind = Shm.Simulated
 
 (* Start every run with cold private caches so a result depends only on the

@@ -1,4 +1,4 @@
-(** The simulated-multicore implementation of {!Runtime_intf.S}.
+(** The simulated multicore: {!Runtime}'s [Simulated] kind.
 
     It runs instances of kind [Shm.Simulated], whose arrays are [Shm.Sim]
     and carry a {!Cache_model.t}; every access inside {!run} charges its
@@ -11,14 +11,20 @@
     created; call {!Shm.configure} before building the experiment state.
     Each [run] starts with cold private caches, and refuses more than
     {!Cache_model.max_cpus} threads with [Invalid_argument] before any
-    fiber starts. *)
+    fiber starts.  Code that holds an instance reaches it through
+    {!Runtime}; only the simulated service engine and perfbench name it. *)
 
-include Runtime_intf.S
+(** {!Runtime}'s functions at [kind = Simulated]. *)
+
+val kind : Shm.kind
+val run : nthreads:int -> (int -> unit) -> unit
+val now : unit -> float
+val now_cycles : unit -> int
 
 (** {2 For perfbench}
 
-    perfbench reads these two names through this module; the code behind
-    them is {!Shm}'s. *)
+    perfbench reads these two names and [kind] through this module; the
+    code behind them is {!Shm}'s. *)
 
 val params : unit -> Cache_model.params
 (** {!Shm.params}. *)

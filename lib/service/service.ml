@@ -293,7 +293,7 @@ let make_engine (type a) spec
     (module M : Tstm_tm.Tm_intf.STM with type t = a) (t : a) =
   match spec.backend with
   | Intset structure ->
-      let module D = Driver.Make (R) (M) in
+      let module D = Driver.Make (M) (M) in
       let shard_ops =
         Array.init spec.shards (fun _ -> D.make_structure t structure)
       in

@@ -108,7 +108,7 @@ let validate spec =
   if spec.queue_cap < 1 then invalid_arg "Service_real: queue_cap < 1"
 
 let run_packed (module M : BR.STM) spec =
-  let module D = Driver.Make (R) (M) in
+  let module D = Driver.Make (M) (M) in
   let wspec =
     Workload.make ~structure:spec.structure ~initial_size:initial_size
       ~update_pct:update_pct ~nthreads:1 ~duration:1.0 ~seed:spec.seed

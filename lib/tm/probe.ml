@@ -84,7 +84,7 @@ let tx_committed ~clk span (stats : Stats.t) ~read_only ~retries =
     let reads = stats.reads - span.reads0 in
     let writes = stats.writes - span.writes0 in
     emit ~clk (Event.Tx_commit { read_only; reads; writes; retries });
-    Sink.note_commit ~lat ~retries ~reads ~writes
+    Sink.note_commit ~cpu:(Shm.tid ()) ~lat ~retries ~reads ~writes
   end
 
 let tx_aborted ~clk span ~reason ~retries =
@@ -92,7 +92,7 @@ let tx_aborted ~clk span ~reason ~retries =
     let lat = Shm.now_cycles clk - span.start in
     let reason = Stats.abort_reason_to_string reason in
     emit ~clk (Event.Tx_abort { reason; retries });
-    Sink.note_abort ~lat
+    Sink.note_abort ~cpu:(Shm.tid ()) ~lat
   end
 
 let tx_abort ~cpu = if sanning () then San.tx_abort ~cpu

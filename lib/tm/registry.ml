@@ -43,6 +43,7 @@ let bind kind (module P : Tm_intf.PACKED) : (module Tm_intf.STM) =
   (module struct
     include P
 
+    let kind = kind
     let create = P.create ~kind
   end)
 

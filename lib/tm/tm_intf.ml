@@ -168,6 +168,10 @@ end
 module type STM = sig
   include PACKAGE
 
+  val kind : Tstm_runtime.Shm.kind
+  (** The runtime every instance of this packaging runs on; the harness
+      picks [Tstm_runtime.Runtime]'s [run] and clocks from it. *)
+
   val create :
     ?tuning:tuning ->
     ?max_retries:int ->

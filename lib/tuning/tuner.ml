@@ -149,16 +149,6 @@ type decision = Keep_measuring | Reconfigure of Config.t
 let goto t mv cfg =
   t.last_move <- mv;
   t.current <- cfg;
-  (* The tuner runs on the control thread (CPU 0); timestamps come from the
-     sink's installed clock since this layer has no runtime handle. *)
-  if Tstm_obs.Sink.enabled () then
-    Tstm_obs.Sink.emit_now ~cpu:0
-      (Tstm_obs.Event.Tuner_move
-         {
-           label =
-             Printf.sprintf "%s (move %s)" (Config.to_string cfg)
-               (move_label mv);
-         });
   Reconfigure cfg
 
 let maybe_forbid t thr =

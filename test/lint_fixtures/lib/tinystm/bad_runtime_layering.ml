@@ -1,5 +1,5 @@
-(* Violating fixture: a family functor over the runtime signature, where
+(* Violating fixture: a family functor over a named runtime's [run], where
    the kind its [create] is given would do. *)
-module Make (R : Tstm_runtime.Runtime_intf.S) = struct (* lint: expect layering *)
-  let make n = Tstm_runtime.Shm.make R.kind n 0
+module Make (R : module type of Tstm_runtime.Runtime_sim) = struct (* lint: expect layering *)
+  let run_all n body = R.run ~nthreads:n body
 end

@@ -1,3 +1,3 @@
-module Make (R : Tstm_runtime.Runtime_intf.S) : sig (* lint: expect layering *)
-  val make : int -> Tstm_runtime.Shm.t
+module Make (R : module type of Tstm_runtime.Runtime_sim) : sig (* lint: expect layering *)
+  val run_all : int -> (int -> unit) -> unit
 end

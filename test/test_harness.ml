@@ -4,8 +4,7 @@
 
 module W = Tstm_harness.Workload
 module S = Tstm_harness.Scenario
-module R = Tstm_runtime.Runtime_sim
-module D = Tstm_harness.Driver.Make (R) (S.Ts)
+module D = Tstm_harness.Driver.Make (S.Sim) (S.Ts)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -40,7 +39,7 @@ let test_spec_defaults () =
 let arena_fits (e : Tstm_tm.Registry.entry) structure () =
   let spec = W.make ~structure ~initial_size:1024 ~nthreads:2 ~seed:3 () in
   let (module M) = e.Tstm_tm.Registry.real in
-  let module Dm = Tstm_harness.Driver.Make (Tstm_runtime.Runtime_real) (M) in
+  let module Dm = Tstm_harness.Driver.Make (M) (M) in
   let words = W.memory_words_for spec in
   let t = M.create ~memory_words:words () in
   let ops = Dm.make_structure t structure in
@@ -86,7 +85,7 @@ let test_structure_strings () =
 (* ------------------------------------------------------------------ *)
 
 let make_instance spec =
-  S.Ts.create ~kind:R.kind
+  S.Ts.create ~kind:S.Sim.kind
     ~config:(Tinystm.Config.make ~n_locks:1024 ())
     ~memory_words:(W.memory_words_for spec) ()
 
@@ -108,9 +107,8 @@ let test_populate_exact_size () =
    head, every arena word, the live words, the contents, the commits and
    the writes must be identical, while the reads fall to a few per draw.
    Every registry entry, on both runtimes. *)
-let populate_identity (module M : Tstm_tm.Tm_intf.STM)
-    (module Rt : Tstm_runtime.Runtime_intf.S) label () =
-  let module Dm = Tstm_harness.Driver.Make (Rt) (M) in
+let populate_identity (module M : Tstm_tm.Tm_intf.STM) label () =
+  let module Dm = Tstm_harness.Driver.Make (M) (M) in
   let spec = W.make ~structure:W.List ~initial_size:1024 ~seed:1 () in
   let fresh () =
     let t = M.create ~memory_words:(W.memory_words_for spec) () in
@@ -154,14 +152,14 @@ let populate_identity (module M : Tstm_tm.Tm_intf.STM)
 let populate_identity_cases =
   List.concat_map
     (fun (e : Tstm_tm.Registry.entry) ->
-      let case stm rt where =
+      let case stm where =
         let label = e.Tstm_tm.Registry.name ^ "/" ^ where in
         Alcotest.test_case ("populate identity " ^ label) `Quick
-          (populate_identity stm rt label)
+          (populate_identity stm label)
       in
       [
-        case e.Tstm_tm.Registry.sim (module R) "sim";
-        case e.Tstm_tm.Registry.real (module Tstm_runtime.Runtime_real) "domains";
+        case e.Tstm_tm.Registry.sim "sim";
+        case e.Tstm_tm.Registry.real "domains";
       ])
     (Tstm_tm.Registry.all ())
 
@@ -176,14 +174,13 @@ let one_thread_identity (e : Tstm_tm.Registry.entry) tuning structure updates
     W.make ~structure ~update_pct:updates ~overwrite_pct:5.0 ~nthreads:1
       ~seed:7 ()
   in
-  let go (module M : Tstm_tm.Tm_intf.STM)
-      (module Rt : Tstm_runtime.Runtime_intf.S) =
-    let module Dm = Tstm_harness.Driver.Make (Rt) (M) in
+  let go (module M : Tstm_tm.Tm_intf.STM) =
+    let module Dm = Tstm_harness.Driver.Make (M) (M) in
     let t = M.create ~tuning ~memory_words:(W.memory_words_for spec) () in
     let ops = Dm.make_structure t structure in
     Dm.populate t ops spec;
     M.reset_stats t;
-    Rt.run ~nthreads:1 (fun tid ->
+    Tstm_runtime.Runtime.run M.kind ~nthreads:1 (fun tid ->
         let g = Tstm_util.Xrand.create (Dm.thread_seed spec tid) in
         let ctx = Dm.thread_ctx spec tid and pending = ref None in
         for _ = 1 to 1500 do
@@ -194,8 +191,8 @@ let one_thread_identity (e : Tstm_tm.Registry.entry) tuning structure updates
   let stats = Alcotest.testable Tstm_tm.Tm_stats.pp ( = ) in
   Alcotest.(check (triple stats int (list int)))
     "stats, live words, contents"
-    (go e.Tstm_tm.Registry.sim (module R))
-    (go e.Tstm_tm.Registry.real (module Tstm_runtime.Runtime_real))
+    (go e.Tstm_tm.Registry.sim)
+    (go e.Tstm_tm.Registry.real)
 
 let one_thread_identity_cases =
   let case ?(h = 1) (e : Tstm_tm.Registry.entry) s u =
@@ -536,8 +533,7 @@ let list_read =
    driver steps after 1,000 warmup steps.  Both are deterministic. *)
 let footprint (e : Tstm_tm.Registry.entry) =
   let (module M) = e.Tstm_tm.Registry.real in
-  let module Rt = Tstm_runtime.Runtime_real in
-  let module Dm = Tstm_harness.Driver.Make (Rt) (M) in
+  let module Dm = Tstm_harness.Driver.Make (M) (M) in
   let live () =
     Gc.full_major ();
     (Gc.quick_stat ()).Gc.live_words
@@ -548,7 +544,7 @@ let footprint (e : Tstm_tm.Registry.entry) =
   Dm.populate t ops list_read;
   let live_words = live () - w0 in
   let per_tx = ref 0.0 in
-  Rt.run ~nthreads:1 (fun tid ->
+  Tstm_runtime.Runtime.run M.kind ~nthreads:1 (fun tid ->
       let g = Tstm_util.Xrand.create (Dm.thread_seed list_read tid) in
       let ctx = Dm.thread_ctx list_read tid and pending = ref None in
       for _ = 1 to 1_000 do
@@ -599,6 +595,42 @@ let footprint_cases =
           Alcotest.(check string)
             "minor words per transaction" pinned_per_tx
             (Printf.sprintf "%.2f" per_tx)))
+    (Tstm_tm.Registry.all ())
+
+(* ------------------------------------------------------------------ *)
+(* Real-domain histories                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Two domains of an entry's real packaging run random single-operation
+   transactions, stamped with the monotonic clock around [atomically], and
+   the history must linearize to the final contents.  A checker-budget
+   [Error] fails the case like any other.  5,000 operations per domain
+   span several milliseconds: a woken pool domain can start that late on
+   a busy host, and a shorter history records no overlap. *)
+let domains_history (e : Tstm_tm.Registry.entry) structure () =
+  let (module M) = e.Tstm_tm.Registry.real in
+  let module Dm = Tstm_harness.Driver.Make (M) (M) in
+  let nthreads = 2 and per_thread = 5_000 and key_range = 16 in
+  let words = W.arena_words structure ~elements:key_range ~nthreads in
+  let t = M.create ~memory_words:words () in
+  let ops = Dm.make_structure t structure in
+  let h = Tstm_chaos.History.create ~nthreads in
+  Dm.run_recorded t ops ~nthreads ~per_thread ~key_range ~seed:1 h;
+  let final = M.atomically t ops.Dm.op_to_list in
+  let events = Tstm_chaos.History.events h in
+  check_int "events" (nthreads * per_thread) (List.length events);
+  match Tstm_chaos.History.check ~final events with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg
+
+let domains_history_cases =
+  List.concat_map
+    (fun (e : Tstm_tm.Registry.entry) ->
+      List.map
+        (fun s ->
+          let name = e.Tstm_tm.Registry.name ^ " " ^ W.structure_to_string s in
+          Alcotest.test_case name `Quick (domains_history e s))
+        [ W.List; W.Rbtree ])
     (Tstm_tm.Registry.all ())
 
 let test_eval_cell_rejects_hierarchy2 () =
@@ -662,6 +694,7 @@ let () =
             test_observed_width_bound;
         ] );
       ("footprint", footprint_cases);
+      ("domains history", domains_history_cases);
       ( "figures",
         [
           Alcotest.test_case "all figures smoke" `Slow test_every_figure_smokes;

@@ -310,6 +310,26 @@ let test_clock_by_kind () =
            0 real))
     ()
 
+(* A sharded sink takes each note's shard from the [cpu] the probe passes,
+   the recording domain's id, with no hook installed: one commit on each of
+   two domains lands in that domain's shard.  Every registry entry. *)
+let test_sharded_routing () =
+  List.iter
+    (fun (e : Tstm_tm.Registry.entry) ->
+      let (module M) = e.real in
+      let t = M.create ~memory_words:1024 () in
+      let a = M.atomically t (fun tx -> M.alloc tx 2) in
+      let shards = Array.init 2 (fun _ -> Obs.Sink.collector ()) in
+      Obs.Sink.with_sink (Obs.Sink.Sharded shards) (fun () ->
+          Tstm_runtime.Runtime.run M.kind ~nthreads:2 (fun tid ->
+              M.atomically t (fun tx -> M.write tx (a + tid) tid)));
+      Array.iteri
+        (fun i c ->
+          let name = Printf.sprintf "%s: shard %d commits" e.name i in
+          Alcotest.(check int) name 1 (Obs.Histo.count c.Obs.Sink.commit_latency))
+        shards)
+    (Tstm_tm.Registry.all ())
+
 let () =
   Alcotest.run "tstm_obs"
     [
@@ -340,5 +360,6 @@ let () =
           Alcotest.test_case "probe gate" `Quick test_probe_gate;
           Alcotest.test_case "TL2 observed run" `Quick test_tl2_observed;
           Alcotest.test_case "clock by kind" `Quick test_clock_by_kind;
+          Alcotest.test_case "sharded routing" `Quick test_sharded_routing;
         ] );
     ]

@@ -367,7 +367,7 @@ let test_tuner_nop_at_converged_best () =
 (* Overwrite workloads                                                 *)
 (* ------------------------------------------------------------------ *)
 
-module D = Tstm_harness.Driver.Make (R) (Ts)
+module D = Tstm_harness.Driver.Make (Tstm_harness.Scenario.Sim) (Ts)
 module W = Tstm_harness.Workload
 
 let test_overwrite_workload_writes_heavily () =

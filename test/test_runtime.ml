@@ -322,7 +322,7 @@ let test_cache_pinned_costs () =
 (* ------------------------------------------------------------------ *)
 
 (* Construction and [run] come from the runtime; every access is [Shm]'s. *)
-module Semantics (R : Runtime_intf.S) = struct
+module Semantics (R : sig val kind : Shm.kind end) = struct
   let test_array_basic () =
     let a = Shm.make R.kind 10 7 in
     check_int "length" 10 (Shm.length a);
@@ -350,7 +350,7 @@ module Semantics (R : Runtime_intf.S) = struct
   let test_counter_under_threads () =
     let a = Shm.make R.kind 1 0 in
     let n = 4 and per = 1000 in
-    R.run ~nthreads:n (fun _ ->
+    Runtime.run R.kind ~nthreads:n (fun _ ->
         for _ = 1 to per do
           ignore (Shm.fetch_add a 0 1)
         done);
@@ -362,7 +362,7 @@ module Semantics (R : Runtime_intf.S) = struct
        Alcotest's checks share formatter state, and eight domains asserting
        at once can corrupt it ([Queue.Empty] out of a worker). *)
     let seen = Array.init 8 (fun _ -> Atomic.make (-1)) in
-    R.run ~nthreads:8 (fun i ->
+    Runtime.run R.kind ~nthreads:8 (fun i ->
         ignore (Shm.fetch_add a (Shm.tid ()) 1);
         Atomic.set seen.(i) (Shm.tid ()));
     Array.iteri (fun i s -> check_int "tid = body arg" i (Atomic.get s)) seen;
@@ -376,7 +376,7 @@ module Semantics (R : Runtime_intf.S) = struct
     let lock = Shm.make R.kind 1 0 in
     let counter = ref 0 in
     let n = 4 and per = 500 in
-    R.run ~nthreads:n (fun _ ->
+    Runtime.run R.kind ~nthreads:n (fun _ ->
         for _ = 1 to per do
           while not (Shm.cas lock 0 0 1) do
             Shm.yield ()

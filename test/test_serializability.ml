@@ -27,7 +27,7 @@ type event = {
 
 let check_bool = Alcotest.(check bool)
 
-module Run (R : Tstm_runtime.Runtime_intf.S) () = struct
+module Run (R : sig val kind : Tstm_runtime.Shm.kind end) () = struct
   module Ts = Tinystm
   module Rb = Tstm_structures.Rbtree.Make (Ts)
   module Ll = Tstm_structures.Intset_list.Make (Ts)
@@ -98,7 +98,7 @@ module Run (R : Tstm_runtime.Runtime_intf.S) () = struct
     in
     with_set (fun apply to_list ->
         let logs = Array.make nthreads [] in
-        R.run ~nthreads (fun tid ->
+        Tstm_runtime.Runtime.run R.kind ~nthreads (fun tid ->
             let g = Tstm_util.Xrand.create (9100 + tid) in
             for _ = 1 to per do
               let key = 1 + Tstm_util.Xrand.int g 48 in

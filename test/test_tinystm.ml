@@ -162,7 +162,8 @@ let prop_hmask_model =
 
 exception User_error
 
-module Semantics (R : Tstm_runtime.Runtime_intf.S) () = struct
+module Semantics (R : sig val kind : Tstm_runtime.Shm.kind end) () = struct
+  let run = Tstm_runtime.Runtime.run R.kind
   module T = Tinystm
 
   let make ?(strategy = Config.Write_back) ?(n_locks = 1 lsl 10) ?(shifts = 0)
@@ -270,7 +271,7 @@ module Semantics (R : Tstm_runtime.Runtime_intf.S) () = struct
       let a = T.atomically t (fun tx -> T.alloc tx 1) in
       T.atomically t (fun tx -> T.write tx a 0);
       let n = 4 and per = 200 in
-      R.run ~nthreads:n (fun _ ->
+      run ~nthreads:n (fun _ ->
           for _ = 1 to per do
             T.atomically t (fun tx -> T.write tx a (T.read tx a + 1))
           done);
@@ -287,7 +288,7 @@ module Semantics (R : Tstm_runtime.Runtime_intf.S) () = struct
           for i = 0 to accounts - 1 do
             T.write tx (base + i) 100
           done);
-      R.run ~nthreads:n (fun tid ->
+      run ~nthreads:n (fun tid ->
           let g = Tstm_util.Xrand.create (7000 + tid) in
           for _ = 1 to per do
             let src = Tstm_util.Xrand.int g accounts
@@ -317,7 +318,7 @@ module Semantics (R : Tstm_runtime.Runtime_intf.S) () = struct
       let t = make ~strategy ~n_locks:4 ~words:64 () in
       let a = T.atomically t (fun tx -> T.alloc tx 2) in
       let violations = Atomic.make 0 in
-      R.run ~nthreads:4 (fun tid ->
+      run ~nthreads:4 (fun tid ->
           let g = Tstm_util.Xrand.create (9000 + tid) in
           if tid < 2 then
             for _ = 1 to 200 do
@@ -342,7 +343,7 @@ module Semantics (R : Tstm_runtime.Runtime_intf.S) () = struct
       let t = make ~strategy ~n_locks:4 ~words:64 () in
       let a = T.atomically t (fun tx -> T.alloc tx 3) in
       let violations = Atomic.make 0 in
-      R.run ~nthreads:4 (fun tid ->
+      run ~nthreads:4 (fun tid ->
           let g = Tstm_util.Xrand.create (11000 + tid) in
           if tid < 2 then
             for _ = 1 to 200 do

@@ -157,7 +157,8 @@ let test_log_charges () =
 
 exception User_error
 
-module Semantics (R : Tstm_runtime.Runtime_intf.S) () = struct
+module Semantics (R : sig val kind : Tstm_runtime.Shm.kind end) () = struct
+  let run = Tstm_runtime.Runtime.run R.kind
   module T = Tl2
 
   let make ?(n_locks = 1 lsl 10) ?(words = 4096) () =
@@ -234,7 +235,7 @@ module Semantics (R : Tstm_runtime.Runtime_intf.S) () = struct
     let t = make ~words:64 () in
     let a = T.atomically t (fun tx -> T.alloc tx 1) in
     let n = 4 and per = 200 in
-    R.run ~nthreads:n (fun _ ->
+    run ~nthreads:n (fun _ ->
         for _ = 1 to per do
           T.atomically t (fun tx -> T.write tx a (T.read tx a + 1))
         done);
@@ -248,7 +249,7 @@ module Semantics (R : Tstm_runtime.Runtime_intf.S) () = struct
         for i = 0 to accounts - 1 do
           T.write tx (base + i) 100
         done);
-    R.run ~nthreads:n (fun tid ->
+    run ~nthreads:n (fun tid ->
         let g = Tstm_util.Xrand.create (7100 + tid) in
         for _ = 1 to per do
           let src = Tstm_util.Xrand.int g accounts
@@ -276,7 +277,7 @@ module Semantics (R : Tstm_runtime.Runtime_intf.S) () = struct
     let t = make ~n_locks:4 ~words:64 () in
     let a = T.atomically t (fun tx -> T.alloc tx 2) in
     let violations = Atomic.make 0 in
-    R.run ~nthreads:4 (fun tid ->
+    run ~nthreads:4 (fun tid ->
         let g = Tstm_util.Xrand.create (9100 + tid) in
         if tid < 2 then
           for _ = 1 to 200 do

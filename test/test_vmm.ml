@@ -6,7 +6,7 @@ module Vmm = Tstm_vmm.Vmm
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-module Common (R : Tstm_runtime.Runtime_intf.S) = struct
+module Common (R : sig val kind : Tstm_runtime.Shm.kind end) = struct
   module V = Vmm
   let test_load_store () =
     let m = V.create ~kind:R.kind ~words:100 in
@@ -183,7 +183,7 @@ module Common (R : Tstm_runtime.Runtime_intf.S) = struct
     let m = V.create ~kind:R.kind ~words:100_000 in
     let n = 4 and per = 200 in
     let results = Array.make (n * per) 0 in
-    R.run ~nthreads:n (fun tid ->
+    Tstm_runtime.Runtime.run R.kind ~nthreads:n (fun tid ->
         for j = 0 to per - 1 do
           results.((tid * per) + j) <- V.alloc m 5
         done);
@@ -199,7 +199,7 @@ module Common (R : Tstm_runtime.Runtime_intf.S) = struct
   let test_parallel_alloc_free_churn () =
     let m = V.create ~kind:R.kind ~words:50_000 in
     let n = 4 in
-    R.run ~nthreads:n (fun tid ->
+    Tstm_runtime.Runtime.run R.kind ~nthreads:n (fun tid ->
         let g = Tstm_util.Xrand.create (100 + tid) in
         let mine = ref [] in
         for _ = 1 to 300 do
