@@ -522,10 +522,8 @@ let fault_cmd =
                   (FR.kind_name spec.FR.kind)
                   (W.structure_to_string spec.FR.structure)
                   spec.FR.seed r.FR.fired r.FR.decisions r.FR.commits
-                  r.FR.heal.Tstm_runtime.Runtime_real.crashes_healed
-                  r.FR.heal.Tstm_runtime.Runtime_real.requeues
-                  r.FR.heal.Tstm_runtime.Runtime_real.hangs_detected
-                  r.FR.heal.Tstm_runtime.Runtime_real.hangs_recovered
+                  r.FR.heal.crashes_healed r.FR.heal.requeues
+                  r.FR.heal.hangs_detected r.FR.heal.hangs_recovered
                   r.FR.aborts_alloc r.FR.capacities
                   (if FR.healed r then "healed" else "FAILED");
                 if not (FR.healed r) then begin
@@ -559,146 +557,108 @@ let fault_cmd =
 
 let serve_cmd =
   let module Sv = Tstm_service.Service in
-  let module SR = Tstm_service.Service_real in
   let module Slo = Tstm_obs.Slo in
-  (* --real maps the command line onto the wall-clock service's spec. *)
-  let run_real (c : Cli.Serve.t) =
-    let s = c.spec in
-    match s.Sv.backend with
-    | Sv.Vacation ->
-        `Error (false, "serve --real supports the intset backends only")
-    | Sv.Intset structure -> (
-        let spec =
-          {
-            SR.stm = s.Sv.stm;
-            workers = s.Sv.workers;
-            shards = s.Sv.shards;
-            structure;
-            arrival = s.Sv.arrival;
-            horizon_s = s.Sv.horizon;
-            deadline_s = s.Sv.deadline;
-            fault_budget = s.Sv.retry_budget;
-            queue_cap = s.Sv.queue_cap;
-            seed = s.Sv.seed;
-          }
-        in
-        (match c.fault_seed with
-        | Some seed ->
-            Tstm_chaos.Plan.activate ~config:SR.fault_burst
-              ?limit:c.fault_limit ~seed ()
-        | None -> ());
-        let fault_note = ref "" in
+  let module Plan = Tstm_chaos.Plan in
+  (* A --real run stays in-process: its fault plan is process-global.  The
+     plan is armed afresh around each run; its summary is the note. *)
+  let run_in_process (c : Cli.Serve.t) spec =
+    match c.fault_seed with
+    | None -> (Sv.run_one spec, "")
+    | Some seed ->
+        Plan.activate ~config:Sv.fault_burst ?limit:c.fault_limit ~seed ();
+        let note = ref "" in
         let finish () =
-          if c.fault_seed <> None then begin
-            fault_note := Tstm_chaos.Plan.summary ();
-            Tstm_chaos.Plan.deactivate ()
-          end
+          note := Plan.summary ();
+          Plan.deactivate ()
         in
-        match Fun.protect ~finally:finish (fun () -> SR.run_one spec) with
-        | exception Invalid_argument msg -> `Error (false, msg)
-        | r ->
-            Printf.printf
-              "serve --real %s %s seed=%d: offered=%d elapsed=%.3fs \
-               goodput=%.0f/s\n"
-              spec.SR.stm
-              (W.structure_to_string structure)
-              spec.SR.seed r.SR.offered r.SR.elapsed_s r.SR.goodput;
-            print_string
-              (Slo.render
-                 ~cycles_to_ms:(fun c -> float_of_int c *. 1e-6)
-                 r.SR.slo);
-            Printf.printf
-              "  crash faults=%d (retried %d) breaker: %d trip(s), final %s\n"
-              r.SR.crash_faults r.SR.faults_retried r.SR.breaker_trips
-              r.SR.breaker_state;
-            if !fault_note <> "" then
-              Printf.printf "  fault plan: %s\n" !fault_note;
-            if SR.failed r then begin
-              List.iter
-                (fun v -> Printf.printf "  VIOLATION: %s\n" v)
-                r.SR.violations;
-              if r.SR.leak_words <> 0 then
-                Printf.printf "  LEAK: %d words after drain\n" r.SR.leak_words;
-              exit 1
-            end;
-            `Ok ())
+        let r = Fun.protect ~finally:finish (fun () -> Sv.run_one spec) in
+        (r, !note)
   in
   let run (c : Cli.Serve.t) =
-    if c.real then run_real c
-    else
-      let base = c.spec in
-      let stms = if c.all_stms then S.all_stms else [ base.Sv.stm ] in
-      let sheds = if c.all_sheds then Sv.all_sheds else [ base.Sv.shed ] in
-      let specs =
-        if c.seeds <= 1 then
-          Array.of_list
-            (List.concat_map
-               (fun stm ->
-                 List.map (fun shed -> { base with Sv.stm; shed }) sheds)
-               stms)
-        else Sv.plan ~seeds:c.seeds ~stms ~sheds base
-      in
-      let plan = Array.map (fun s -> Job.Serve_run s) specs in
-      let res = Cli.execute ~jobs:c.jobs plan in
-      let hz = Sv.cycles_per_second () in
-      let failed = ref false in
-      Array.iteri
-        (fun i outcome ->
-          let spec = specs.(i) in
-          match outcome with
-          | Some (Job.Serve_report r) ->
+    let base = c.spec in
+    let stms = if c.all_stms then S.all_stms else [ base.Sv.stm ] in
+    let sheds = if c.all_sheds then Sv.all_sheds else [ base.Sv.shed ] in
+    let specs =
+      if c.seeds <= 1 then
+        Array.of_list
+          (List.concat_map
+             (fun stm -> List.map (fun shed -> { base with Sv.stm; shed }) sheds)
+             stms)
+      else Sv.plan ~seeds:c.seeds ~stms ~sheds base
+    in
+    let outcomes =
+      match base.Sv.kind with
+      | Tstm_runtime.Shm.Simulated ->
+          let plan = Array.map (fun s -> Job.Serve_run s) specs in
+          Array.map
+            (function
+              | Some (Job.Serve_report r) -> Some (r, "") | Some _ | None -> None)
+            (Cli.execute ~jobs:c.jobs plan).Tstm_exec.Plan.outcomes
+      | Domains -> Array.map (fun s -> Some (run_in_process c s)) specs
+    in
+    let hz = Sv.cycles_per_second base.Sv.kind in
+    let failed = ref false in
+    Array.iteri
+      (fun i outcome ->
+        let spec = specs.(i) in
+        match outcome with
+        | Some (r, note) ->
+            Printf.printf
+              "serve %s %s shed=%s seed=%d: capacity=%.0f/s offered=%.0f/s \
+               goodput=%.0f/s (%.0f%% of capacity)\n"
+              spec.Sv.stm
+              (Sv.backend_to_string spec.Sv.backend)
+              (Sv.shed_to_string spec.Sv.shed)
+              spec.Sv.seed r.Sv.capacity r.Sv.offered r.Sv.goodput
+              (if r.Sv.capacity > 0.0 then 100.0 *. r.Sv.goodput /. r.Sv.capacity
+               else 0.0);
+            print_string
+              (Slo.render ~cycles_to_ms:(fun c -> float_of_int c /. hz *. 1e3)
+                 r.Sv.slo);
+            Printf.printf "  peak queue depth=%d hot dispatches=%d%s\n"
+              r.Sv.max_depth r.Sv.hot_dispatches
+              (match r.Sv.wd with
+              | Some w ->
+                  Printf.sprintf " watchdog: %s (livelocks=%d starvations=%d)"
+                    (Tstm_runtime.Watchdog.level_to_string
+                       w.Tstm_runtime.Watchdog.snap_level)
+                    w.Tstm_runtime.Watchdog.snap_livelocks
+                    w.Tstm_runtime.Watchdog.snap_starvations
+              | None -> "");
+            if spec.Sv.san then
+              Printf.printf "  san: %d finding(s)\n"
+                (List.length r.Sv.san_findings);
+            if note <> "" || r.Sv.crash_faults + r.Sv.breaker_trips > 0 then
               Printf.printf
-                "serve %s %s shed=%s seed=%d: capacity=%.0f/s offered=%.0f/s \
-                 goodput=%.0f/s (%.0f%% of capacity)\n"
-                spec.Sv.stm
-                (Sv.backend_to_string spec.Sv.backend)
-                (Sv.shed_to_string spec.Sv.shed)
-                spec.Sv.seed r.Sv.capacity r.Sv.offered r.Sv.goodput
-                (if r.Sv.capacity > 0.0 then
-                   100.0 *. r.Sv.goodput /. r.Sv.capacity
-                 else 0.0);
-              print_string
-                (Slo.render ~cycles_to_ms:(fun c -> float_of_int c /. hz *. 1e3)
-                   r.Sv.slo);
-              Printf.printf "  peak queue depth=%d hot dispatches=%d%s\n"
-                r.Sv.max_depth r.Sv.hot_dispatches
-                (match r.Sv.wd with
-                | Some w ->
-                    Printf.sprintf " watchdog: %s (livelocks=%d starvations=%d)"
-                      (Tstm_runtime.Watchdog.level_to_string
-                         w.Tstm_runtime.Watchdog.snap_level)
-                      w.Tstm_runtime.Watchdog.snap_livelocks
-                      w.Tstm_runtime.Watchdog.snap_starvations
-                | None -> "");
-              if spec.Sv.san then
-                Printf.printf "  san: %d finding(s)\n"
-                  (List.length r.Sv.san_findings);
-              (match c.metrics_csv with
-              | Some path ->
-                  Tstm_obs.Metrics.write ~path
-                    (Sv.per_period_metrics ~periods:c.periods r);
-                  Printf.printf "(per-period SLO CSV written to %s)\n" path
-              | None -> ());
-              if Sv.failed r then begin
-                failed := true;
-                List.iter
-                  (fun v -> Printf.printf "  VIOLATION: %s\n" v)
-                  r.Sv.violations;
-                if r.Sv.san_findings <> [] then
-                  print_san_findings r.Sv.san_findings;
-                if r.Sv.leak_words <> 0 then
-                  Printf.printf "  LEAK: %d words after drain\n" r.Sv.leak_words;
-                Printf.printf "  repro: %s\n" (Cli.Serve.replay spec)
-              end
-          | Some _ | None ->
+                "  crash faults=%d (retried %d) breaker: %d trip(s), final %s\n"
+                r.Sv.crash_faults r.Sv.faults_retried r.Sv.breaker_trips
+                (Tstm_service.Breaker.state_to_string r.Sv.breaker_state);
+            if note <> "" then Printf.printf "  fault plan: %s\n" note;
+            (match c.metrics_csv with
+            | Some path ->
+                Tstm_obs.Metrics.write ~path
+                  (Sv.per_period_metrics ~periods:c.periods r);
+                Printf.printf "(per-period SLO CSV written to %s)\n" path
+            | None -> ());
+            if Sv.failed r then begin
               failed := true;
-              Printf.printf "serve %s shed=%s seed=%d: no report\n"
-                spec.Sv.stm
-                (Sv.shed_to_string spec.Sv.shed)
-                spec.Sv.seed)
-        res.Tstm_exec.Plan.outcomes;
-      if !failed then exit 1;
-      `Ok ()
+              List.iter
+                (fun v -> Printf.printf "  VIOLATION: %s\n" v)
+                r.Sv.violations;
+              if r.Sv.san_findings <> [] then
+                print_san_findings r.Sv.san_findings;
+              if r.Sv.leak_words <> 0 then
+                Printf.printf "  LEAK: %d words after drain\n" r.Sv.leak_words;
+              Printf.printf "  repro: %s\n" (Cli.Serve.replay spec)
+            end
+        | None ->
+            failed := true;
+            Printf.printf "serve %s shed=%s seed=%d: no report\n" spec.Sv.stm
+              (Sv.shed_to_string spec.Sv.shed)
+              spec.Sv.seed)
+      outcomes;
+    if !failed then exit 1;
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "serve"

@@ -17,7 +17,11 @@
      candidate (real-time order would be violated);
    - memoization on the set of linearized operations.  For a two-state
      per-key model the set of applied operations determines the model
-     state, so the bitset alone is a sound memo key.
+     state, so the set alone is a sound memo key.  Every operation below
+     the first undone one is done and every one above the highest done
+     one is not, so the key is the first undone index plus the done bits
+     between the two: a few bytes on a nearly sequential history, where a
+     copy of the whole bitset would cost n bytes per node.
 
    A node budget turns a pathological search into an explicit
    [Error "checker budget exceeded"], never a wrong verdict. *)
@@ -79,7 +83,7 @@ let check ?(window = 48) ?(max_nodes = 500_000) ~final evs =
   if n = 0 then if IS.is_empty final_set then Ok () else Error "empty history but non-empty final contents"
   else begin
     let done_ = Bytes.make n '\000' in
-    let memo : (string, unit) Hashtbl.t = Hashtbl.create 1024 in
+    let memo : (int * string, unit) Hashtbl.t = Hashtbl.create 1024 in
     let nodes = ref 0 in
     (* Diagnostics: deepest prefix reached and the pending ops blocking it. *)
     let best = ref (-1) in
@@ -98,13 +102,17 @@ let check ?(window = 48) ?(max_nodes = 500_000) ~final evs =
         stuck := List.rev !pending
       end
     in
-    let rec dfs ndone model first_undone =
+    let rec dfs ndone model first_undone max_done =
       incr nodes;
       if !nodes > max_nodes then raise Budget;
       note_depth ndone first_undone;
       if ndone = n then IS.equal model final_set
       else begin
-        let key = Bytes.to_string done_ in
+        let key =
+          ( first_undone,
+            Bytes.sub_string done_ first_undone
+              (max 0 (max_done - first_undone + 1)) )
+        in
         if Hashtbl.mem memo key then false
         else begin
           let ok = ref false in
@@ -130,7 +138,8 @@ let check ?(window = 48) ?(max_nodes = 500_000) ~final evs =
                       !j
                     end
                   in
-                  if dfs (ndone + 1) model' fu then ok := true;
+                  if dfs (ndone + 1) model' fu (max max_done !i) then
+                    ok := true;
                   Bytes.set done_ !i '\000'
                 end;
                 if !ok then continue := false
@@ -147,7 +156,7 @@ let check ?(window = 48) ?(max_nodes = 500_000) ~final evs =
         end
       end
     in
-    match dfs 0 IS.empty 0 with
+    match dfs 0 IS.empty 0 (-1) with
     | true -> Ok ()
     | false ->
         let b = Buffer.create 256 in

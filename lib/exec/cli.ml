@@ -94,13 +94,6 @@ let replay_line cmd ~default fields s =
            if f.always || v <> f.get default then render f.key v else [])
          fields)
 
-(* Long names of the fields whose value differs from the default. *)
-let changed ~default fields s =
-  List.filter_map
-    (fun (Field f) ->
-      if f.get s <> f.get default then Some (flag_name f.key) else None)
-    fields
-
 (* ------------------------------------------------------------------ *)
 (* Shared keys and flag terms                                          *)
 (* ------------------------------------------------------------------ *)
@@ -492,7 +485,6 @@ module Serve = struct
     metrics_csv : string option;
     periods : int;
     jobs : int;
-    real : bool;
     fault_seed : int option;
     fault_limit : int option;
   }
@@ -507,7 +499,6 @@ module Serve = struct
       metrics_csv = None;
       periods = 8;
       jobs = 1;
-      real = false;
       fault_seed = None;
       fault_limit = None;
     }
@@ -533,10 +524,9 @@ module Serve = struct
   let real_key =
     flag_key [ "real" ]
       ~doc:
-        "Serve on real domains (Runtime_real) instead of the simulator: \
-         wall-clock arrivals into mutex-protected shard queues, dispatcher \
-         domains, per-request crash-retry budgets and a fault-fed circuit \
-         breaker.  Flags only the simulator reads are rejected."
+        "Serve on real domains instead of the simulator: the same engine in \
+         wall-clock time, in-process, with worker domains.  Not with \
+         --san, --watchdog or --jobs above 1."
 
   let fault_seed_key =
     some_key [ "fault-seed" ] ~docv:"S" Arg.int
@@ -562,6 +552,10 @@ module Serve = struct
         (fun s -> s.Sv.shed) (fun s v -> { s with Sv.shed = v });
       spec ~always:true seed_key
         (fun s -> s.Sv.seed) (fun s v -> { s with Sv.seed = v });
+      spec real_key
+        (fun s -> s.Sv.kind = Tstm_runtime.Shm.Domains)
+        (fun s v ->
+          { s with Sv.kind = (if v then Domains else Simulated) });
       spec
         (key [ "backend" ] ~docv:"BACKEND"
            (result_conv Sv.backend_of_string Sv.backend_to_string)
@@ -571,7 +565,8 @@ module Serve = struct
               reservation service.")
         (fun s -> s.Sv.backend) (fun s v -> { s with Sv.backend = v });
       spec
-        (key [ "workers" ] Arg.int ~doc:"Dispatcher fibers (simulated CPUs).")
+        (key [ "workers" ] Arg.int
+           ~doc:"Dispatcher threads (simulated CPUs, or domains with --real).")
         (fun s -> s.Sv.workers) (fun s v -> { s with Sv.workers = v });
       spec
         (key [ "shards" ] Arg.int ~doc:"Admission queues / tenants.")
@@ -591,11 +586,12 @@ module Serve = struct
       spec workload_key
         (fun s -> s.Sv.pattern) (fun s v -> { s with Sv.pattern = v });
       spec
-        (float_key [ "horizon" ] ~doc:"Arrival window, virtual seconds.")
+        (float_key [ "horizon" ]
+           ~doc:"Arrival window, seconds (virtual on the simulator).")
         (fun s -> s.Sv.horizon) (fun s v -> { s with Sv.horizon = v });
       spec
         (float_key [ "deadline" ]
-           ~doc:"Per-request deadline, virtual seconds.")
+           ~doc:"Per-request deadline, seconds (virtual on the simulator).")
         (fun s -> s.Sv.deadline) (fun s v -> { s with Sv.deadline = v });
       spec
         (key [ "budget" ] Arg.int
@@ -647,7 +643,6 @@ module Serve = struct
         { periods_key with doc = "Slices in the per-period SLO table (--metrics-csv)." }
         ~get:(fun t -> t.periods) ~set:(fun t v -> { t with periods = v });
       field jobs_key ~get:(fun t -> t.jobs) ~set:(fun t v -> { t with jobs = v });
-      field real_key ~get:(fun t -> t.real) ~set:(fun t v -> { t with real = v });
       field fault_seed_key
         ~get:(fun t -> t.fault_seed) ~set:(fun t v -> { t with fault_seed = v });
       field fault_limit_key
@@ -655,47 +650,27 @@ module Serve = struct
         ~set:(fun t v -> { t with fault_limit = v });
     ]
 
-  (* [t] with every simulator-only value back at its default: what
-     [--real] actually reads. *)
-  let real_only t =
-    let d = default.spec in
-    {
-      t with
-      spec =
-        {
-          t.spec with
-          Sv.shed = d.Sv.shed;
-          overload = d.Sv.overload;
-          session = d.Sv.session;
-          pattern = d.Sv.pattern;
-          batch = d.Sv.batch;
-          watchdog = d.Sv.watchdog;
-          record = d.Sv.record;
-          san = d.Sv.san;
-        };
-      all_stms = false;
-      all_sheds = false;
-      seeds = default.seeds;
-      metrics_csv = None;
-      jobs = default.jobs;
-    }
-
   let check t =
     let error fmt = Printf.ksprintf (fun msg -> `Error (false, msg)) fmt in
-    if t.real then
-      match changed ~default:(real_only t) fields t with
-      | [] -> `Ok t
-      | flags ->
-          error "%s: simulator-only, not with %s" (String.concat ", " flags)
+    let real = t.spec.Sv.kind = Tstm_runtime.Shm.Domains in
+    match Sv.validate t.spec with
+    | Error msg -> error "%s" msg
+    | Ok () ->
+        if real && t.jobs <> 1 then
+          (* The fault plan is process-global: a --real run stays
+             in-process. *)
+          error "%s: a %s run stays in-process" (flag_name jobs_key)
             (flag_name real_key)
-    else if t.fault_seed <> None || t.fault_limit <> None then
-      error "%s/%s require %s" (flag_name fault_seed_key)
-        (flag_name fault_limit_key) (flag_name real_key)
-    else if t.metrics_csv <> None && (t.all_stms || t.all_sheds || t.seeds > 1)
-    then
-      error "%s needs a single run (one stm/shed/seed)"
-        (flag_name metrics_csv_key)
-    else `Ok t
+        else if (not real) && (t.fault_seed <> None || t.fault_limit <> None)
+        then
+          error "%s/%s require %s" (flag_name fault_seed_key)
+            (flag_name fault_limit_key) (flag_name real_key)
+        else if
+          t.metrics_csv <> None && (t.all_stms || t.all_sheds || t.seeds > 1)
+        then
+          error "%s needs a single run (one stm/shed/seed)"
+            (flag_name metrics_csv_key)
+        else `Ok t
 
   let term = Term.(ret (const check $ term_of default fields))
   let replay spec = replay_line "serve" ~default fields { default with spec }

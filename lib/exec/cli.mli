@@ -96,15 +96,16 @@ module Serve : sig
     metrics_csv : string option;
     periods : int;
     jobs : int;
-    real : bool;
     fault_seed : int option;
     fault_limit : int option;
   }
 
   val term : t Cmdliner.Term.t
-  (** Rejects [--fault-seed]/[--fault-limit] without [--real],
-      [--metrics-csv] with more than one run, and, with [--real], every
-      simulator-only flag given a non-default value. *)
+  (** [--real] sets the spec's kind to [Domains].  Rejects a spec
+      {!Tstm_service.Service.validate} rejects (so [--san] and
+      [--watchdog] with [--real]), [--jobs] above 1 with [--real],
+      [--fault-seed]/[--fault-limit] without it, and [--metrics-csv] with
+      more than one run. *)
 
   val replay : Tstm_service.Service.spec -> string
   (** The `repro serve ...` line replaying exactly this spec. *)

@@ -2,8 +2,8 @@
     thread, atomic cells for synchronisation words and a flat [int array]
     for data words, monotonic wall-clock time, and zero-cost charges.
     Functionally interchangeable with {!Runtime_sim}.  Code that holds an
-    instance reaches it through {!Runtime}; only the real-domain service
-    engine, the fault sweep ({!run_healed}) and perfbench name it.
+    instance reaches it through {!Runtime}; only the fault sweep
+    ({!run_healed}) and perfbench name it.
 
     {2 Semantics and guarantees}
 

@@ -1,4 +1,4 @@
-(** Calm-window circuit breaker for the real-domain service front-end.
+(** Calm-window circuit breaker for the service front-end.
 
     The request-level analogue of {!Tstm_runtime.Watchdog}'s degradation
     ladder: a burst of typed faults (injected crashes, arena [Capacity])

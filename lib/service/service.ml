@@ -1,22 +1,25 @@
-(* The service front-end: admission, dispatch, deadlines, shedding.
+(* The service front-end: admission, dispatch, deadlines, shedding and
+   fault containment, one engine for an instance of either [Shm.kind].
 
    Execution model: the full arrival schedule and every request's operation
    are precomputed from the seed, so the open-loop offered load is
-   independent of how fast the service drains it.  Worker fibers share a
-   global cursor into the schedule plus per-shard FIFO queues — plain OCaml
-   state, race-free under the cooperative simulator because admission and
-   queue manipulation contain no preemption point.  A worker loop is:
+   independent of how fast the service drains it.  Workers share a global
+   cursor into the schedule plus per-shard FIFO queues.  A worker loop is:
    admit everything that has arrived, take a batch from the first
    non-empty shard it may serve (round-robin scan from its own index),
-   execute each request as one transaction, and otherwise charge idle
-   cycles up to the next arrival.  The run terminates when the schedule is
-   exhausted and every queue has drained: each dispatched request finishes
-   in bounded virtual time because its attempt guard raises past the
-   deadline or the retry budget (the Storm escape-hatch pattern: raised at
-   attempt entry, before any transactional access, so there is nothing to
-   undo even when irrevocable). *)
+   execute each request as one transaction, and otherwise wait for the
+   next arrival.  The run terminates when the schedule is exhausted and
+   every queue has drained: each dispatched request finishes in bounded
+   time because its attempt guard raises past the deadline or the retry
+   budget (the Storm escape-hatch pattern: raised at attempt entry, before
+   any transactional access, so there is nothing to undo even when
+   irrevocable), and injected crashes are retried within the same budget.
 
-module R = Tstm_runtime.Runtime_sim
+   The idle wait is the one step that differs by kind: the simulator
+   charges virtual cycles up to the next arrival, domains sleep for at
+   most [idle_sleep]. *)
+
+module Runtime = Tstm_runtime.Runtime
 module Shm = Tstm_runtime.Shm
 module Watchdog = Tstm_runtime.Watchdog
 module Registry = Tstm_tm.Registry
@@ -26,6 +29,10 @@ module Driver = Tstm_harness.Driver
 module History = Tstm_chaos.History
 module San = Tstm_san.San
 module Slo = Tstm_obs.Slo
+module Sink = Tstm_obs.Sink
+module Event = Tstm_obs.Event
+module Plan = Tstm_chaos.Plan
+module Intf = Tstm_tm.Tm_intf
 module Xrand = Tstm_util.Xrand
 module Bitops = Tstm_util.Bitops
 
@@ -69,6 +76,7 @@ let backend_of_string s =
 
 type spec = {
   stm : string;
+  kind : Shm.kind;
   cm : string;
   backend : backend;
   workers : int;
@@ -95,6 +103,7 @@ type spec = {
 let default =
   {
     stm = "tinystm-wb";
+    kind = Shm.Simulated;
     cm = "backoff";
     backend = Intset Workload.List;
     workers = 4;
@@ -124,6 +133,11 @@ let key_range = 128
 let initial_size = 64 (* per-shard pre-population (Intset) *)
 let update_pct = 20.0 (* Intset update share, percent *)
 
+(* Hangs are left out: a hang only adds latency without feeding the
+   breaker. *)
+let fault_burst =
+  Plan.Real { crash_pct = 10.0; hang_pct = 0.0; hang_us = 1; oom_pct = 2.0 }
+
 type report = {
   capacity : float;
   offered : float;
@@ -138,21 +152,17 @@ type report = {
   leak_words : int;
   elapsed : float;
   log : (float * Slo.verdict * int) array;
+  crash_faults : int;
+  faults_retried : int;
+  breaker_trips : int;
+  breaker_state : Breaker.state;
 }
 
-let accounted (s : Slo.summary) =
-  s.Slo.requests = s.Slo.shed + s.Slo.admitted
-  && s.Slo.admitted
-     = s.Slo.committed + s.Slo.deadline_missed + s.Slo.budget_exhausted
+let failed r = r.violations <> [] || r.san_findings <> [] || r.leak_words <> 0
 
-let failed r =
-  r.violations <> []
-  || r.san_findings <> []
-  || r.leak_words <> 0
-  || not (accounted r.slo)
-
-let cycles_per_second () =
-  (Shm.params ()).Tstm_runtime.Cache_model.clock_ghz *. 1e9
+let cycles_per_second = function
+  | Shm.Simulated -> (Shm.params ()).Tstm_runtime.Cache_model.clock_ghz *. 1e9
+  | Shm.Domains -> 1e9
 
 (* ------------------------------------------------------------------ *)
 (* Precomputed requests                                                *)
@@ -259,19 +269,32 @@ exception Deadline_hit
 exception Budget_out
 
 let validate spec =
-  let fail msg = invalid_arg ("Service.run_one: " ^ msg) in
-  if spec.workers < 1 then fail "workers < 1";
-  if spec.shards < 1 then fail "shards < 1";
-  if spec.session < 1 then fail "session < 1";
-  if spec.retry_budget < 1 then fail "retry_budget < 1";
-  if spec.queue_cap < 1 then fail "queue_cap < 1";
-  if spec.batch < 1 then fail "batch < 1";
-  if spec.horizon <= 0.0 then fail "horizon <= 0";
-  if spec.deadline <= 0.0 then fail "deadline <= 0";
-  (match spec.overload with
-  | Some x when not (Float.is_finite x && x > 0.0) ->
-      fail "overload must be finite and positive"
-  | _ -> ())
+  let on_domains = spec.kind = Shm.Domains in
+  let bad =
+    [
+      (spec.workers < 1, "workers < 1");
+      (spec.shards < 1, "shards < 1");
+      (spec.session < 1, "session < 1");
+      (spec.retry_budget < 1, "retry_budget < 1");
+      (spec.queue_cap < 1, "queue_cap < 1");
+      (spec.batch < 1, "batch < 1");
+      (spec.horizon <= 0.0, "horizon <= 0");
+      (spec.deadline <= 0.0, "deadline <= 0");
+      ( (match spec.overload with
+        | Some x -> not (Float.is_finite x && x > 0.0)
+        | None -> false),
+        "overload must be finite and positive" );
+      (not (Registry.mem spec.stm), Printf.sprintf "unknown STM %S" spec.stm);
+      ( on_domains && spec.san,
+        "san needs the simulator: its tap sees only simulated arrays" );
+      ( on_domains && spec.watchdog,
+        "the watchdog needs the simulator: its record is unsynchronised \
+         plain OCaml" );
+    ]
+  in
+  match List.find_opt fst bad with
+  | Some (_, msg) -> Error msg
+  | None -> Result.map ignore (Cm.of_string spec.cm)
 
 let memory_words spec =
   match spec.backend with
@@ -288,12 +311,13 @@ let memory_words spec =
       (spec.shards * per) + 8192
 
 (* Build the backend over an already-created STM instance.  Population
-   happens outside [R.run], so it costs no virtual time. *)
+   happens outside [Runtime.run], so it costs no virtual time. *)
 let make_engine (type a) spec
     (module M : Tstm_tm.Tm_intf.STM with type t = a) (t : a) =
   match spec.backend with
   | Intset structure ->
       let module D = Driver.Make (M) (M) in
+      let now_cycles = Runtime.now_cycles M.kind in
       let shard_ops =
         Array.init spec.shards (fun _ -> D.make_structure t structure)
       in
@@ -314,11 +338,11 @@ let make_engine (type a) spec
           let inserted = ref 0 in
           while !inserted < initial_size do
             let v = 1 + Xrand.int g key_range in
-            let inv = R.now_cycles () in
+            let inv = now_cycles () in
             if M.atomically t (fun tx -> ops.D.op_add tx v) then begin
               (match histories with
               | Some hs ->
-                  History.record hs.(s) ~tid:0 ~inv ~resp:(R.now_cycles ())
+                  History.record hs.(s) ~tid:0 ~inv ~resp:(now_cycles ())
                     ~op:(History.Add v) ~result:true
               | None -> ());
               incr inserted
@@ -449,6 +473,18 @@ let make_engine (type a) spec
 (* Capacity calibration                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The service's fault surface is the request path: instance setup,
+   population, calibration and the post-run audit run with an armed fault
+   plan suspended for the calling thread. *)
+let quiet f = Plan.masked ~tid:(Shm.tid ()) f
+
+let make_watchdog spec =
+  if spec.watchdog then
+    Some
+      (Watchdog.create ~window:spec.wd_window ~starve_retries:spec.wd_starve
+         ~recover_windows:spec.wd_calm ())
+  else None
+
 (* Closed-loop saturation: the same workers, shards and operation mix, but
    back-to-back with no arrival gaps — the commit rate is the service's
    capacity, the denominator of every goodput ratio and the base of the
@@ -459,17 +495,13 @@ let make_engine (type a) spec
 let calib_horizon = 0.001
 let dispatch_cost = 80
 
-let calibrate spec policy =
-  let (module M) = Registry.get spec.stm in
-  let wd =
-    if spec.watchdog then
-      Some
-        (Watchdog.create ~window:spec.wd_window ~starve_retries:spec.wd_starve
-           ~recover_windows:spec.wd_calm ())
-    else None
+let calibrate spec policy (module M : Intf.STM) =
+  let engine =
+    quiet (fun () ->
+        make_engine spec (module M)
+          (M.create ~cm:policy ?watchdog:(make_watchdog spec)
+             ~memory_words:(memory_words spec) ()))
   in
-  let t = M.create ~cm:policy ?watchdog:wd ~memory_words:(memory_words spec) () in
-  let engine = make_engine spec (module M) t in
   let g0 = Xrand.create (Bitops.mix ((spec.seed * 11) + 5)) in
   let pick_key = Workload.key_gen spec.pattern ~key_range:key_range in
   (* One pregenerated op ring per worker keeps the loop allocation-free
@@ -479,43 +511,57 @@ let calibrate spec policy =
     Array.init spec.workers (fun _ ->
         Array.init ring_len (fun _ -> gen_op spec pick_key g0))
   in
-  let commits = ref 0 in
-  R.run ~nthreads:spec.workers (fun w ->
-      let ring = rings.(w) in
-      let i = ref 0 in
-      let shard = ref (w mod spec.shards) in
-      while R.now () < calib_horizon do
-        Shm.charge dispatch_cost;
-        (* The same attempt bound as the open-loop run's retry budget, so a
-           pathological contention-manager choice cannot hang calibration. *)
-        let attempts = ref 0 in
-        let guard () =
-          incr attempts;
-          if !attempts > max 64 spec.retry_budget then raise Budget_out
-        in
-        (match engine.exec ~shard:!shard ~guard ring.(!i) with
-        | _ -> incr commits
-        | exception Budget_out -> ());
-        i := (!i + 1) mod ring_len;
-        shard := (!shard + 1) mod spec.shards
-      done);
-  float_of_int !commits /. calib_horizon
+  let commits = Atomic.make 0 in
+  let now = Runtime.now M.kind in
+  let t0 = now () in
+  Runtime.run M.kind ~nthreads:spec.workers (fun w ->
+      quiet (fun () ->
+          let ring = rings.(w) in
+          let i = ref 0 in
+          let shard = ref (w mod spec.shards) in
+          while now () -. t0 < calib_horizon do
+            Shm.charge dispatch_cost;
+            (* The same attempt bound as the open-loop run's retry budget,
+               so a pathological contention-manager choice cannot hang
+               calibration. *)
+            let attempts = ref 0 in
+            let guard () =
+              incr attempts;
+              if !attempts > max 64 spec.retry_budget then raise Budget_out
+            in
+            (match engine.exec ~shard:!shard ~guard ring.(!i) with
+            | _ -> Atomic.incr commits
+            | exception Budget_out -> ());
+            i := (!i + 1) mod ring_len;
+            shard := (!shard + 1) mod spec.shards
+          done));
+  float_of_int (Atomic.get commits) /. calib_horizon
 
 (* ------------------------------------------------------------------ *)
 (* The service run                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let idle_quantum = 2_000
+let idle_quantum = 2_000 (* cycles, simulator *)
+let idle_sleep = 2e-4 (* seconds, domains *)
+
+(* What a worker does next, decided under the dispatcher lock. *)
+type step = Batch of request list | Wait of float | Finished
+
+let packaging spec =
+  let e = Option.get (Registry.entry_of spec.stm) in
+  match spec.kind with
+  | Shm.Simulated -> e.Registry.sim
+  | Shm.Domains -> e.Registry.real
 
 let run_one spec =
-  validate spec;
-  let policy =
-    match Cm.of_string spec.cm with
-    | Ok p -> p
-    | Error msg -> invalid_arg ("Service.run_one: " ^ msg)
-  in
-  let hz = cycles_per_second () in
-  let capacity = calibrate spec policy in
+  (match validate spec with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Service.run_one: " ^ msg));
+  let policy = Result.get_ok (Cm.of_string spec.cm) in
+  let (module M) = packaging spec in
+  let now = Runtime.now M.kind and now_cycles = Runtime.now_cycles M.kind in
+  let hz = cycles_per_second M.kind in
+  let capacity = calibrate spec policy (module M) in
   let arrival =
     match spec.overload with
     | Some x -> Arrival.scale spec.arrival (x *. capacity)
@@ -524,22 +570,24 @@ let run_one spec =
   let offered = Arrival.mean_rate arrival in
   let reqs = gen_requests spec ~arrival in
   let n = Array.length reqs in
-  let wd =
-    if spec.watchdog then
-      Some
-        (Watchdog.create ~window:spec.wd_window ~starve_retries:spec.wd_starve
-           ~recover_windows:spec.wd_calm ())
-    else None
-  in
-  let (module M) = Registry.get spec.stm in
+  let wd = make_watchdog spec in
   let body () =
-    let t =
-      M.create ~cm:policy ?watchdog:wd ~memory_words:(memory_words spec) ()
+    let t, engine =
+      quiet (fun () ->
+          let t =
+            M.create ~cm:policy ?watchdog:wd ~memory_words:(memory_words spec)
+              ()
+          in
+          (t, make_engine spec (module M) t))
     in
-    let engine = make_engine spec (module M) t in
     M.reset_stats t;
-    (* Shared dispatcher state: plain OCaml, no preemption points inside
-       any manipulation, so cooperative scheduling keeps it race-free. *)
+    (* Dispatcher state: the cursor, the queues and depths, the SLO
+       counters, the completion log, the breaker and the fault counters,
+       all behind [lock] on both kinds.  Nothing charges cycles or yields
+       while [lock] is held, so on the simulator, whose fibers share one
+       system thread, no fiber ever finds it taken: taking it there costs
+       no virtual time and cannot block. *)
+    let lock = Mutex.create () in
     let queues = Array.init spec.shards (fun _ -> Queue.create ()) in
     let depth = Array.make spec.shards 0 in
     let cursor = ref 0 in
@@ -547,20 +595,35 @@ let run_one spec =
     let hot_dispatches = ref 0 in
     let slo = Slo.create () in
     let log = ref [] in
-    let elapsed = ref 0.0 in
-    let finish verdict lat_cycles =
+    let crash_faults = ref 0 in
+    let faults_retried = ref 0 in
+    let ends = Array.make spec.workers 0.0 in
+    let t0 = now () in
+    let clock () = now () -. t0 in
+    let breaker =
+      Breaker.create Breaker.default ~on_transition:(fun st ->
+          if Sink.enabled () then
+            Sink.emit ~ts:(now_cycles ()) ~cpu:(Shm.tid ())
+              (Event.Breaker_trip { state = Breaker.state_to_string st }))
+    in
+    (* The [_locked] helpers run with [lock] held. *)
+    let finish_locked verdict lat_cycles =
       Slo.note slo verdict ~lat_cycles;
-      log := (R.now (), verdict, lat_cycles) :: !log
+      log := (clock (), verdict, lat_cycles) :: !log
+    in
+    let finish verdict lat_cycles =
+      Mutex.protect lock (fun () -> finish_locked verdict lat_cycles)
     in
     let cap =
       match spec.shed with No_shed -> max_int | _ -> spec.queue_cap
     in
-    let admit () =
-      let now = R.now () in
+    let admit_locked () =
+      let now = clock () in
       while !cursor < n && reqs.(!cursor).t_arr <= now do
         let r = reqs.(!cursor) in
         incr cursor;
-        if depth.(r.shard) >= cap then finish Slo.Shed 0
+        if not (Breaker.admit breaker ~now) then finish_locked Slo.Tripped 0
+        else if depth.(r.shard) >= cap then finish_locked Slo.Shed 0
         else begin
           Queue.push r queues.(r.shard);
           depth.(r.shard) <- depth.(r.shard) + 1;
@@ -581,7 +644,7 @@ let run_one spec =
       spec.shed = Serialize_hot
       && (wd_degraded () || depth.(s) >= hot_threshold)
     in
-    let take w =
+    let take_locked w =
       let found = ref None in
       let k = ref 0 in
       while !found = None && !k < spec.shards do
@@ -607,8 +670,27 @@ let run_one spec =
           depth.(s) <- depth.(s) - m;
           Some (List.rev !batch)
     in
+    let next_locked w =
+      admit_locked ();
+      match take_locked w with
+      | Some batch -> Batch batch
+      | None ->
+          if !cursor >= n && Array.for_all (fun d -> d = 0) depth then Finished
+          else if !cursor < n then Wait (reqs.(!cursor).t_arr -. clock ())
+          else Wait 0.0
+    in
+    (* Idle until the next arrival, or briefly when only restricted shards
+       or other workers' batches hold work. *)
+    let wait dt =
+      match M.kind with
+      | Shm.Simulated ->
+          Shm.charge
+            (if dt > 0.0 then 1 + int_of_float (dt *. hz) else idle_quantum)
+      | Shm.Domains ->
+          Unix.sleepf (if dt > 0.0 then Float.min dt idle_sleep else idle_sleep)
+    in
     let lat_of r =
-      let l = R.now () -. r.t_arr in
+      let l = clock () -. r.t_arr in
       if l <= 0.0 then 0 else int_of_float (l *. hz)
     in
     let hopeless_drop =
@@ -617,7 +699,7 @@ let run_one spec =
       | No_shed | Drop_newest -> false
     in
     let process w r =
-      if hopeless_drop && R.now () > r.deadline then
+      if hopeless_drop && clock () > r.deadline then
         finish Slo.Dropped (lat_of r)
       else begin
         Shm.charge dispatch_cost;
@@ -625,83 +707,105 @@ let run_one spec =
         let guard () =
           incr attempts;
           if !attempts > spec.retry_budget then raise Budget_out;
-          if R.now () > r.deadline then raise Deadline_hit
+          if clock () > r.deadline then raise Deadline_hit
         in
-        let inv = R.now_cycles () in
-        match engine.exec ~shard:r.shard ~guard r.op with
-        | result ->
-            let resp = R.now_cycles () in
-            (match engine.record with
-            | Some rec_fn ->
-                rec_fn ~shard:r.shard ~tid:w ~inv ~resp r.op result
-            | None -> ());
-            if R.now () <= r.deadline then finish Slo.Committed (lat_of r)
-            else finish Slo.Late (lat_of r)
-        | exception Deadline_hit -> finish Slo.Gave_up (lat_of r)
-        | exception Budget_out -> finish Slo.Budget_exhausted (lat_of r)
+        let rec go crashes =
+          let inv = now_cycles () in
+          match engine.exec ~shard:r.shard ~guard r.op with
+          | result ->
+              let resp = now_cycles () in
+              (match engine.record with
+              | Some rec_fn ->
+                  rec_fn ~shard:r.shard ~tid:w ~inv ~resp r.op result
+              | None -> ());
+              let lat = lat_of r in
+              Mutex.protect lock (fun () ->
+                  Breaker.on_success breaker ~now:(clock ());
+                  finish_locked
+                    (if clock () <= r.deadline then Slo.Committed else Slo.Late)
+                    lat)
+          | exception Deadline_hit -> finish Slo.Gave_up (lat_of r)
+          | exception Budget_out -> finish Slo.Budget_exhausted (lat_of r)
+          | exception Plan.Injected_crash _ ->
+              (* The transaction rolled back cleanly; the request, not the
+                 worker, absorbs the crash and retries within its budget. *)
+              let retry =
+                Mutex.protect lock (fun () ->
+                    incr crash_faults;
+                    Breaker.on_fault breaker ~now:(clock ());
+                    let retry = crashes + 1 < spec.retry_budget in
+                    if retry then incr faults_retried;
+                    retry)
+              in
+              if retry then go (crashes + 1) else finish Slo.Faulted (lat_of r)
+          | exception Intf.Capacity _ ->
+              (* Arena exhaustion: retrying cannot help. *)
+              Mutex.protect lock (fun () ->
+                  Breaker.on_fault breaker ~now:(clock ());
+                  finish_locked Slo.Faulted (lat_of r))
+        in
+        go 0
       end
     in
-    R.run ~nthreads:spec.workers (fun w ->
+    Runtime.run M.kind ~nthreads:spec.workers (fun w ->
         let rec loop () =
-          admit ();
-          match take w with
-          | Some batch ->
+          match Mutex.protect lock (fun () -> next_locked w) with
+          | Batch batch ->
               List.iter (process w) batch;
               Shm.yield ();
               loop ()
-          | None ->
-              if !cursor >= n && Array.for_all (fun d -> d = 0) depth then ()
-              else begin
-                (* Idle: advance to the next arrival (or a small quantum
-                   when only restricted shards hold work). *)
-                let now = R.now () in
-                let dt =
-                  if !cursor < n then reqs.(!cursor).t_arr -. now else 0.0
-                in
-                let cycles =
-                  if dt > 0.0 then 1 + int_of_float (dt *. hz)
-                  else idle_quantum
-                in
-                Shm.charge cycles;
-                loop ()
-              end
+          | Wait dt ->
+              wait dt;
+              loop ()
+          | Finished -> ()
         in
         loop ();
-        if R.now () > !elapsed then elapsed := R.now ());
+        ends.(w) <- clock ());
     (* Drained: verify, then tear down the service state and compare the
        allocator against the engine's baseline. *)
-    let violations = engine.finalize () in
-    let stats = M.stats t in
-    engine.cleanup ();
-    let leak_words = M.live_words t - engine.baseline in
-    (slo, log, violations, stats, leak_words, !elapsed, !max_depth,
-     !hot_dispatches)
+    let violations, stats, leak_words =
+      quiet (fun () ->
+          let violations = engine.finalize () in
+          let stats = M.stats t in
+          engine.cleanup ();
+          (violations, stats, M.live_words t - engine.baseline))
+    in
+    let slo = Slo.summary slo in
+    let violations =
+      if slo.Slo.requests = n then violations
+      else
+        violations
+        @ [
+            Printf.sprintf "accounting: %d verdicts for %d requests"
+              slo.Slo.requests n;
+          ]
+    in
+    {
+      capacity;
+      offered;
+      goodput = float_of_int slo.Slo.committed /. spec.horizon;
+      slo;
+      max_depth = !max_depth;
+      hot_dispatches = !hot_dispatches;
+      wd = Option.map Watchdog.snapshot wd;
+      stats;
+      violations;
+      san_findings = [];
+      leak_words;
+      elapsed = Array.fold_left Float.max 0.0 ends;
+      log = Array.of_list (List.rev !log);
+      crash_faults = !crash_faults;
+      faults_retried = !faults_retried;
+      breaker_trips = Breaker.trips breaker;
+      breaker_state = Breaker.state breaker;
+    }
   in
-  let ( (slo, log, violations, stats, leak_words, elapsed, max_depth,
-         hot_dispatches),
-        san_findings ) =
-    if spec.san then San.with_armed ~ncpus:(max 1 spec.workers) body
-    else (body (), [])
-  in
-  let summary = Slo.summary slo in
-  {
-    capacity;
-    offered;
-    goodput =
-      (if spec.horizon > 0.0 then
-         float_of_int summary.Slo.committed /. spec.horizon
-       else 0.0);
-    slo = summary;
-    max_depth;
-    hot_dispatches;
-    wd = Option.map Watchdog.snapshot wd;
-    stats;
-    violations;
-    san_findings;
-    leak_words;
-    elapsed;
-    log = Array.of_list (List.rev !log);
-  }
+  if spec.san then
+    let report, san_findings =
+      San.with_armed ~ncpus:(max 1 spec.workers) body
+    in
+    { report with san_findings }
+  else body ()
 
 (* ------------------------------------------------------------------ *)
 (* Per-period SLO table                                                *)

@@ -1,26 +1,36 @@
-(** Overload-robust transactional service front-end over the simulated
-    runtime: arrival processes feed sessions of requests into bounded
-    per-shard admission queues; worker fibers dispatch them as transactions
-    against a registry STM with per-request deadlines and retry budgets;
-    a load-shedding policy ladder keeps goodput and tail latency bounded
-    when the offered load exceeds capacity.
+(** Overload-robust transactional service front-end: arrival processes
+    feed sessions of requests into bounded per-shard admission queues;
+    workers dispatch them as transactions against a registry STM with
+    per-request deadlines and retry budgets; a load-shedding policy ladder
+    keeps goodput and tail latency bounded when the offered load exceeds
+    capacity, and a circuit {!Breaker} contains injected faults.
 
-    Everything is deterministic from the {!spec}: the arrival schedule, the
-    per-request operations, admission, dispatch and every verdict replay
-    bit-identically — a service run is one {!Tstm_exec} job, so `repro
-    serve` output is byte-identical for any [--jobs].
+    One engine serves an instance of either {!Tstm_runtime.Shm.kind}
+    ([spec.kind]).  On [Simulated] everything is deterministic from the
+    {!spec}: the arrival schedule, the per-request operations, admission,
+    dispatch and every verdict replay bit-identically — a simulated run is
+    one {!Tstm_exec} job, so `repro serve` output is byte-identical for any
+    [--jobs].  On [Domains] the same schedule is served in wall-clock time
+    by worker domains; only the interleaving varies between runs.
 
-    {b Request life cycle.}  Each request arrives at a virtual instant,
-    targets one shard (tenant) and carries a deadline
-    [t_arr + spec.deadline].  Admission either enqueues it or sheds it
-    (policy-dependent).  A worker dequeues up to [batch] requests from one
-    shard at a time and runs each as a single transaction; at every attempt
-    boundary (before any transactional access, so there is nothing to roll
-    back even when irrevocable) the request re-checks its deadline and retry
-    budget and fails fast with a typed verdict instead of spinning.  The
-    accounting identity [requests = shed + admitted] and
-    [admitted = committed + deadline_missed + budget_exhausted] holds for
-    every run ({!Tstm_obs.Slo}).
+    {b Request life cycle.}  Each request arrives at an instant of the
+    run's clock (virtual on the simulator, wall-clock on domains), targets
+    one shard (tenant) and carries a deadline [t_arr + spec.deadline].
+    Admission either enqueues it or rejects it: [Tripped] while the
+    breaker is open, [Shed] into a full queue (policy-dependent).  A worker
+    dequeues up to [batch] requests from one shard at a time and runs each
+    as a single transaction; at every attempt boundary (before any
+    transactional access, so there is nothing to roll back even when
+    irrevocable) the request re-checks its deadline and retry budget and
+    fails fast with a typed verdict instead of spinning.
+
+    {b Faults.}  A transaction killed by [Tstm_chaos.Plan.Injected_crash]
+    (an armed real-domain fault plan) has rolled back; the request retries
+    it within [retry_budget] and ends [Faulted] once the budget is spent.
+    An arena [Tm_intf.Capacity] verdict ends it [Faulted] at once.  Every
+    such fault feeds the breaker; successes close it again after its calm
+    window.  Setup, calibration and the post-run audit run with the plan
+    masked: the fault surface is the request path.
 
     {b Shedding ladder} ({!shed_policy}):
     - [No_shed]: unbounded queue, nothing is ever rejected — under overload
@@ -58,9 +68,12 @@ val backend_of_string : string -> (backend, string) result
 
 type spec = {
   stm : string;  (** {!Tstm_tm.Registry} name or alias *)
+  kind : Tstm_runtime.Shm.kind;
+      (** the instance's runtime: the registry entry's [sim] or [real]
+          packaging *)
   cm : string;  (** contention-manager name *)
   backend : backend;
-  workers : int;  (** dispatcher fibers (simulated CPUs) *)
+  workers : int;  (** dispatcher threads (simulated CPUs or domains) *)
   shards : int;  (** admission queues / tenants *)
   arrival : Arrival.t;
   overload : float option;
@@ -69,13 +82,15 @@ type spec = {
   session : int;  (** requests per arriving session (>= 1) *)
   pattern : Tstm_harness.Workload.pattern;
       (** skew for both the shard pick and the per-request keys *)
-  horizon : float;  (** arrival window, virtual seconds *)
-  deadline : float;  (** per-request, virtual seconds *)
-  retry_budget : int;  (** max transaction attempts per request (>= 1) *)
+  horizon : float;  (** arrival window, seconds of the run's clock *)
+  deadline : float;  (** per-request, seconds of the run's clock *)
+  retry_budget : int;
+      (** max transaction attempts per request (>= 1), and separately max
+          injected crashes it survives *)
   queue_cap : int;  (** per-shard admission bound (ignored by [No_shed]) *)
   batch : int;  (** max requests dequeued from one shard at a time *)
   shed : shed_policy;
-  watchdog : bool;
+  watchdog : bool;  (** simulator only *)
   wd_window : int;
   wd_starve : int;
   wd_calm : int;
@@ -83,18 +98,31 @@ type spec = {
       (** record per-shard operation histories and run the linearizability
           checker after drain (Intset only; ignored for Vacation, which is
           audited by [check_consistency] instead) *)
-  san : bool;  (** arm VmmSan around the run *)
+  san : bool;  (** arm VmmSan around the run (simulator only) *)
   seed : int;
 }
 
 val default : spec
-(** 4 workers x 4 shards of a list-set service on [tinystm-wb]/[backoff]:
+(** 4 workers x 4 shards of a simulated list-set service on
+    [tinystm-wb]/[backoff]:
     2 ms horizon, Poisson arrivals at 2x calibrated capacity, 0.5 ms
     deadline, budget 8, queue cap 64, batch 4, [Deadline_aware] shedding,
     watchdog off (window 50_000 / ceiling 64 / calm 2 when armed).  Every
     run, whatever its spec, draws keys from 1..128, pre-populates 64 keys
     per shard, issues 20 % updates and spaces a session's requests 20 µs
     apart. *)
+
+val fault_burst : Tstm_chaos.Plan.config
+(** The fault plan `repro serve --real --fault-seed` arms: 10 % crashes and
+    2 % OOMs, no hangs — dense enough to trip the breaker within one
+    arrival window. *)
+
+val validate : spec -> (unit, string) result
+(** [Error reason] for a malformed spec: a non-positive count, horizon or
+    deadline, a bad overload factor, an unknown STM or contention manager,
+    or a [Domains] spec that sets [san] (the sanitizer's tap sees only
+    simulated arrays) or [watchdog] (its record is unsynchronised plain
+    OCaml; see {!Tstm_runtime.Watchdog}). *)
 
 type report = {
   capacity : float;  (** calibrated closed-loop commits/s *)
@@ -111,24 +139,29 @@ type report = {
   san_findings : Tstm_san.San.finding list;
   leak_words : int;
       (** [live_words] drift after drain + cleanup (0 = no leak) *)
-  elapsed : float;  (** virtual end time *)
+  elapsed : float;  (** end time on the run's clock *)
   log : (float * Tstm_obs.Slo.verdict * int) array;
-      (** completion log: (virtual finish time, verdict, latency cycles)
-          per request in finish order — the raw data behind
+      (** completion log: (finish time, verdict, latency cycles) per
+          request in finish order — the raw data behind
           {!per_period_metrics} *)
+  crash_faults : int;  (** injected crashes caught on the request path *)
+  faults_retried : int;  (** of those, retried within the budget *)
+  breaker_trips : int;
+  breaker_state : Breaker.state;  (** final state *)
 }
 
 val failed : report -> bool
-(** Violations, sanitizer findings, a leak, or broken accounting. *)
+(** Violations (including a request without exactly one verdict),
+    sanitizer findings or a leak. *)
 
-val cycles_per_second : unit -> float
-(** The simulated clock rate (for converting {!Tstm_obs.Slo} cycles). *)
+val cycles_per_second : Tstm_runtime.Shm.kind -> float
+(** The clock rate behind {!Tstm_obs.Slo} latency cycles: the simulated
+    clock on [Simulated], [1e9] (nanoseconds) on [Domains]. *)
 
 val run_one : spec -> report
 (** Calibrate capacity (a short closed-loop run on a fresh instance), then
-    run the open-loop service and drain it.  Raises [Invalid_argument] on
-    malformed specs (unknown names, [workers < 1], [shards < 1],
-    [retry_budget < 1], ...). *)
+    run the open-loop service and drain it.  Raises [Invalid_argument] with
+    {!validate}'s reason on a malformed spec. *)
 
 val per_period_metrics : periods:int -> report -> Tstm_obs.Metrics.t
 (** Bucket the report's completion log into [periods] equal slices of the

@@ -25,7 +25,25 @@ let set t i x =
   if i < 0 || i >= t.len then invalid_arg "Growbuf.set";
   t.data.(i) <- x
 
-let clear t = t.len <- 0
+(* A buffer cleared while it holds more than this many elements gets a
+   fresh array of this size.  The
+   STM descriptors clear their sets after every transaction; without a
+   bound each set would hold, for the life of its descriptor, the largest
+   transaction it ever ran (the harness's list insert draws keys inside
+   one transaction until one is absent, so a read set now and then holds
+   a dozen traversals), and the retained memory would depend on the
+   longest such run.  16,384 elements is two full traversals of a
+   4,096-key list. *)
+let max_retained = 16384
+
+let[@inline never] release t = t.data <- Array.make max_retained 0
+
+(* Testing the length, not the capacity, keeps the fast path on the one
+   field it writes: a buffer grows past [max_retained] only by holding
+   more than that many elements. *)
+let clear t =
+  if t.len > max_retained then release t;
+  t.len <- 0
 
 let shrink t n =
   if n < 0 || n > t.len then invalid_arg "Growbuf.shrink";

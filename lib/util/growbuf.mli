@@ -24,8 +24,13 @@ val get : t -> int -> int
 val set : t -> int -> int -> unit
 (** Bounds-checked write to an existing index [< length]. *)
 
+val max_retained : int
+(** The most capacity, in elements, that {!clear} keeps. *)
+
 val clear : t -> unit
-(** Forget all elements; capacity is retained. *)
+(** Forget all elements.  Capacity is retained, except that a buffer
+    holding more than {!max_retained} elements gets a fresh array of that
+    size. *)
 
 val shrink : t -> int -> unit
 (** [shrink t n] truncates to the first [n] elements. Requires [n <= length]. *)

@@ -9,15 +9,15 @@
    3. the Bench_real failed-repetition contract — a single injected crash
       inside a timed repetition becomes a typed [failed_reps] entry while
       the remaining repetitions still yield samples;
-   4. a [Service_real] fault burst — the breaker trips, the run keeps
-      goodput above zero, and once the bounded storm ends the breaker
+   4. a [Service] fault burst on domains — the breaker trips, the run
+      keeps goodput above zero, and once the bounded storm ends the breaker
       recovers to closed with the integrity audit green. *)
 
 module Plan = Tstm_chaos.Plan
 module FR = Tstm_harness.Fault_run
 module BR = Tstm_harness.Bench_real
 module Bench = Tstm_obs.Bench
-module SR = Tstm_service.Service_real
+module Service = Tstm_service.Service
 
 let fail fmt =
   Printf.ksprintf
@@ -124,24 +124,43 @@ let bench_failed_rep () =
   in
   attempt 0
 
+(* Hashsets on three worker domains at 20k single-request sessions/s for
+   0.2 s: the traffic the breaker's default thresholds are tuned for. *)
+let burst_spec =
+  {
+    Service.default with
+    Service.kind = Tstm_runtime.Shm.Domains;
+    backend = Service.Intset Tstm_harness.Workload.Hashset;
+    workers = 3;
+    arrival = { Tstm_service.Arrival.shape = Poisson; rate = 20_000.0 };
+    overload = None;
+    session = 1;
+    horizon = 0.2;
+    deadline = 0.01;
+    queue_cap = 256;
+    seed = 42;
+  }
+
 let service_burst () =
-  Plan.activate ~config:SR.fault_burst ~limit:12 ~seed:7 ();
+  Plan.activate ~config:Service.fault_burst ~limit:12 ~seed:7 ();
   let r =
-    Fun.protect ~finally:Plan.deactivate (fun () -> SR.run_one SR.default)
+    Fun.protect ~finally:Plan.deactivate (fun () -> Service.run_one burst_spec)
   in
-  if SR.failed r then
-    fail "service burst: leak=%d violations=[%s]" r.SR.leak_words
-      (String.concat "; " r.SR.violations);
-  if r.SR.crash_faults = 0 then fail "service burst: no crash faults recorded";
-  if r.SR.breaker_trips = 0 then fail "service burst: breaker never tripped";
-  if r.SR.breaker_state <> "closed" then
-    fail "service burst: breaker did not recover (final %s)" r.SR.breaker_state;
-  if r.SR.goodput <= 0.0 then fail "service burst: zero goodput";
+  if Service.failed r then
+    fail "service burst: leak=%d violations=[%s]" r.Service.leak_words
+      (String.concat "; " r.Service.violations);
+  if r.Service.crash_faults = 0 then
+    fail "service burst: no crash faults recorded";
+  if r.Service.breaker_trips = 0 then fail "service burst: breaker never tripped";
+  if r.Service.breaker_state <> Tstm_service.Breaker.Closed then
+    fail "service burst: breaker did not recover (final %s)"
+      (Tstm_service.Breaker.state_to_string r.Service.breaker_state);
+  if r.Service.goodput <= 0.0 then fail "service burst: zero goodput";
   Printf.printf
     "fault-smoke: service burst survived (%d crash faults, %d trips, \
      recovered closed, goodput %.0f/s)\n\
      %!"
-    r.SR.crash_faults r.SR.breaker_trips r.SR.goodput
+    r.Service.crash_faults r.Service.breaker_trips r.Service.goodput
 
 let () =
   disarmed ();

@@ -10,7 +10,8 @@
    - with the full ladder ([Serialize_hot]) goodput stays >= 80% of the
      calibrated capacity, at most 1% of commits land past the deadline,
      and nothing is left unaccounted;
-   - both runs satisfy the accounting identity and leak zero words.
+   - both runs pass [Service.failed]: every request has exactly one
+     verdict, nothing leaks and no violation is reported.
 
    Exit code 0 = all invariants hold on every STM. *)
 
@@ -23,7 +24,7 @@ let check label cond =
     exit 1
   end
 
-let hz = Service.cycles_per_second ()
+let hz = Service.cycles_per_second Tstm_runtime.Shm.Simulated
 
 let run stm =
   let base = { Service.default with stm; seed = 7; watchdog = true } in
@@ -31,24 +32,17 @@ let run stm =
      blown. *)
   let r0 = Service.run_one { base with shed = Service.No_shed } in
   let s0 = r0.Service.slo in
-  check (stm ^ ": no-shed accounting")
-    (s0.Slo.requests = s0.Slo.shed + s0.Slo.admitted
-    && s0.Slo.admitted
-       = s0.Slo.committed + s0.Slo.deadline_missed + s0.Slo.budget_exhausted);
+  check (stm ^ ": no-shed passes") (not (Service.failed r0));
   check (stm ^ ": no-shed sheds nothing") (s0.Slo.shed = 0);
   check (stm ^ ": no-shed misses deadlines")
     (float_of_int s0.Slo.deadline_missed
     >= 0.3 *. float_of_int (max 1 s0.Slo.admitted));
   check (stm ^ ": no-shed p99 blows past the deadline")
     (float_of_int s0.Slo.p99_done /. hz >= base.Service.deadline);
-  check (stm ^ ": no-shed leaks nothing") (r0.Service.leak_words = 0);
   (* (b) the full ladder: goodput and tail latency hold. *)
   let r1 = Service.run_one { base with shed = Service.Serialize_hot } in
   let s1 = r1.Service.slo in
-  check (stm ^ ": ladder accounting")
-    (s1.Slo.requests = s1.Slo.shed + s1.Slo.admitted
-    && s1.Slo.admitted
-       = s1.Slo.committed + s1.Slo.deadline_missed + s1.Slo.budget_exhausted);
+  check (stm ^ ": ladder passes") (not (Service.failed r1));
   check (stm ^ ": ladder sheds under overload")
     (s1.Slo.shed + s1.Slo.dropped > 0);
   check (stm ^ ": ladder goodput >= 80% of capacity")
@@ -56,9 +50,6 @@ let run stm =
   check (stm ^ ": ladder keeps late commits under 1%")
     (float_of_int s1.Slo.late
     <= 0.01 *. float_of_int (max 1 (s1.Slo.committed + s1.Slo.late)));
-  check (stm ^ ": ladder leaks nothing") (r1.Service.leak_words = 0);
-  check (stm ^ ": no violations")
-    (r0.Service.violations = [] && r1.Service.violations = []);
   Printf.printf
     "serve-smoke %s: capacity=%.0f/s offered=%.0f/s | no-shed: missed %d/%d \
      p99done=%.2fms | ladder: goodput=%.0f/s shed=%d dropped=%d late=%d\n"

@@ -83,6 +83,36 @@ let test_checker_diagnostic_mentions_stuck_op () =
          in
          find 0)
 
+(* The memo key must not copy the whole done-set at every node: on a
+   sequential history that is about n bytes per node, n^2 in all. *)
+let test_checker_memory_bounded () =
+  let n = 20_000 in
+  let present = Hashtbl.create 64 in
+  let evs =
+    List.init n (fun i ->
+        let k = i mod 61 in
+        let op, result =
+          match i mod 3 with
+          | 0 ->
+              let fresh = not (Hashtbl.mem present k) in
+              Hashtbl.replace present k ();
+              (History.Add k, fresh)
+          | 1 -> (History.Contains k, Hashtbl.mem present k)
+          | _ ->
+              let had = Hashtbl.mem present k in
+              Hashtbl.remove present k;
+              (History.Remove k, had)
+        in
+        ev 0 (2 * i) ((2 * i) + 1) op result)
+  in
+  let final = Hashtbl.fold (fun k () acc -> k :: acc) present [] in
+  let before = Gc.allocated_bytes () in
+  let verdict = History.check ~final evs in
+  let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+  check_bool "sequential history accepted" true (verdict = Ok ());
+  check_bool (Printf.sprintf "allocates under 50 MB (%.1f MB)" mb) true
+    (mb < 50.0)
+
 (* ------------------------------------------------------------------ *)
 (* Deterministic replay and shrinking                                  *)
 (* ------------------------------------------------------------------ *)
@@ -340,6 +370,8 @@ let () =
             test_checker_real_time_order;
           Alcotest.test_case "diagnostic names stuck op" `Quick
             test_checker_diagnostic_mentions_stuck_op;
+          Alcotest.test_case "memory bounded" `Quick
+            test_checker_memory_bounded;
         ] );
       ( "deterministic replay",
         [

@@ -18,6 +18,7 @@ module Scenario = Tstm_harness.Scenario
 module Job = Tstm_exec.Job
 module Plan = Tstm_exec.Plan
 module Cli = Tstm_exec.Cli
+module Shm = Tstm_runtime.Shm
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -258,6 +259,7 @@ let test_replay_lines_roundtrip () =
   let serve =
     {
       Service.stm = "tinystm-wt";
+      kind = Shm.Simulated;
       cm = Service.default.Service.cm;
       backend = Service.Vacation;
       workers = 3;
@@ -294,6 +296,7 @@ let test_replay_lines_roundtrip () =
           Arrival.
             { shape = Bursty { boost = 3.3333333; period = 1e-3 }; rate = 7e4 };
       };
+      { serve with Service.kind = Shm.Domains; watchdog = false; san = false };
     ];
   roundtrip "fault" Cli.Fault.term Cli.Fault.replay
     (fun (c : Cli.Fault.t) -> c.spec)
@@ -324,9 +327,11 @@ let test_default_replay_lines () =
      3 --ops 400 --initial 128 --key-range 512 --update 50 --seed 42"
     (Cli.Fault.replay Tstm_harness.Fault_run.default)
 
-(* `serve --real` runs none of the simulator's machinery, so a
-   simulator-only flag given with it is an error, not silently ignored. *)
-let test_serve_real_rejects_sim_flags () =
+(* `serve --real` runs the one engine on domains, so it rejects only what
+   domains cannot run: the sanitizer and the watchdog (see
+   [Service.validate]) and a pooled sweep (the fault plan is
+   process-global). *)
+let test_serve_real_rejects_what_domains_cannot_run () =
   let parses args =
     let null = Format.make_formatter (fun _ _ _ -> ()) ignore in
     match
@@ -337,30 +342,34 @@ let test_serve_real_rejects_sim_flags () =
     | Ok (`Ok _) -> true
     | _ -> false
   in
+  let with_real expect cases =
+    List.iter
+      (fun args ->
+        check_bool
+          (String.concat " " args ^ " with --real")
+          expect
+          (parses ("--real" :: args)))
+      cases
+  in
   check_bool "--real alone" true (parses [ "--real" ]);
-  check_bool "--real with shared flags" true
-    (parses [ "--real"; "--stm"; "tl2"; "--horizon"; "0.1"; "--fault-seed"; "3" ]);
-  List.iter
-    (fun args ->
-      check_bool
-        (String.concat " " args ^ " with --real")
-        false
-        (parses ("--real" :: args)))
+  with_real true
     [
+      [ "--stm"; "tl2"; "--horizon"; "0.1"; "--fault-seed"; "3" ];
       [ "--shed"; "none" ];
       [ "--overload"; "3" ];
       [ "--session"; "2" ];
       [ "--batch"; "2" ];
-      [ "--watchdog" ];
       [ "--record" ];
-      [ "--san" ];
       [ "--seeds"; "2" ];
       [ "--metrics-csv"; "m.csv" ];
       [ "--all-stms" ];
       [ "--all-sheds" ];
       [ "--workload"; "zipf:1.2" ];
-      [ "--jobs"; "2" ];
+      [ "--backend"; "vacation" ];
+      [ "--jobs"; "1" ];
     ];
+  with_real false [ [ "--san" ]; [ "--watchdog" ]; [ "--jobs"; "2" ] ];
+  check_bool "--san without --real" true (parses [ "--san" ]);
   check_bool "--fault-seed without --real" false (parses [ "--fault-seed"; "3" ])
 
 (* ------------------------------------------------------------------ *)
@@ -380,6 +389,10 @@ let test_spec_validation () =
   expect_invalid "deadline" { d with Service.deadline = 0.0 };
   expect_invalid "queue cap" { d with Service.queue_cap = 0 };
   expect_invalid "overload" { d with Service.overload = Some (-2.0) };
+  expect_invalid "san on domains"
+    { d with Service.kind = Shm.Domains; san = true };
+  expect_invalid "watchdog on domains"
+    { d with Service.kind = Shm.Domains; watchdog = true };
   match Service.backend_of_string "btree" with
   | Ok _ -> Alcotest.fail "accepted unknown backend"
   | Error e -> check_bool "backend error message" true (contains ~sub:"btree" e)
@@ -393,7 +406,7 @@ let test_spec_validation () =
    blow past the SLO; (b) the full ladder -> goodput >= 80% of calibrated
    capacity and admitted-request tail inside the deadline. *)
 let overload_demo stm () =
-  let hz = Service.cycles_per_second () in
+  let hz = Service.cycles_per_second Shm.Simulated in
   let base =
     {
       Service.default with
@@ -529,6 +542,39 @@ let test_per_period_metrics () =
     (Array.length r.Service.log)
 
 (* ------------------------------------------------------------------ *)
+(* The same engine on real domains                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A short recorded run: 20k sessions/s for 20 ms of wall-clock time. *)
+let domains_spec =
+  {
+    Service.default with
+    Service.kind = Shm.Domains;
+    arrival = { Arrival.shape = Arrival.Poisson; rate = 20_000.0 };
+    overload = None;
+    horizon = 0.02;
+    record = true;
+  }
+
+let check_domains_run label r =
+  check_bool
+    (Printf.sprintf "%s: passes (violations=[%s] leak=%d)" label
+       (String.concat "; " r.Service.violations)
+       r.Service.leak_words)
+    false (Service.failed r);
+  check_bool (label ^ ": served") true (r.Service.slo.Slo.requests > 0)
+
+let test_domains_every_stm () =
+  List.iter
+    (fun stm ->
+      check_domains_run stm (Service.run_one { domains_spec with Service.stm }))
+    (Tstm_tm.Registry.names ())
+
+let test_domains_vacation () =
+  check_domains_run "vacation"
+    (Service.run_one { domains_spec with Service.backend = Service.Vacation })
+
+(* ------------------------------------------------------------------ *)
 (* Circuit breaker: calm-window state machine at exact boundaries      *)
 (* ------------------------------------------------------------------ *)
 
@@ -644,8 +690,8 @@ let () =
             test_replay_lines_roundtrip;
           Alcotest.test_case "default replay lines" `Quick
             test_default_replay_lines;
-          Alcotest.test_case "serve --real rejects simulator-only flags"
-            `Quick test_serve_real_rejects_sim_flags;
+          Alcotest.test_case "serve --real rejects what domains cannot run"
+            `Quick test_serve_real_rejects_what_domains_cannot_run;
           Alcotest.test_case "spec validation" `Quick test_spec_validation;
         ] );
       ( "breaker",
@@ -678,5 +724,10 @@ let () =
           Alcotest.test_case "record+san sweep" `Slow test_serve_stress_sweep;
           Alcotest.test_case "vacation backend" `Slow test_vacation_backend;
           Alcotest.test_case "per-period metrics" `Quick test_per_period_metrics;
+        ] );
+      ( "domains",
+        [
+          Alcotest.test_case "every stm, recorded" `Quick test_domains_every_stm;
+          Alcotest.test_case "vacation audit" `Quick test_domains_vacation;
         ] );
     ]

@@ -162,6 +162,19 @@ let test_growbuf_clear_retains_capacity () =
   Growbuf.push b 5;
   check_int "reusable" 5 (Growbuf.get b 0)
 
+let test_growbuf_clear_releases_outsized () =
+  let b = Growbuf.create 8 in
+  for i = 0 to (4 * Growbuf.max_retained) - 1 do
+    Growbuf.push b i
+  done;
+  Growbuf.clear b;
+  check_int "cleared" 0 (Growbuf.length b);
+  check_int "capacity bounded" Growbuf.max_retained (Growbuf.capacity b);
+  for i = 0 to Growbuf.max_retained do
+    Growbuf.push b i
+  done;
+  check_int "regrows" Growbuf.max_retained (Growbuf.get b Growbuf.max_retained)
+
 let test_growbuf_shrink () =
   let b = Growbuf.create 4 in
   for i = 0 to 9 do
@@ -289,6 +302,8 @@ let () =
           Alcotest.test_case "push/get" `Quick test_growbuf_basic;
           Alcotest.test_case "set" `Quick test_growbuf_set;
           Alcotest.test_case "clear" `Quick test_growbuf_clear_retains_capacity;
+          Alcotest.test_case "clear releases outsized" `Quick
+            test_growbuf_clear_releases_outsized;
           Alcotest.test_case "shrink" `Quick test_growbuf_shrink;
           Alcotest.test_case "push after shrink" `Quick
             test_growbuf_push_after_shrink;
